@@ -144,7 +144,7 @@ class NodeOutcome:
     index: int
     name: str
     report: ServingReport
-    #: ``repro.obs.export.result_payload`` of the node's dispatch run.
+    #: ``repro.obs.export.result_summary`` of the node's dispatch run.
     payload: dict
     #: ``OpenLoop.tenant_stats()`` of the node's admission loop.
     tenant_stats: dict[str, dict[str, int]]

@@ -40,7 +40,10 @@ A 1-node cluster degenerates exactly to the single-node serving path:
 every tenant's home is node 0, no handoff delay is ever added, and
 the node replays the unmodified timeline -- traces, reports and
 export payloads are byte-identical to ``ServingRuntime.serve`` on the
-same system (see ``tests/test_cluster_serving.py``).
+same system (see ``tests/test_cluster_serving.py``).  Nodes ship back
+:func:`~repro.obs.export.result_summary` payloads: the trace and
+decision rows stay in the worker as row counts and sha256 digests, so
+the byte-identity check still covers every row.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from dataclasses import dataclass, field
 
 from ..core.runtime import _SCHEDULERS
 from ..faults.plan import FaultPlan
-from ..obs.export import result_payload
+from ..obs.export import result_summary
 from ..serving.arrivals import ArrivalProcess, TimelineArrivals
 from ..serving.report import ServingReport
 from ..serving.runtime import DEFAULT_SLO_S, ServingRuntime
@@ -151,7 +154,10 @@ def _run_node_task(task: _NodeTask) -> NodeOutcome:
     """Run one node's serving simulation (module-level for pickling).
 
     Pure function of the task: in-process and pooled execution return
-    identical outcomes.
+    identical outcomes.  The outcome carries the node's
+    :func:`~repro.obs.export.result_summary`: the trace and decision
+    rows stay in the worker, and only their counts and digests cross
+    the process boundary.
     """
     runtime = ServingRuntime(
         task.node.system,
@@ -178,7 +184,7 @@ def _run_node_task(task: _NodeTask) -> NodeOutcome:
         index=task.index,
         name=task.name,
         report=serving.report,
-        payload=result_payload(serving.result),
+        payload=result_summary(serving.result),
         tenant_stats=serving.open_loop.tenant_stats(),
         sojourns=sojourns,
         makespan=serving.result.makespan,
@@ -194,7 +200,9 @@ class ClusterResult:
     report: ServingReport
     #: node name -> that node's own ServingReport.
     node_reports: dict[str, ServingReport]
-    #: node name -> ``result_payload`` of the node's dispatch run.
+    #: node name -> ``result_summary`` of the node's dispatch run: the
+    #: ``result_payload`` fields with the trace and decision rows
+    #: replaced by their counts and sha256 digests.
     node_payloads: dict[str, dict]
     stats: ClusterStats
 
@@ -212,8 +220,8 @@ class ClusterResult:
         return self.completed / self.makespan if self.makespan > 0 else 0.0
 
     def as_dict(self) -> dict:
-        """JSON-ready summary (per-node payloads stay out: they are
-        full traces, exported separately when wanted)."""
+        """JSON-ready summary (the per-node summaries in
+        ``node_payloads`` stay out)."""
         return {
             "n_nodes": len(self.spec),
             "report": self.report.as_dict(),

@@ -350,6 +350,7 @@ class Dispatcher:
             job_id = flight.dispatch.job.job_id
             records.pop(job_id, None)
             failed_jobs[job_id] = reason
+            policy.notify_failed(flight.dispatch.job, sim.now)
             metrics.counter("jobs.failed").inc()
             runtime_counter_inc("jobs.failed")
             if open_loop is not None:

@@ -127,14 +127,14 @@ class JobPerfProfile:
             )
         return np.minimum(a // self.unit_arrays, self.waves_unit)
 
-    def load_time_batch(self, arrays) -> np.ndarray:
-        """Vectorised :meth:`load_time` over an allocation array."""
-        replicas = self.replicas_batch(arrays)
+    def load_time_of_replicas(self, replicas: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`load_time` over a :meth:`replicas_batch`
+        result (callers compute the replica counts once)."""
         return self.t_load + self.t_replica_unit * (replicas - 1)
 
-    def compute_time_batch(self, arrays) -> np.ndarray:
-        """Vectorised :meth:`compute_time` over an allocation array."""
-        replicas = self.replicas_batch(arrays)
+    def compute_time_of_replicas(self, replicas: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`compute_time` over a :meth:`replicas_batch`
+        result."""
         waves = np.ceil(self.waves_unit / replicas)
         effective = np.ceil(self.waves_unit / waves)
         per_wave = self.t_compute_unit / self.waves_unit
@@ -142,8 +142,10 @@ class JobPerfProfile:
 
     def total_time_batch(self, arrays) -> np.ndarray:
         """Vectorised :meth:`total_time` over an allocation array."""
+        replicas = self.replicas_batch(arrays)
         return self.n_iter * (
-            self.load_time_batch(arrays) + self.compute_time_batch(arrays)
+            self.load_time_of_replicas(replicas)
+            + self.compute_time_of_replicas(replicas)
         )
 
     def useful_max_arrays(self) -> int:

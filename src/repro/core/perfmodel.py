@@ -33,6 +33,16 @@ Python loops.  Both behaviours are switchable::
     perfmodel.cache_stats()   # {"perfmodel.knee": {"hits": ..., ...}, ...}
     perfmodel.clear_caches()
 
+Serving traffic rarely repeats a knee search (every arrival is a new
+curve), so the cost of a miss matters too.  Everything in the knee
+search that depends on the grid alone -- the normalised allocation
+axis and the three-point ``np.gradient`` stencil over it (interior
+coefficients plus the two one-sided end spacings,
+:func:`_knee_stencil`) -- is built once per grid and cached next to
+the grid in the ``perfmodel.grid`` cache; a miss only evaluates the
+curve and applies the stencil twice.  With caching off the stencil is
+rebuilt on every search, like everything else.
+
 The caches are per-process (no locking -- the simulator is
 single-threaded and parallel experiment runners fork worker processes
 that each own their caches).
@@ -127,7 +137,9 @@ class _LRUCache:
 
     def put(self, key, value) -> None:
         self._data[key] = value
-        if len(self._data) > self.maxsize:
+        # A loop, not one pop: after configure() shrinks the cap the
+        # cache may sit several entries above it.
+        while len(self._data) > self.maxsize:
             self._data.popitem(last=False)
 
     def clear(self, reset_counters: bool = True) -> None:
@@ -399,9 +411,10 @@ class ProfileEstimate:
     def total_time_batch(self, arrays) -> np.ndarray:
         """Vectorised :meth:`total_time` over an allocation array."""
         profile = self.profile
+        replicas = profile.replicas_batch(arrays)
         return profile.n_iter * (
-            profile.load_time_batch(arrays)
-            + profile.compute_time_batch(arrays) * self.compute_scale
+            profile.load_time_of_replicas(replicas)
+            + profile.compute_time_of_replicas(replicas) * self.compute_scale
         )
 
     def snap_to_replica(self, arrays: int) -> int:
@@ -504,6 +517,13 @@ def allocation_grid(estimate, max_arrays: int, points: int = 48) -> np.ndarray:
     results are memoised; cached grids are returned *read-only* (they
     are shared across callers -- copy before mutating).
     """
+    return _grid_entry(estimate, max_arrays, points)[0]
+
+
+def _grid_entry(estimate, max_arrays: int, points: int = 48):
+    """``(grid, stencil)``: the allocation grid plus its knee stencil
+    (:func:`_knee_stencil`).  Both are cached together; with caching
+    off the stencil is ``None`` and the knee search builds its own."""
     lo = estimate.unit_arrays
     if max_arrays < lo:
         raise ValueError("max_arrays below the unit allocation")
@@ -512,21 +532,48 @@ def allocation_grid(estimate, max_arrays: int, points: int = 48) -> np.ndarray:
     # by less than one replica (or by int-vs-float type) share an
     # entry.
     key = (lo, int(max_replicas), points)
-    if _CONFIG.cache_enabled:
-        cached = _GRID_CACHE.get(key)
-        if cached is not _MISSING:
-            return cached
+    if not _CONFIG.cache_enabled:
+        return _build_grid(lo, max_replicas, points), None
+    cached = _GRID_CACHE.get(key)
+    if cached is not _MISSING:
+        return cached
+    grid = _build_grid(lo, max_replicas, points)
+    grid.setflags(write=False)
+    entry = (grid, _knee_stencil(grid))
+    _GRID_CACHE.put(key, entry)
+    return entry
+
+
+def _build_grid(lo: int, max_replicas: int, points: int) -> np.ndarray:
     if max_replicas <= 1:
-        grid = np.asarray([lo])
-    else:
-        replicas = np.unique(
-            np.round(np.geomspace(1, max_replicas, num=points)).astype(int)
-        )
-        grid = replicas[replicas >= 1] * lo
-    if _CONFIG.cache_enabled:
-        grid.setflags(write=False)
-        _GRID_CACHE.put(key, grid)
-    return grid
+        return np.asarray([lo])
+    replicas = np.unique(
+        np.round(np.geomspace(1, max_replicas, num=points)).astype(int)
+    )
+    return replicas[replicas >= 1] * lo
+
+
+def _knee_stencil(grid: np.ndarray) -> tuple:
+    """Grid-only constants of the knee search's two gradients.
+
+    The allocation axis is normalised to ``x`` in [0, 1] (so the angle
+    is scale-invariant), and ``np.gradient(f, x)`` on that axis is a
+    fixed three-point stencil: second-order interior coefficients
+    ``(a, b, c)`` and first-order one-sided ends over ``dx[0]`` and
+    ``dx[-1]``.  None of it depends on the curve, so it is built once
+    per grid.  Returns ``(a, b, c, dx_first, dx_last)`` (``()`` for a
+    one-point grid, which has no knee to search).
+    """
+    if len(grid) == 1:
+        return ()
+    x = (grid - grid[0]) / max(1, (grid[-1] - grid[0]))
+    dx = np.diff(x)
+    dx1 = dx[:-1]
+    dx2 = dx[1:]
+    a = -(dx2) / (dx1 * (dx1 + dx2))
+    b = (dx2 - dx1) / (dx1 * dx2)
+    c = dx1 / (dx2 * (dx1 + dx2))
+    return a, b, c, float(dx[0]), float(dx[-1])
 
 
 def _estimate_key(estimate, max_arrays: int):
@@ -586,41 +633,40 @@ def knee_allocation(estimate, max_arrays: int) -> int:
     return result
 
 
-def _gradient1d(f: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``np.gradient(f, x)`` for 1-D arrays, bit-identical but without
-    the generic axis/shape machinery (the knee search calls this twice
-    per cache miss on small grids, where that overhead dominates)."""
+def _gradient1d(f: np.ndarray, stencil: tuple) -> np.ndarray:
+    """``np.gradient(f, x)`` for 1-D arrays on the grid's precomputed
+    stencil (:func:`_knee_stencil`): bit-identical, but without the
+    generic axis/shape machinery or the per-call spacing arithmetic
+    (the knee search calls this twice per cache miss on small grids,
+    where that overhead dominates)."""
+    a, b, c, dx_first, dx_last = stencil
     out = np.empty_like(f)
-    dx = np.diff(x)
-    dx1 = dx[:-1]
-    dx2 = dx[1:]
-    a = -(dx2) / (dx1 * (dx1 + dx2))
-    b = (dx2 - dx1) / (dx1 * dx2)
-    c = dx1 / (dx2 * (dx1 + dx2))
     out[1:-1] = a * f[:-2] + b * f[1:-1] + c * f[2:]
-    out[0] = (f[1] - f[0]) / dx[0]
-    out[-1] = (f[-1] - f[-2]) / dx[-1]
+    out[0] = (f[1] - f[0]) / dx_first
+    out[-1] = (f[-1] - f[-2]) / dx_last
     return out
 
 
 def _knee_allocation_impl(estimate, max_arrays: int) -> int:
-    grid = allocation_grid(estimate, max_arrays)
+    grid, stencil = _grid_entry(estimate, max_arrays)
     if len(grid) == 1:
         return int(grid[0])
     times = _grid_times(estimate, grid)
 
     # Normalise both axes so the angle is scale-invariant; otherwise
-    # the knee depends on the units of seconds vs arrays.
-    x = (grid - grid[0]) / max(1, (grid[-1] - grid[0]))
+    # the knee depends on the units of seconds vs arrays.  The x axis
+    # lives in the grid's stencil.
     t_span = times.max() - times.min()
     if t_span <= 0.0:
         # Flat curve: no benefit from more than the unit allocation.
         return int(grid[0])
     y = (times - times.min()) / t_span
+    if stencil is None:
+        stencil = _knee_stencil(grid)
 
-    slope = _gradient1d(y, x)
+    slope = _gradient1d(y, stencil)
     theta = np.arctan(slope)
-    dtheta = np.abs(_gradient1d(theta, x))
+    dtheta = np.abs(_gradient1d(theta, stencil))
     knee_idx = int(np.argmax(dtheta))
     knee = int(grid[knee_idx])
 

@@ -21,7 +21,13 @@ from typing import Callable
 from ...memories.base import MemoryKind
 from ..job import Job
 from ..predictor import PerformancePredictor
-from .adjustments import PlannedJob, inter_queue_adjust, job_fits, plan_job
+from .adjustments import (
+    PlannedJob,
+    drop_plans,
+    inter_queue_adjust,
+    job_fits,
+    plan_job,
+)
 from .base import Dispatch, DispatchPolicy, MLIMPSystem, ResourceView, Scheduler
 
 __all__ = ["AdaptiveScheduler", "AdaptivePolicy"]
@@ -66,6 +72,10 @@ class AdaptivePolicy(DispatchPolicy):
 
     def notify_completion(self, job: Job, kind: MemoryKind, now: float) -> None:
         self._inflight.get(kind, {}).pop(job.job_id, None)
+        drop_plans(self._plans, [job])
+
+    def notify_failed(self, job: Job, now: float) -> None:
+        drop_plans(self._plans, [job])
 
     # -- graceful degradation (repro.faults) ---------------------------
     def _scaled_time(self, entry: PlannedJob, kind: MemoryKind) -> float:
@@ -102,6 +112,7 @@ class AdaptivePolicy(DispatchPolicy):
                 unplaced.append(job)
             else:
                 self._queues[best.kind].append(best)
+        drop_plans(self._plans, unplaced)
         # Re-run Algorithm 1 over the survivors so the degraded system
         # is balanced, not merely feasible.
         self._rebalance()
@@ -111,13 +122,11 @@ class AdaptivePolicy(DispatchPolicy):
         """Algorithm 1 over the currently *queued* jobs (the live
         queues), then restore longest-first dispatch order."""
         if self._system is not None and self._queues and self._plans is not None:
+            # Algorithm 1 only reads the options of queued jobs on live
+            # queues, so the plan table goes in unfiltered.
             alive = [k for k in self._system.kinds if k in self._queues]
-            plans = {
-                job_id: {k: e for k, e in options.items() if k in self._queues}
-                for job_id, options in self._plans.items()
-            }
             self._queues = inter_queue_adjust(
-                self._queues, plans, self._system.subset(alive)
+                self._queues, self._plans, self._system.subset(alive)
             )
         self._queues = {
             k: sorted(entries, key=lambda e: e.est_time, reverse=True)

@@ -73,6 +73,17 @@ def job_fits(job: Job, kind: MemoryKind, system: MLIMPSystem) -> bool:
     )
 
 
+def drop_plans(
+    plans: dict[str, dict[MemoryKind, PlannedJob]] | None, jobs: list[Job]
+) -> None:
+    """Forget the plans of jobs that left a policy (finished, failed
+    or handed back unplaced), so a policy's plan table holds exactly
+    its queued and in-flight jobs."""
+    if plans is not None:
+        for job in jobs:
+            plans.pop(job.job_id, None)
+
+
 def plan_job(
     job: Job,
     kind: MemoryKind,
@@ -176,7 +187,10 @@ def inter_queue_adjust(
 
     ``plans`` holds every job's pre-computed plan on every supported
     memory (built once during planning), so candidate evaluation is a
-    lookup.  Each round migrates the job out of the most-loaded queue
+    lookup.  Only the options of jobs in ``queues`` on kinds in
+    ``queues`` are read, so the table may hold more (finished jobs,
+    lost kinds) and the cost scales with the queued backlog, not the
+    table.  Each round migrates the job out of the most-loaded queue
     that best reduces the drain-time spread; the loop stops when the
     queues are within epsilon or no migration improves (the paper's
     "if t-bar improves else break").
@@ -216,13 +230,17 @@ def inter_queue_adjust(
         for entry in entries:
             member[entry.job.job_id] = kind
             entry_of[entry.job.job_id] = entry
+    # Ranked from the queued jobs alone: ``plans`` may also hold
+    # finished or in-flight jobs and options on lost kinds, none of
+    # which Algorithm 1 may move.  ``(est_time, job_id)`` is a total
+    # order, so the ranking does not depend on iteration order.
     by_target: dict[MemoryKind, list[str]] = {}
     for kind in queues:
-        ranked = [
-            (options[kind].est_time, job_id)
-            for job_id, options in plans.items()
-            if kind in options and job_id in member
-        ]
+        ranked = []
+        for job_id in member:
+            option = plans.get(job_id, {}).get(kind)
+            if option is not None:
+                ranked.append((option.est_time, job_id))
         ranked.sort()
         by_target[kind] = [job_id for _, job_id in ranked]
 

@@ -115,6 +115,10 @@ class DispatchPolicy(abc.ABC):
     def notify_completion(self, job: Job, kind: MemoryKind, now: float) -> None:
         """Hook: a dispatched job finished (adaptive policies use it)."""
 
+    def notify_failed(self, job: Job, now: float) -> None:
+        """Hook: the dispatcher gave up on ``job`` (reported it failed);
+        it will never run or come back to the policy."""
+
     # -- online admission (repro.serving) ------------------------------
     def admit(self, jobs: list[Job], now: float) -> list[Job]:
         """Open-system hook: ``jobs`` arrived at ``now`` and want in.

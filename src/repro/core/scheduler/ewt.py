@@ -36,7 +36,13 @@ from typing import Callable
 from ...memories.base import MemoryKind
 from ..job import Job
 from ..predictor import PerformancePredictor
-from .adjustments import PlannedJob, job_fits, plan_job, queue_drain_estimate
+from .adjustments import (
+    PlannedJob,
+    drop_plans,
+    job_fits,
+    plan_job,
+    queue_drain_estimate,
+)
 from .base import Dispatch, DispatchPolicy, MLIMPSystem, ResourceView, Scheduler
 
 __all__ = ["EWTScheduler", "EWTPolicy"]
@@ -102,6 +108,12 @@ class EWTPolicy(DispatchPolicy):
 
     def queue_depths(self) -> dict[str, int]:
         return {kind.value: len(entries) for kind, entries in self._queues.items()}
+
+    def notify_completion(self, job: Job, kind: MemoryKind, now: float) -> None:
+        drop_plans(self._plans, [job])
+
+    def notify_failed(self, job: Job, now: float) -> None:
+        drop_plans(self._plans, [job])
 
     def next_dispatches(self, view: ResourceView) -> list[Dispatch]:
         dispatches: list[Dispatch] = []
@@ -187,6 +199,7 @@ class EWTPolicy(DispatchPolicy):
                 unplaced.append(job)
             else:
                 self._place(options, arrived=arrived)
+        drop_plans(self._plans, unplaced)
         return unplaced
 
     def device_derated(self, kind: MemoryKind, factor: float, now: float) -> None:

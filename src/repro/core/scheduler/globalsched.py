@@ -27,7 +27,7 @@ from ...memories.base import MemoryKind
 from ..job import Job
 from ..predictor import PerformancePredictor
 from .adaptive import AdaptiveScheduler
-from .adjustments import PlannedJob, intra_queue_adjust
+from .adjustments import PlannedJob, drop_plans, intra_queue_adjust
 from .base import Dispatch, DispatchPolicy, MLIMPSystem, ResourceView, Scheduler
 
 __all__ = ["GlobalScheduler", "GlobalPolicy", "ScheduledEntry", "build_static_schedule"]
@@ -208,6 +208,12 @@ class GlobalPolicy(DispatchPolicy):
         # rebuilt on re-plan): the dispatcher polls this per pump.
         return dict(self._depths)
 
+    def notify_completion(self, job: Job, kind: MemoryKind, now: float) -> None:
+        drop_plans(self._plans, [job])
+
+    def notify_failed(self, job: Job, now: float) -> None:
+        drop_plans(self._plans, [job])
+
     def next_event_time(self, now: float) -> float | None:
         if not self._schedule:
             return None
@@ -299,6 +305,7 @@ class GlobalPolicy(DispatchPolicy):
             for s in build_static_schedule(capped, subset)
         ]
         self._depths = self._count_depths()
+        drop_plans(self._plans, unplaced)
         return unplaced
 
     # -- online admission (repro.serving) ------------------------------

@@ -2,7 +2,9 @@
 
 One :func:`result_payload` dict per run -- the derived report, the
 raw trace timeline, the decision log and the metrics snapshot --
-written by :func:`write_results_json`; :func:`write_trace_csv` dumps
+written by :func:`write_results_json` (:func:`result_summary` is the
+same dict with the timeline and decision rows folded to row counts
+and digests, what cluster nodes ship back); :func:`write_trace_csv` dumps
 the flat per-phase timeline for spreadsheet/Perfetto-style analysis.
 Both accept a single :class:`~repro.core.dispatcher.DispatchResult`
 or a list of them (multi-batch runs), tagging each row with its run
@@ -27,6 +29,7 @@ The same artifacts are available from the CLI::
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -35,6 +38,7 @@ from .analytics import build_report
 __all__ = [
     "trace_rows",
     "result_payload",
+    "result_summary",
     "write_results_json",
     "write_trace_csv",
 ]
@@ -79,6 +83,24 @@ def result_payload(result, run: int = 0) -> dict:
         "faults": getattr(result, "fault_summary", None),
         "failed_jobs": dict(getattr(result, "failed_jobs", {}) or {}),
     }
+
+
+def result_summary(result) -> dict:
+    """:func:`result_payload` without its per-row lists.
+
+    ``trace`` and ``decisions`` -- the two fields that grow with the
+    job count -- are replaced by ``<field>_rows`` (the row count) and
+    ``<field>_sha256`` (the sha256 of the list's canonical JSON: sorted
+    keys, compact separators); every other field is kept as is.  Two
+    runs with equal summaries produced byte-identical rows.
+    """
+    payload = result_payload(result)
+    for name in ("trace", "decisions"):
+        rows = payload.pop(name)
+        text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+        payload[f"{name}_rows"] = len(rows)
+        payload[f"{name}_sha256"] = hashlib.sha256(text.encode()).hexdigest()
+    return payload
 
 
 def _as_results(results) -> list:

@@ -3,7 +3,8 @@
 The load-bearing guarantees of ``repro.cluster``'s runtime half:
 
 * **1-node degeneracy** -- a single-node cluster is byte-identical to
-  the plain single-node serving path: same dispatch payload, same
+  the plain single-node serving path: same dispatch payload summary
+  (row counts and sha256 digests of the trace and decisions), same
   per-node report, and the cluster-level report (minus its ``nodes``
   section) matches field for field.
 * **Shard invariance** -- running the node simulations in worker
@@ -34,7 +35,7 @@ from repro.cluster import (
 from repro.faults import FaultPlan
 from repro.faults.plan import FaultEvent, FaultKind
 from repro.harness.config import full_system, gnn_system
-from repro.obs.export import result_payload
+from repro.obs.export import result_summary
 from repro.serving import PoissonArrivals, ServingRuntime, Tenant
 from repro.serving.arrivals import TimelineArrivals
 from repro.sim.events import JobArrival
@@ -88,8 +89,10 @@ def test_single_node_cluster_matches_serving_path(scheduler):
     )
     cluster = _cluster_serve(1, system=system, scheduler=scheduler)
 
+    # Nodes ship a summary; its row digests keep every trace and
+    # decision row byte-checked.
     node = cluster.node_payloads["node-0"]
-    assert _dumps(result_payload(direct.result)) == _dumps(node)
+    assert _dumps(result_summary(direct.result)) == _dumps(node)
     assert _dumps(direct.report.as_dict()) == _dumps(
         cluster.node_reports["node-0"].as_dict()
     )

@@ -220,3 +220,94 @@ class TestMinTimeCacheOnFig10Sweep:
         # Well clear of zero, well short of flaky: the collab sweep
         # measured ~54% when the key fix landed.
         assert stats["hit_rate"] > 0.25
+
+
+class TestCacheShrink:
+    def test_shrinking_maxsize_evicts_down_to_the_cap(self):
+        """``configure(cache_maxsize=...)`` below the population: the
+        next insert must bring the cache within the new cap (a single
+        eviction per insert left it above the cap forever)."""
+        default = perfmodel.perf_config().cache_maxsize
+        try:
+            for t in range(10):
+                est = ScaleFreeEstimate(
+                    unit_arrays=4, t_load=1e-6, t_replica_unit=5e-8,
+                    t_compute_unit=1e-4 * (t + 1), beta=0.92,
+                )
+                knee_allocation(est, 512)
+            assert perfmodel.cache_stats()["perfmodel.knee"]["size"] == 10
+            perfmodel.configure(cache_maxsize=3)
+            knee_allocation(
+                ScaleFreeEstimate(
+                    unit_arrays=4, t_load=1e-6, t_replica_unit=5e-8,
+                    t_compute_unit=7e-3, beta=0.92,
+                ),
+                512,
+            )
+            assert perfmodel.cache_stats()["perfmodel.knee"]["size"] == 3
+        finally:
+            perfmodel.configure(cache_maxsize=default)
+
+
+def _reference_knee(estimate, max_arrays: int) -> int:
+    """The knee search written out on ``np.gradient``: the contract
+    the precomputed stencil must match bit for bit."""
+    grid = allocation_grid(estimate, max_arrays)
+    if len(grid) == 1:
+        return int(grid[0])
+    times = np.asarray(estimate.total_time_batch(grid), dtype=float)
+    x = (grid - grid[0]) / max(1, (grid[-1] - grid[0]))
+    t_span = times.max() - times.min()
+    if t_span <= 0.0:
+        return int(grid[0])
+    y = (times - times.min()) / t_span
+    theta = np.arctan(np.gradient(y, x))
+    knee = int(grid[int(np.argmax(np.abs(np.gradient(theta, x))))])
+    if estimate.total_time(knee) > estimate.total_time(int(grid[0])):
+        return int(grid[0])
+    return knee
+
+
+def _random_curve(rng):
+    unit = int(rng.integers(1, 17))
+    if rng.random() < 0.5:
+        return ScaleFreeEstimate(
+            unit_arrays=unit,
+            t_load=float(rng.uniform(0.0, 1e-3)),
+            t_replica_unit=float(rng.choice([0.0, rng.uniform(0.0, 1e-3)])),
+            t_compute_unit=float(rng.uniform(1e-6, 1e-2)),
+            beta=float(rng.uniform(0.05, 1.0)),
+            n_iter=int(rng.integers(1, 5)),
+            max_useful_arrays=(
+                None if rng.random() < 0.5 else unit * int(rng.integers(1, 80))
+            ),
+        )
+    profile = JobPerfProfile(
+        unit_arrays=unit,
+        t_load=float(rng.uniform(0.0, 1e-3)),
+        t_replica_unit=float(rng.uniform(0.0, 1e-4)),
+        t_compute_unit=float(rng.uniform(1e-6, 1e-2)),
+        waves_unit=int(rng.integers(1, 200)),
+        overhead_delta=float(rng.uniform(0.0, 0.5)),
+        n_iter=int(rng.integers(1, 5)),
+    )
+    return ProfileEstimate(profile, compute_scale=float(rng.uniform(0.5, 2.0)))
+
+
+class TestKneeStencil:
+    @pytest.mark.parametrize("cache_enabled", [True, False])
+    def test_knee_matches_np_gradient_reference(self, cache_enabled):
+        perfmodel.configure(cache_enabled=cache_enabled)
+        rng = np.random.default_rng(2022)
+        interior = 0
+        for _ in range(600):
+            est = _random_curve(rng)
+            cap = est.unit_arrays * int(rng.integers(1, 300))
+            expected = _reference_knee(est, cap)
+            assert knee_allocation(est, cap) == expected
+            # Again: served from the knee cache (or recomputed uncached).
+            assert knee_allocation(est, cap) == expected
+            interior += expected != int(allocation_grid(est, cap)[0])
+        # Enough curves have a knee past the unit allocation for the
+        # stencil's interior coefficients to matter.
+        assert interior >= 100
