@@ -1,5 +1,7 @@
-"""Perf-layer regression checks: the fast paths must change *time*,
-never *answers*.
+"""Perf-layer regression checks: the caches must make repeat work
+visibly cheaper, and the batched event drain must not change the
+event order.  Byte-identity of the simulated output is pinned by the
+golden digests (``tests/golden/``).
 
 Unlike the figure benchmarks these are plain assertions (no
 pytest-benchmark fixture): run with ``pytest benchmarks/test_perf_regression.py -q``.
@@ -10,43 +12,15 @@ import time
 
 from repro.core import perfmodel
 from repro.core.perfmodel import ScaleFreeEstimate, knee_allocation
-from repro.harness.experiments import fig19_combo_schedulers
-from repro.isa import timing
 from repro.sim import Simulator
-
-
-def _set_fast_path(enabled: bool) -> None:
-    perfmodel.configure(cache_enabled=enabled, vectorised=enabled)
-    timing.configure_cache(enabled)
-
-
-def _restore() -> None:
-    _set_fast_path(True)
-    perfmodel.clear_caches()
-    timing.clear_cache()
-
-
-def test_fig19_report_identical_with_and_without_perf_layer():
-    """End-to-end determinism: a full multiprogramming experiment
-    produces byte-identical JSON with the caches/vectorisation on and
-    off."""
-    try:
-        _set_fast_path(False)
-        reference = fig19_combo_schedulers(("A",)).to_json()
-        _set_fast_path(True)
-        perfmodel.clear_caches()
-        timing.clear_cache()
-        optimised = fig19_combo_schedulers(("A",)).to_json()
-    finally:
-        _restore()
-    assert optimised == reference
 
 
 def test_knee_cache_speedup():
     """Repeated knee searches over a small estimate population -- the
-    scheduler's actual access pattern -- must be visibly faster with
-    the memo.  The bound is deliberately loose (the measured win is
-    >10x); this guards against the cache being silently disabled."""
+    scheduler's actual access pattern -- must be visibly faster warm
+    than cold (caches cleared before every search).  The bound is
+    deliberately loose (the measured win is >10x); this guards against
+    the cache being silently bypassed."""
     estimates = [
         ScaleFreeEstimate(
             unit_arrays=unit,
@@ -60,24 +34,21 @@ def test_knee_cache_speedup():
     ]
     rounds = 300
 
-    def sweep() -> None:
+    def sweep(cold: bool) -> float:
+        start = time.perf_counter()
         for _ in range(rounds):
             for est in estimates:
+                if cold:
+                    perfmodel.clear_caches()
                 knee_allocation(est, 5120)
+        return time.perf_counter() - start
 
     try:
-        _set_fast_path(False)
-        start = time.perf_counter()
-        sweep()
-        uncached = time.perf_counter() - start
-
-        _set_fast_path(True)
+        uncached = sweep(cold=True)
         perfmodel.clear_caches()
-        start = time.perf_counter()
-        sweep()
-        cached = time.perf_counter() - start
+        cached = sweep(cold=False)
     finally:
-        _restore()
+        perfmodel.clear_caches()
     assert cached < uncached / 1.3, (
         f"knee memo speedup only {uncached / cached:.2f}x"
     )

@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultEvent, FaultKind, FaultPlan
 from ..memories.allocator import Allocation, ScratchpadAllocator
@@ -42,7 +40,6 @@ from ..sim.engine import Simulator
 from ..sim.mainmem import DDR4Config, SharedBandwidthPipe
 from ..sim.trace import ExecutionTrace, Phase, StreamingTrace
 from .job import Job
-from .perfmodel import perf_config
 from .scheduler.base import Dispatch, DispatchPolicy, MLIMPSystem, ResourceView
 
 if TYPE_CHECKING:  # pragma: no cover - serving imports core, not vice versa
@@ -519,18 +516,12 @@ class Dispatcher:
         # -- columnar flight table (the batch simulation hot path) ------
         # In-flight phase rows live in struct-of-arrays columns; the
         # engine fires due rows straight from its chunked drain through
-        # fire_row, which advances each row's state machine in place.
-        # The bodies below are exact transliterations of the object
-        # path's begin_fill/after_fill/after_replicate/finish closures
-        # (and consume simulator sequence numbers at the same points),
-        # so both paths produce byte-identical traces and reports.
-        columnar = perf_config().columnar
-        flights_col = FlightColumns() if columnar else None
-        kind_ordinal = {kind: i for i, kind in enumerate(devices)}
+        # fire_row, which advances each row's fill -> replicate ->
+        # compute state machine in place.
+        flights_col = FlightColumns()
 
         def pipe_fill_done(row: int, attempt: int, extra: float) -> None:
-            """Shared-pipe fill completed: arm the fill-done transition
-            (mirrors the object path's pipe completion lambda)."""
+            """Shared-pipe fill completed: arm the fill-done transition."""
             flight = flights_col.flight[row]
             if flight is not None and not (
                 flight.active and flight.attempt == attempt
@@ -538,7 +529,6 @@ class Dispatcher:
                 flights_col.release(row)
                 return
             flights_col.state[row] = PHASE_FILL_DONE
-            flights_col.end_time[row] = sim.now + extra
             sim.after_row(extra, row)
 
         def fire_row(row: int) -> None:
@@ -547,8 +537,8 @@ class Dispatcher:
             if flight is not None and not (
                 flight.active and flight.attempt == col.attempt[row]
             ):
-                # Stale transition of an aborted attempt: no-op, like
-                # the object path's live() guard, and recycle the row.
+                # Stale transition of an aborted attempt: no-op, and
+                # recycle the row.
                 col.release(row)
                 return
             state = col.state[row]
@@ -567,11 +557,13 @@ class Dispatcher:
                     if injector is not None:
                         fill_time *= injector.time_scale(kind)
                     col.state[row] = PHASE_FILL_DONE
-                    col.end_time[row] = sim.now + fill_time
                     sim.after_row(fill_time, row)
                 else:
                     # Off-chip stream through the shared DDR4 pipe, plus
                     # device-side write overhead beyond pipe bandwidth.
+                    # (An aborted job's in-flight transfer still drains
+                    # the pipe -- the DMA stream is already committed --
+                    # but its completion no-ops in pipe_fill_done.)
                     extra = max(
                         0.0,
                         spec.fill_seconds(bytes_total)
@@ -606,7 +598,6 @@ class Dispatcher:
                         if wear is not None:
                             sim.after(0.0, fire_fault, wear)
                 col.state[row] = PHASE_REPLICATE_DONE
-                col.end_time[row] = sim.now + rep_time
                 sim.after_row(rep_time, row)
             elif state == PHASE_REPLICATE_DONE:
                 record.replicate_done_at = sim.now
@@ -620,7 +611,6 @@ class Dispatcher:
                     compute *= injector.time_scale(kind)
                 col.t0[row] = sim.now
                 col.state[row] = PHASE_COMPUTE_DONE
-                col.end_time[row] = sim.now + compute
                 sim.after_row(compute, row)
             else:  # PHASE_COMPUTE_DONE
                 record.finished_at = sim.now
@@ -654,14 +644,9 @@ class Dispatcher:
                     drain_parked(kind)
                 pump()
 
-        if columnar:
-            sim.attach_row_handler(fire_row)
+        sim.attach_row_handler(fire_row)
 
-        def launch(
-            dispatch: Dispatch,
-            requeued: bool = False,
-            _fill_bytes: float | None = None,
-        ) -> None:
+        def launch(dispatch: Dispatch, requeued: bool = False) -> None:
             kind, job = dispatch.kind, dispatch.job
             spec = self.system.specs[kind]
             device = devices[kind]
@@ -748,18 +733,7 @@ class Dispatcher:
                 flight.active = True
                 flight.allocation = allocation
             attempt = flight.attempt if flight is not None else 0
-
-            def live() -> bool:
-                """Stale events of aborted attempts must no-op."""
-                return flight is None or (
-                    flight.active and flight.attempt == attempt
-                )
-
-            bytes_total = (
-                profile.fill_bytes * profile.n_iter
-                if _fill_bytes is None
-                else _fill_bytes
-            )
+            bytes_total = profile.fill_bytes * profile.n_iter
             ledger.add(
                 EnergyCategory.FILL,
                 kind.value,
@@ -770,129 +744,22 @@ class Dispatcher:
                 if wear is not None:
                     sim.after(0.0, fire_fault, wear)
 
-            if columnar:
-                # Columnar path: one struct-of-arrays row instead of
-                # four per-launch closures; the dispatch-overhead
-                # transition consumes the same sequence number the
-                # object path's sim.after(...) would.
-                col = flights_col
-                row = col.acquire()
-                col.job[row] = job
-                col.kind[row] = kind
-                col.dispatch[row] = dispatch
-                col.profile[row] = profile
-                col.spec[row] = spec
-                col.record[row] = record
-                col.flight[row] = flight
-                col.alloc[row] = allocation
-                col.attempt[row] = attempt
-                col.fill_bytes[row] = bytes_total
-                col.device[row] = kind_ordinal[kind]
-                col.arrays[row] = dispatch.arrays
-                col.state[row] = PHASE_BEGIN_FILL
-                col.end_time[row] = sim.now + self.dispatch_overhead_s
-                sim.after_row(self.dispatch_overhead_s, row)
-                return
-
-            def after_fill() -> None:
-                if not live():
-                    return
-                record.fill_done_at = sim.now
-                trace.record(
-                    job.job_id, kind.value, Phase.FILL,
-                    record.dispatched_at, sim.now, dispatch.arrays,
-                )
-                replicas = profile.replicas(dispatch.arrays)
-                rep_time = profile.n_iter * profile.t_replica_unit * (replicas - 1)
-                rep_bytes = profile.fill_bytes * (replicas - 1)
-                if rep_bytes > 0:
-                    ledger.add(
-                        EnergyCategory.REPLICATION,
-                        kind.value,
-                        rep_bytes * spec.fill_energy_pj_per_byte * 1e-12,
-                    )
-                if injector is not None:
-                    rep_time *= injector.time_scale(kind)
-                    if rep_bytes > 0:
-                        wear = injector.record_fill(kind, rep_bytes)
-                        if wear is not None:
-                            sim.after(0.0, fire_fault, wear)
-                sim.after(rep_time, after_replicate)
-
-            def after_replicate() -> None:
-                if not live():
-                    return
-                record.replicate_done_at = sim.now
-                if sim.now > record.fill_done_at:
-                    trace.record(
-                        job.job_id, kind.value, Phase.REPLICATE,
-                        record.fill_done_at, sim.now, dispatch.arrays,
-                    )
-                compute = profile.n_iter * profile.compute_time(dispatch.arrays)
-                if injector is not None:
-                    compute *= injector.time_scale(kind)
-                sim.after(compute, finish, sim.now)
-
-            def finish(compute_start: float) -> None:
-                if not live():
-                    return
-                record.finished_at = sim.now
-                trace.record(
-                    job.job_id, kind.value, Phase.COMPUTE,
-                    compute_start, sim.now, dispatch.arrays,
-                )
-                ledger.add(
-                    EnergyCategory.COMPUTE, kind.value, profile.compute_energy_j
-                )
-                if flight is not None:
-                    flight.active = False
-                    flight.done = True
-                    flight.allocation = None
-                device.allocator.free(allocation)
-                device.running -= 1
-                metrics.counter("jobs.completed").inc()
-                slot_gauges[kind].set(sim.now, device.running)
-                array_gauges[kind].set(sim.now, device.allocator.used_arrays)
-                decisions.complete(job.job_id, record.latency)
-                policy.notify_completion(job, kind, sim.now)
-                if predictor_hook is not None:
-                    predictor_hook(job, kind, sim.now, metrics)
-                if open_loop is not None:
-                    open_loop.on_finished(job.job_id)
-                if injector is not None:
-                    # Freed capacity goes to migrated/retried jobs first.
-                    drain_parked(kind)
-                pump()
-
-            def begin_fill() -> None:
-                if not live():
-                    return
-                if kind is MemoryKind.DRAM:
-                    # In-situ: data is already in main memory; the fill
-                    # is an internal row-move, off the shared pipe.
-                    fill_time = spec.fill_seconds(bytes_total)
-                    if injector is not None:
-                        fill_time *= injector.time_scale(kind)
-                    sim.after(fill_time, after_fill)
-                else:
-                    # Off-chip stream through the shared DDR4 pipe, plus
-                    # device-side write overhead beyond pipe bandwidth.
-                    # (An aborted job's in-flight transfer still drains
-                    # the pipe -- the DMA stream is already committed --
-                    # but its completion callback no-ops.)
-                    extra = max(
-                        0.0,
-                        spec.fill_seconds(bytes_total)
-                        - bytes_total / self.ddr4.total_bandwidth_bps,
-                    )
-                    if injector is not None:
-                        extra *= injector.time_scale(kind)
-                    pipe.submit(
-                        bytes_total,
-                        lambda: sim.after(extra, after_fill) if live() else None,
-                    )
-
-            sim.after(self.dispatch_overhead_s, begin_fill)
+            # One flight-table row per launch; the dispatch-overhead
+            # transition begins its fill.
+            col = flights_col
+            row = col.acquire()
+            col.job[row] = job
+            col.kind[row] = kind
+            col.dispatch[row] = dispatch
+            col.profile[row] = profile
+            col.spec[row] = spec
+            col.record[row] = record
+            col.flight[row] = flight
+            col.alloc[row] = allocation
+            col.attempt[row] = attempt
+            col.fill_bytes[row] = bytes_total
+            col.state[row] = PHASE_BEGIN_FILL
+            sim.after_row(self.dispatch_overhead_s, row)
 
         def pump() -> None:
             if open_loop is not None:
@@ -904,20 +771,8 @@ class Dispatcher:
                     rejected = policy.admit(released, sim.now)
                     open_loop.on_rejected(rejected, sim.now)
             dispatches = policy.next_dispatches(view())
-            if columnar and len(dispatches) > 1:
-                # Vectorised batch launch: gather the profile columns
-                # of every dispatch in this drain chunk and compute
-                # their fill sizes in one NumPy batch (elementwise
-                # float64 ops are bit-identical to the scalar path).
-                profiles = [d.job.profile(d.kind) for d in dispatches]
-                batch_bytes = np.array(
-                    [p.fill_bytes for p in profiles], dtype=np.float64
-                ) * np.array([p.n_iter for p in profiles], dtype=np.float64)
-                for dispatch, fill in zip(dispatches, batch_bytes):
-                    launch(dispatch, _fill_bytes=float(fill))
-            else:
-                for dispatch in dispatches:
-                    launch(dispatch)
+            for dispatch in dispatches:
+                launch(dispatch)
             pending_gauge.set(sim.now, policy.pending())
             sample_queue_depths()
             # Time-driven policies (static global schedules) want to be

@@ -24,12 +24,11 @@ Schedulers re-solve identical knee searches thousands of times per
 dispatch round (every job is planned on every memory, and the global
 scheduler replans the adaptive queues).  Both estimate classes are
 frozen (hashable by value), so the searches are memoised behind small
-LRU caches keyed on ``(estimate, max_arrays)``; the grid/inversion
-math is evaluated with vectorised NumPy batches instead of per-point
-Python loops.  Both behaviours are switchable::
+LRU caches (:data:`CACHE_MAXSIZE` entries each) keyed on the curve
+and the replica count of the cap; the grid/inversion math is one
+vectorised NumPy batch (``total_time_batch``) per search::
 
     from repro.core import perfmodel
-    perfmodel.configure(cache_enabled=False, vectorised=False)  # pre-PR path
     perfmodel.cache_stats()   # {"perfmodel.knee": {"hits": ..., ...}, ...}
     perfmodel.clear_caches()
 
@@ -40,8 +39,7 @@ axis and the three-point ``np.gradient`` stencil over it (interior
 coefficients plus the two one-sided end spacings,
 :func:`_knee_stencil`) -- is built once per grid and cached next to
 the grid in the ``perfmodel.grid`` cache; a miss only evaluates the
-curve and applies the stencil twice.  With caching off the stencil is
-rebuilt on every search, like everything else.
+curve and applies the stencil twice.
 
 The caches are per-process (no locking -- the simulator is
 single-threaded and parallel experiment runners fork worker processes
@@ -67,9 +65,7 @@ __all__ = [
     "min_time_allocation",
     "fit_beta",
     "DEFAULT_BETA",
-    "PerfModelConfig",
-    "configure",
-    "perf_config",
+    "CACHE_MAXSIZE",
     "cache_stats",
     "clear_caches",
 ]
@@ -80,32 +76,10 @@ DEFAULT_BETA = 0.92
 
 
 # ======================================================================
-# Perf-layer configuration and caches
+# Perf-layer caches
 # ======================================================================
-@dataclass
-class PerfModelConfig:
-    """Knobs for the perf layer (see module docstring).
-
-    ``cache_enabled`` gates the LRU memoisation of the allocation
-    searches *and* the :class:`PlannedJob` estimated-time memo;
-    ``vectorised`` selects NumPy batch evaluation of t(x, m) over the
-    grid vs the legacy per-point loop.  Disabling both reproduces the
-    pre-perf-layer behaviour exactly (the ``repro bench`` baseline
-    mode).
-    """
-
-    cache_enabled: bool = True
-    vectorised: bool = True
-    cache_maxsize: int = 4096
-    #: Run the dispatcher's phase chain through the columnar flight
-    #: table (struct-of-arrays rows fired straight from the event heap)
-    #: instead of per-launch Python closures.  Both paths are
-    #: byte-identical by construction; the flag exists for the
-    #: differential test suite and the bench baseline.
-    columnar: bool = True
-
-
-_CONFIG = PerfModelConfig()
+#: Entries per allocation-search LRU cache.
+CACHE_MAXSIZE = 4096
 
 _MISSING = object()
 
@@ -119,7 +93,7 @@ class _LRUCache:
 
     __slots__ = ("name", "maxsize", "hits", "misses", "_data")
 
-    def __init__(self, name: str, maxsize: int = 4096) -> None:
+    def __init__(self, name: str, maxsize: int = CACHE_MAXSIZE) -> None:
         self.name = name
         self.maxsize = maxsize
         self.hits = 0
@@ -137,9 +111,7 @@ class _LRUCache:
 
     def put(self, key, value) -> None:
         self._data[key] = value
-        # A loop, not one pop: after configure() shrinks the cap the
-        # cache may sit several entries above it.
-        while len(self._data) > self.maxsize:
+        if len(self._data) > self.maxsize:
             self._data.popitem(last=False)
 
     def clear(self, reset_counters: bool = True) -> None:
@@ -163,38 +135,6 @@ _GRID_CACHE = _LRUCache("perfmodel.grid")
 _KNEE_CACHE = _LRUCache("perfmodel.knee")
 _MIN_TIME_CACHE = _LRUCache("perfmodel.min_time")
 _ALL_CACHES = (_GRID_CACHE, _KNEE_CACHE, _MIN_TIME_CACHE)
-
-
-def perf_config() -> PerfModelConfig:
-    """The live (mutable) perf-layer configuration."""
-    return _CONFIG
-
-
-def configure(
-    cache_enabled: bool | None = None,
-    vectorised: bool | None = None,
-    cache_maxsize: int | None = None,
-    columnar: bool | None = None,
-) -> PerfModelConfig:
-    """Adjust the perf layer; ``None`` leaves a knob unchanged.
-
-    Returns the live config.  Shrinking ``cache_maxsize`` below the
-    current cache population evicts oldest entries lazily on the next
-    insert.
-    """
-    if cache_enabled is not None:
-        _CONFIG.cache_enabled = bool(cache_enabled)
-    if vectorised is not None:
-        _CONFIG.vectorised = bool(vectorised)
-    if columnar is not None:
-        _CONFIG.columnar = bool(columnar)
-    if cache_maxsize is not None:
-        if cache_maxsize < 1:
-            raise ValueError("cache_maxsize must be >= 1")
-        _CONFIG.cache_maxsize = int(cache_maxsize)
-        for cache in _ALL_CACHES:
-            cache.maxsize = _CONFIG.cache_maxsize
-    return _CONFIG
 
 
 def cache_stats() -> dict[str, dict]:
@@ -244,19 +184,15 @@ class ScaleFreeEstimate:
         # The curve is pure in (estimate, effective arrays) and the
         # balancing loops re-evaluate the same few allocations millions
         # of times; memoised per instance (frozen dataclass, so writes
-        # go through __dict__), gated like the allocation-search caches
-        # so the ablation baseline stays honest.
+        # go through __dict__).
         self._check(arrays)
         effective = self._effective(arrays)
         cache = self.__dict__.get("_tt_cache")
-        if cache is not None:
-            value = cache.get(effective)
-            if value is not None:
-                return value
-        value = self.n_iter * (self.load_time(arrays) + self.compute_time(arrays))
-        if perf_config().cache_enabled:
-            if cache is None:
-                cache = self.__dict__["_tt_cache"] = {}
+        if cache is None:
+            cache = self.__dict__["_tt_cache"] = {}
+        value = cache.get(effective)
+        if value is None:
+            value = self.n_iter * (self.load_time(arrays) + self.compute_time(arrays))
             cache[effective] = value
         return value
 
@@ -390,21 +326,17 @@ class ProfileEstimate:
         # Pure in (profile, replica count, compute_scale): the discrete
         # model only changes at whole replicas, so a per-instance memo
         # keyed on the replica count collapses the balancing loops'
-        # millions of repeat evaluations.  Gated like the allocation-
-        # search caches so the ablation baseline stays honest.
+        # millions of repeat evaluations.
         profile = self.profile
         replicas = profile.replicas(arrays)
         cache = self.__dict__.get("_tt_cache")
-        if cache is not None:
-            value = cache.get(replicas)
-            if value is not None:
-                return value
-        value = profile.n_iter * (
-            self.load_time(arrays) + self.compute_time(arrays)
-        )
-        if perf_config().cache_enabled:
-            if cache is None:
-                cache = self.__dict__["_tt_cache"] = {}
+        if cache is None:
+            cache = self.__dict__["_tt_cache"] = {}
+        value = cache.get(replicas)
+        if value is None:
+            value = profile.n_iter * (
+                self.load_time(arrays) + self.compute_time(arrays)
+            )
             cache[replicas] = value
         return value
 
@@ -479,26 +411,12 @@ def estimate_from_profile(
     )
 
 
-def _grid_times(estimate, grid: np.ndarray) -> np.ndarray:
-    """t(x, m) over the whole grid: one NumPy batch when the estimate
-    supports it (and vectorisation is on), else the legacy loop.
-
-    Duck-typed estimates without ``total_time_batch`` always take the
-    scalar path, so third-party estimate objects keep working.
-    """
-    if _CONFIG.vectorised:
-        batch = getattr(estimate, "total_time_batch", None)
-        if batch is not None:
-            return np.asarray(batch(grid), dtype=float)
-    return np.asarray([estimate.total_time(int(m)) for m in grid], dtype=float)
-
-
 def _invert_total_time(estimate, target_seconds: float, max_arrays: int) -> int:
     """Shared t^{-1} implementation over the replica-multiple grid."""
     if target_seconds <= 0:
         raise ValueError("target must be positive")
     grid = allocation_grid(estimate, max(estimate.unit_arrays, max_arrays))
-    times = _grid_times(estimate, grid)
+    times = estimate.total_time_batch(grid)
     meets = np.nonzero(times <= target_seconds)[0]
     if meets.size:
         return int(grid[int(meets[0])])
@@ -522,8 +440,7 @@ def allocation_grid(estimate, max_arrays: int, points: int = 48) -> np.ndarray:
 
 def _grid_entry(estimate, max_arrays: int, points: int = 48):
     """``(grid, stencil)``: the allocation grid plus its knee stencil
-    (:func:`_knee_stencil`).  Both are cached together; with caching
-    off the stencil is ``None`` and the knee search builds its own."""
+    (:func:`_knee_stencil`), cached together."""
     lo = estimate.unit_arrays
     if max_arrays < lo:
         raise ValueError("max_arrays below the unit allocation")
@@ -532,8 +449,6 @@ def _grid_entry(estimate, max_arrays: int, points: int = 48):
     # by less than one replica (or by int-vs-float type) share an
     # entry.
     key = (lo, int(max_replicas), points)
-    if not _CONFIG.cache_enabled:
-        return _build_grid(lo, max_replicas, points), None
     cached = _GRID_CACHE.get(key)
     if cached is not _MISSING:
         return cached
@@ -576,9 +491,8 @@ def _knee_stencil(grid: np.ndarray) -> tuple:
     return a, b, c, float(dx[0]), float(dx[-1])
 
 
-def _estimate_key(estimate, max_arrays: int):
-    """Canonical cache key for an allocation search; ``None`` if
-    unkeyable.
+def _estimate_key(estimate, max_arrays: int) -> tuple:
+    """Canonical cache key for an allocation search.
 
     Keys are normalised so *equivalent* searches share one entry:
 
@@ -589,47 +503,33 @@ def _estimate_key(estimate, max_arrays: int):
     * the cap contributes its whole-replica count, since the search
       grid cannot distinguish caps within the same replica multiple
       (this also unifies int and float ``max_arrays``).
-
-    Duck-typed estimates without ``curve_key`` fall back to hashing
-    the estimate itself; unhashable ones are simply not cached.
     """
-    curve_key = getattr(estimate, "curve_key", None)
-    if curve_key is not None:
-        return (curve_key(), int(max_arrays // estimate.unit_arrays))
-    try:
-        hash(estimate)
-    except TypeError:
-        return None
-    return (estimate, max_arrays)
+    return (estimate.curve_key(), int(max_arrays // estimate.unit_arrays))
 
 
 def min_time_allocation(estimate, max_arrays: int) -> int:
     """The allocation strictly minimising t(x, m) -- the naive choice
     the paper rejects for over-provisioning (kept for the ablation)."""
-    key = _estimate_key(estimate, max_arrays) if _CONFIG.cache_enabled else None
-    if key is not None:
-        cached = _MIN_TIME_CACHE.get(key)
-        if cached is not _MISSING:
-            return cached
+    key = _estimate_key(estimate, max_arrays)
+    cached = _MIN_TIME_CACHE.get(key)
+    if cached is not _MISSING:
+        return cached
     grid = allocation_grid(estimate, max_arrays)
-    times = _grid_times(estimate, grid)
+    times = estimate.total_time_batch(grid)
     result = int(grid[int(np.argmin(times))])
-    if key is not None:
-        _MIN_TIME_CACHE.put(key, result)
+    _MIN_TIME_CACHE.put(key, result)
     return result
 
 
 def knee_allocation(estimate, max_arrays: int) -> int:
     """Allocation at the knee of t(x, m): max angular speed of the
     tangent (paper III-C3)."""
-    key = _estimate_key(estimate, max_arrays) if _CONFIG.cache_enabled else None
-    if key is not None:
-        cached = _KNEE_CACHE.get(key)
-        if cached is not _MISSING:
-            return cached
+    key = _estimate_key(estimate, max_arrays)
+    cached = _KNEE_CACHE.get(key)
+    if cached is not _MISSING:
+        return cached
     result = _knee_allocation_impl(estimate, max_arrays)
-    if key is not None:
-        _KNEE_CACHE.put(key, result)
+    _KNEE_CACHE.put(key, result)
     return result
 
 
@@ -651,7 +551,7 @@ def _knee_allocation_impl(estimate, max_arrays: int) -> int:
     grid, stencil = _grid_entry(estimate, max_arrays)
     if len(grid) == 1:
         return int(grid[0])
-    times = _grid_times(estimate, grid)
+    times = estimate.total_time_batch(grid)
 
     # Normalise both axes so the angle is scale-invariant; otherwise
     # the knee depends on the units of seconds vs arrays.  The x axis
@@ -661,8 +561,6 @@ def _knee_allocation_impl(estimate, max_arrays: int) -> int:
         # Flat curve: no benefit from more than the unit allocation.
         return int(grid[0])
     y = (times - times.min()) / t_span
-    if stencil is None:
-        stencil = _knee_stencil(grid)
 
     slope = _gradient1d(y, stencil)
     theta = np.arctan(slope)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 from ...memories.base import MemoryKind
 from ..job import Job
-from ..perfmodel import ScaleFreeEstimate, knee_allocation, perf_config
+from ..perfmodel import ScaleFreeEstimate, knee_allocation
 from ..predictor import PerformancePredictor
 from .base import MLIMPSystem
 
@@ -57,8 +57,7 @@ class PlannedJob:
         if cached is not None:
             return cached
         value = self.estimate.total_time(self.arrays)
-        if perf_config().cache_enabled:
-            self.__dict__["_est_time"] = value
+        self.__dict__["_est_time"] = value
         return value
 
     def with_arrays(self, arrays: int) -> "PlannedJob":

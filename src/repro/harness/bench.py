@@ -6,18 +6,12 @@ combos and one full GNN epoch -- and writes ``BENCH_<date>.json``
 recording wall-clock, simulator events/sec and the perf-layer cache
 hit-rates (:func:`repro.obs.metrics.runtime_snapshot`).
 
-The suite is measured twice in the same process:
-
-* **baseline** -- the pre-perf-layer path: allocation-search caches and
-  the ``isa.timing`` memo disabled, per-point scalar grid math
-  (:func:`repro.core.perfmodel.configure` with everything off);
-* **optimised** -- caches on (cleared first, so hit-rates reflect only
-  the timed region) and vectorised grid evaluation.
-
-``totals.speedup_vs_baseline`` in the JSON is therefore an
-apples-to-apples measurement on the same machine and inputs.  One-time
-costs that neither mode exercises differently -- dataset/workload
-construction and MLP predictor training -- happen in an untimed warmup.
+The suite runs once.  The perf-layer caches are cleared before the
+timed pass, so the reported hit-rates reflect only the timed region;
+one-time costs -- dataset/workload construction and MLP predictor
+training -- happen in an untimed warmup.  Speed is compared across
+commits through the committed ``BENCH_*.json`` history and the
+``--check`` gate, not against an in-process reference pass.
 
 Usage::
 
@@ -30,7 +24,7 @@ or programmatically::
     from repro.harness.bench import run_bench, write_bench_json
     payload = run_bench(quick=True)
     path = write_bench_json(payload)
-    payload["totals"]["speedup_vs_baseline"]
+    payload["totals"]["events_per_sec"]
 """
 
 from __future__ import annotations
@@ -74,19 +68,6 @@ __all__ = [
 #: CI gate: fail when events/sec drops more than this fraction below
 #: the checked-in baseline.
 DEFAULT_MAX_REGRESSION = 0.30
-
-
-def _set_fast_path(enabled: bool) -> None:
-    """Switch between the optimised and the pre-perf-layer code paths.
-
-    ``enabled=False`` is the seed configuration: allocation-search
-    caches off, scalar grid math, and the per-launch object dispatch
-    path instead of the columnar flight table.
-    """
-    perfmodel.configure(
-        cache_enabled=enabled, vectorised=enabled, columnar=enabled
-    )
-    timing.configure_cache(enabled)
 
 
 def build_suite(quick: bool = False) -> list[tuple[str, Callable[[], object]]]:
@@ -136,49 +117,22 @@ def _timed_pass(suite: list[tuple[str, Callable[[], object]]]) -> dict[str, dict
     return results
 
 
-def _totals(per_target: dict[str, dict]) -> tuple[float, float]:
-    wall = sum(entry["wall_s"] for entry in per_target.values())
-    events = sum(entry["events"] for entry in per_target.values())
-    return wall, events
-
-
-def run_bench(quick: bool = False, include_baseline: bool = True) -> dict:
-    """Run the pinned suite and return the JSON-ready payload.
-
-    With ``include_baseline`` (the default) the suite runs twice --
-    pre-perf-layer mode first, then optimised -- and the payload's
-    ``totals.speedup_vs_baseline`` compares them.  The fast path is
-    always restored on exit, even if a target raises.
-    """
+def run_bench(quick: bool = False) -> dict:
+    """Run the pinned suite and return the JSON-ready payload."""
     suite = build_suite(quick)
-    baseline: dict[str, dict] | None = None
-    try:
-        if include_baseline:
-            _set_fast_path(False)
-            reset_runtime_counters()
-            baseline = _timed_pass(suite)
-        _set_fast_path(True)
-        perfmodel.clear_caches()
-        timing.clear_cache()
-        reset_runtime_counters()
-        optimised = _timed_pass(suite)
-        snapshot = runtime_snapshot()
-    finally:
-        _set_fast_path(True)
+    perfmodel.clear_caches()
+    timing.clear_cache()
+    reset_runtime_counters()
+    targets = _timed_pass(suite)
+    snapshot = runtime_snapshot()
 
-    wall, events = _totals(optimised)
+    wall = sum(entry["wall_s"] for entry in targets.values())
+    events = sum(entry["events"] for entry in targets.values())
     totals: dict = {
         "wall_s": wall,
         "events": events,
         "events_per_sec": events / wall if wall > 0 else 0.0,
     }
-    if baseline is not None:
-        base_wall, base_events = _totals(baseline)
-        totals["baseline_wall_s"] = base_wall
-        totals["baseline_events_per_sec"] = (
-            base_events / base_wall if base_wall > 0 else 0.0
-        )
-        totals["speedup_vs_baseline"] = base_wall / wall if wall > 0 else 0.0
     return {
         "schema": 1,
         "created_utc": datetime.now(timezone.utc).isoformat(),
@@ -186,8 +140,7 @@ def run_bench(quick: bool = False, include_baseline: bool = True) -> dict:
         "python": sys.version.split()[0],
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
-        "targets": optimised,
-        "baseline": baseline,
+        "targets": targets,
         "totals": totals,
         "caches": snapshot["caches"],
         "counters": snapshot["counters"],

@@ -24,6 +24,11 @@ Cycle formulas:
 Transcendentals are never native on the bit-serial targets; the
 lowering rules expand them into shift/multiply/add polynomials, while
 ReRAM serves them from its peripheral LUTs.
+
+Top-level :func:`op_cycles` results are memoised per
+``(kind, op, bits)`` (the recursive lowering calls underneath are
+not); :func:`cache_stats` reports the memo's hits and misses and
+:func:`clear_cache` empties it.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ __all__ = [
     "native_ops",
     "is_native",
     "LoweringError",
-    "configure_cache",
     "cache_stats",
     "clear_cache",
 ]
@@ -167,17 +171,9 @@ _MAX_DEPTH = 8
 # asks for it once per DFG node, and lowering recursion re-derives the
 # same expansions on every call.  The cache is unbounded by design --
 # the key space cannot grow past |kinds| * |ops| * |bit widths in use|.
-_CACHE_ENABLED = True
 _CYCLE_CACHE: dict[tuple[MemoryKind, Op, int], float] = {}
 _CACHE_HITS = 0
 _CACHE_MISSES = 0
-
-
-def configure_cache(enabled: bool) -> None:
-    """Toggle the cycle-cost memo (the ``repro bench`` baseline mode
-    disables it to measure the pre-cache lowering path)."""
-    global _CACHE_ENABLED
-    _CACHE_ENABLED = bool(enabled)
 
 
 def clear_cache(reset_counters: bool = True) -> None:
@@ -226,7 +222,7 @@ def op_cycles(kind: MemoryKind, op: Op, bits: int = 16, _depth: int = 0) -> floa
         raise ValueError("bits must be positive")
     if op in (Op.LOAD, Op.STORE):
         return 0.0
-    if _CACHE_ENABLED and _depth == 0:
+    if _depth == 0:
         cached = _CYCLE_CACHE.get((kind, op, bits))
         if cached is not None:
             _CACHE_HITS += 1
@@ -245,7 +241,7 @@ def op_cycles(kind: MemoryKind, op: Op, bits: int = 16, _depth: int = 0) -> floa
             count * op_cycles(kind, sub_op, bits, _depth + 1)
             for sub_op, count in expansion
         )
-    if _CACHE_ENABLED and _depth == 0:
+    if _depth == 0:
         _CYCLE_CACHE[(kind, op, bits)] = cycles
     return cycles
 

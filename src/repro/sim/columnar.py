@@ -1,25 +1,18 @@
 """Struct-of-arrays storage for in-flight job phases (the columnar
 simulation hot path).
 
-The object-based dispatcher models each launched job with four Python
-closures (``begin_fill`` / ``after_fill`` / ``after_replicate`` /
-``finish``), one :class:`~repro.sim.events.Event` object and one heap
-handle per phase transition.  At tens of thousands of jobs that is the
-simulator's allocation hot spot.
-
-The columnar path replaces all of it with *rows* of a
-:class:`FlightColumns` table: the in-flight state lives in parallel
-NumPy arrays (phase state code, device ordinal, armed phase-end time,
-allocation size, fill bytes) plus parallel object columns for the
-per-row context (job, dispatch, profile, ...).  A phase transition is
-a bare row index in the simulator's heap
+Each launched job is one *row* of a :class:`FlightColumns` table: the
+in-flight state lives in parallel NumPy arrays (phase state code,
+compute start time, launch attempt, fill bytes) plus parallel object
+columns for the per-row context (job, dispatch, profile, ...).  A
+phase transition is a bare row index in the simulator's heap
 (:meth:`~repro.sim.engine.Simulator.at_row`); the engine's chunked
 drain fires every same-timestamp row through one registered handler,
-which advances the row's state machine in place.  No per-phase
-closures, no ``Event`` objects, no per-transition heap handle -- and
-because row entries consume sequence numbers from the same counter as
-ordinary events, the firing order is identical to the object path's by
-construction (the byte-identical differential gates rely on this).
+which advances the row's fill -> replicate -> compute state machine in
+place.  No per-phase closures, no ``Event`` objects, no per-transition
+heap handle -- and row entries consume sequence numbers from the same
+counter as ordinary events, so rows and events fire in one
+deterministic order.
 
 Rows are recycled through a free list, so the table's footprint is
 bounded by the *concurrent* in-flight population, not by the total
@@ -38,13 +31,13 @@ __all__ = [
     "PHASE_COMPUTE_DONE",
 ]
 
-#: Row state codes: which transition fires when the armed time is due.
+#: Row state codes: which transition fires when the row is due.
 PHASE_BEGIN_FILL = 0
 PHASE_FILL_DONE = 1
 PHASE_REPLICATE_DONE = 2
 PHASE_COMPUTE_DONE = 3
 
-_NUMERIC = ("state", "end_time", "device", "arrays", "t0", "attempt", "fill_bytes")
+_NUMERIC = ("state", "t0", "attempt", "fill_bytes")
 _OBJECT = ("job", "kind", "dispatch", "profile", "spec", "record", "flight", "alloc")
 
 
@@ -63,9 +56,6 @@ class FlightColumns:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.state = np.zeros(capacity, dtype=np.int8)
-        self.end_time = np.zeros(capacity, dtype=np.float64)
-        self.device = np.zeros(capacity, dtype=np.int16)
-        self.arrays = np.zeros(capacity, dtype=np.int64)
         self.t0 = np.zeros(capacity, dtype=np.float64)
         self.attempt = np.zeros(capacity, dtype=np.int64)
         self.fill_bytes = np.zeros(capacity, dtype=np.float64)

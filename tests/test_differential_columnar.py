@@ -1,122 +1,51 @@
-"""Differential gates for the columnar simulation hot path.
+"""Golden gates for the batch simulation hot path.
 
-The dispatcher runs its phase chain either through per-launch Python
-closures (the object path) or through the struct-of-arrays flight
-table (the columnar path, ``perfmodel.configure(columnar=...)``).
-Both must be **byte-identical**: same traces, same reports, same
-exported payloads -- across the Fig. 11/15/19 bench scenarios, under a
-seeded fault plan, and in a seeded open-system serving run.  These
-gates are what let every other test run on a single path.
+The dispatcher runs every job's fill -> replicate -> compute chain
+through one columnar flight table.  These gates hold its output
+**byte-identical** to the committed digests in
+``tests/golden/batch.json`` (see :mod:`tests.test_golden_batch`):
+same traces, same reports, same exported payloads -- across the
+Fig. 11/15/19 bench scenarios, under a seeded fault plan, and in a
+seeded open-system serving run.
 """
-
-import json
 
 import pytest
 
-from repro.apps import combo_jobs
-from repro.core import perfmodel
-from repro.harness.experiments import (
-    _workload,
-    fig11_kernel_speedup,
-    fig15_scheduler_predictor,
-    fig19_combo_schedulers,
-)
-from repro.memories import DEFAULT_SPECS
-from repro.obs.export import result_payload
-from repro.serving import PoissonArrivals, ServingRuntime, Tenant
-from repro.harness.config import full_system
-from tests.prophelpers import (
-    SCHEDULERS,
-    make_jobs,
-    random_plan,
-    run_batch,
-    trace_key,
-)
+from tests.prophelpers import SCHEDULERS
+from tests.test_golden_batch import case_digest, golden_digest
 
 
-@pytest.fixture(autouse=True)
-def _restore_columnar():
-    yield
-    perfmodel.configure(columnar=True)
-
-
-def both_paths(thunk):
-    """Evaluate ``thunk`` once per dispatch path, columnar first."""
-    perfmodel.configure(columnar=True)
-    columnar = thunk()
-    perfmodel.configure(columnar=False)
-    objects = thunk()
-    perfmodel.configure(columnar=True)
-    return columnar, objects
-
-
-def payload_json(result) -> str:
-    return json.dumps(result_payload(result), sort_keys=True)
+def assert_golden(case: str) -> None:
+    assert case_digest(case) == golden_digest(case), case
 
 
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
 @pytest.mark.parametrize("seed", (0, 7))
 def test_batch_traces_byte_identical(scheduler, seed):
-    a, b = both_paths(lambda: run_batch(scheduler, make_jobs(seed)))
-    assert trace_key(a) == trace_key(b)
-    assert a.makespan == b.makespan
-    assert payload_json(a) == payload_json(b)
+    assert_golden(f"batch-{seed}-{scheduler}")
 
 
 @pytest.mark.parametrize("combo", ("A", "D"))
 def test_fig19_combo_traces_byte_identical(combo):
-    a, b = both_paths(
-        lambda: run_batch("global", combo_jobs(combo, DEFAULT_SPECS))
-    )
-    assert trace_key(a) == trace_key(b)
-    assert payload_json(a) == payload_json(b)
+    assert_golden(f"combo-{combo}-global")
 
 
 def test_fig11_scenario_identical():
-    a, b = both_paths(lambda: fig11_kernel_speedup("collab").to_json_dict())
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    assert_golden("fig11-collab")
 
 
 def test_fig15_scenario_identical():
-    mlp = _workload("collab").train_predictor()
-    a, b = both_paths(
-        lambda: fig15_scheduler_predictor("collab", mlp=mlp).to_json_dict()
-    )
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    assert_golden("fig15-collab")
 
 
 def test_fig19_scenario_identical():
-    a, b = both_paths(
-        lambda: fig19_combo_schedulers(("A", "B")).to_json_dict()
-    )
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    assert_golden("fig19-AB")
 
 
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
 def test_seeded_fault_run_byte_identical(scheduler):
-    plan = random_plan(3, 0.05, n_events=6)
-    a, b = both_paths(
-        lambda: run_batch(scheduler, make_jobs(3), faults=plan)
-    )
-    assert trace_key(a) == trace_key(b)
-    assert a.failed_jobs == b.failed_jobs
-    assert a.fault_summary == b.fault_summary
-    assert payload_json(a) == payload_json(b)
+    assert_golden(f"faults-{scheduler}")
 
 
 def test_seeded_serving_report_byte_identical():
-    def serve():
-        runtime = ServingRuntime(full_system(), scheduler="adaptive")
-        return runtime.serve(
-            PoissonArrivals(
-                rate=2e3, horizon=0.02, seed=7, tenants=("a", "b")
-            ),
-            tenants=[Tenant("a"), Tenant("b", weight=2.0)],
-            slo_s=0.01,
-        )
-
-    a, b = both_paths(serve)
-    assert json.dumps(a.report.as_dict(), sort_keys=True) == json.dumps(
-        b.report.as_dict(), sort_keys=True
-    )
-    assert trace_key(a.result) == trace_key(b.result)
+    assert_golden("serve-adaptive")

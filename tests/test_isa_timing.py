@@ -105,16 +105,14 @@ def test_dram_bulk_bitwise_is_cheap_relative_to_its_arithmetic():
 
 class TestCycleCache:
     """The ``op_cycles`` memo must be a pure speedup: identical
-    results cached, uncached and disabled."""
+    results cached and uncached."""
 
     @pytest.fixture(autouse=True)
     def _fresh_cache(self):
         from repro.isa import timing
 
-        timing.configure_cache(True)
         timing.clear_cache()
         yield
-        timing.configure_cache(True)
         timing.clear_cache()
 
     def test_cached_values_match_uncached(self):
@@ -127,8 +125,11 @@ class TestCycleCache:
             (MemoryKind.SRAM, Op.MAX, 8),
         ]
         cached = [op_cycles(kind, op, bits) for kind, op, bits in probes]
-        timing.configure_cache(False)
-        uncached = [op_cycles(kind, op, bits) for kind, op, bits in probes]
+        # Served from the memo on the second call.
+        assert [op_cycles(kind, op, bits) for kind, op, bits in probes] == cached
+        assert timing.cache_stats()["timing.op_cycles"]["hits"] == len(probes)
+        # A nested call (``_depth`` > 0) bypasses the memo entirely.
+        uncached = [op_cycles(kind, op, bits, _depth=1) for kind, op, bits in probes]
         assert cached == uncached
 
     def test_hit_miss_accounting(self):
@@ -144,13 +145,6 @@ class TestCycleCache:
         timing.clear_cache()
         stats = timing.cache_stats()["timing.op_cycles"]
         assert stats["size"] == 0 and stats["hits"] == 0
-
-    def test_disabled_cache_stores_nothing(self):
-        from repro.isa import timing
-
-        timing.configure_cache(False)
-        op_cycles(MemoryKind.SRAM, Op.MUL, 16)
-        assert timing.cache_stats()["timing.op_cycles"]["size"] == 0
 
 
 class TestBatchCycles:

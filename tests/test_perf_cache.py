@@ -1,8 +1,9 @@
 """Perf layer: memoised allocation searches and vectorised grid math.
 
 The caches and the NumPy batch path must be *pure speedups* -- every
-answer here is compared against the uncached / scalar reference across
-a parameter sweep.
+answer here is compared against a reference search written out in this
+module (``np.gradient`` knee, scalar ``total_time`` loops, no caches)
+across a parameter sweep.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from repro.core.job import JobPerfProfile
 from repro.core.perfmodel import (
     ProfileEstimate,
     ScaleFreeEstimate,
+    _LRUCache,
     allocation_grid,
     knee_allocation,
     min_time_allocation,
@@ -23,12 +25,10 @@ from repro.memories import MemoryKind
 
 @pytest.fixture(autouse=True)
 def _fresh_perf_layer():
-    """Every test starts from (and leaves behind) the default config
-    with empty caches -- the caches are process-global."""
-    perfmodel.configure(cache_enabled=True, vectorised=True)
+    """Every test starts from (and leaves behind) empty caches -- the
+    caches are process-global."""
     perfmodel.clear_caches()
     yield
-    perfmodel.configure(cache_enabled=True, vectorised=True)
     perfmodel.clear_caches()
 
 
@@ -70,16 +70,14 @@ def sweep_estimates() -> list:
 
 class TestCacheCorrectness:
     def test_memoised_searches_equal_uncached_across_sweep(self):
-        """The acceptance property: knee/min-time answers are identical
-        with the memo on (first call = miss, second = hit) and off."""
+        """The acceptance property: knee/min-time answers equal the
+        uncached reference searches, on a miss and on a hit."""
         for est in sweep_estimates():
             for cap in (est.unit_arrays, 64, 501):
                 if cap < est.unit_arrays:
                     continue
-                perfmodel.configure(cache_enabled=False)
-                knee_ref = knee_allocation(est, cap)
-                min_ref = min_time_allocation(est, cap)
-                perfmodel.configure(cache_enabled=True)
+                knee_ref = _reference_knee(est, cap)
+                min_ref = _reference_min_time(est, cap)
                 assert knee_allocation(est, cap) == knee_ref  # miss
                 assert knee_allocation(est, cap) == knee_ref  # hit
                 assert min_time_allocation(est, cap) == min_ref
@@ -119,17 +117,6 @@ class TestCacheCorrectness:
             assert entry["size"] == 0
             assert entry["hits"] == 0 and entry["misses"] == 0
 
-    def test_disabled_cache_stores_nothing(self):
-        perfmodel.configure(cache_enabled=False)
-        est = ScaleFreeEstimate(
-            unit_arrays=8, t_load=1e-6, t_replica_unit=5e-8,
-            t_compute_unit=1e-4, beta=0.92,
-        )
-        knee_allocation(est, 1000)
-        knee_allocation(est, 1000)
-        for entry in perfmodel.cache_stats().values():
-            assert entry["size"] == 0
-
     def test_cached_grid_is_shared_and_readonly(self):
         est = ScaleFreeEstimate(
             unit_arrays=8, t_load=1e-6, t_replica_unit=5e-8,
@@ -151,11 +138,11 @@ class TestVectorisedParity:
             np.testing.assert_allclose(batch, scalar, rtol=1e-12, atol=0.0)
 
     def test_vectorised_and_scalar_searches_agree(self):
+        """The batch-evaluated searches pick what the same searches
+        pick over a per-point ``total_time`` loop."""
         for est in sweep_estimates():
-            perfmodel.configure(cache_enabled=False, vectorised=False)
-            knee_ref = knee_allocation(est, 900)
-            min_ref = min_time_allocation(est, 900)
-            perfmodel.configure(vectorised=True)
+            knee_ref = _reference_knee(est, 900, grid_times=_scalar_times)
+            min_ref = _reference_min_time(est, 900)
             assert knee_allocation(est, 900) == knee_ref
             assert min_time_allocation(est, 900) == min_ref
 
@@ -190,12 +177,6 @@ class TestPlannedJobMemo:
         assert "_est_time" not in bigger.__dict__
         assert bigger.est_time == pj.estimate.total_time(32)
 
-    def test_memo_disabled_with_cache_off(self):
-        perfmodel.configure(cache_enabled=False)
-        pj = self._planned(16)
-        assert pj.est_time == pj.estimate.total_time(16)
-        assert "_est_time" not in pj.__dict__
-
 
 class TestMinTimeCacheOnFig10Sweep:
     """Regression gate for the dead ``perfmodel.min_time`` cache.
@@ -224,38 +205,41 @@ class TestMinTimeCacheOnFig10Sweep:
 
 class TestCacheShrink:
     def test_shrinking_maxsize_evicts_down_to_the_cap(self):
-        """``configure(cache_maxsize=...)`` below the population: the
-        next insert must bring the cache within the new cap (a single
-        eviction per insert left it above the cap forever)."""
-        default = perfmodel.perf_config().cache_maxsize
-        try:
-            for t in range(10):
-                est = ScaleFreeEstimate(
-                    unit_arrays=4, t_load=1e-6, t_replica_unit=5e-8,
-                    t_compute_unit=1e-4 * (t + 1), beta=0.92,
-                )
-                knee_allocation(est, 512)
-            assert perfmodel.cache_stats()["perfmodel.knee"]["size"] == 10
-            perfmodel.configure(cache_maxsize=3)
-            knee_allocation(
-                ScaleFreeEstimate(
-                    unit_arrays=4, t_load=1e-6, t_replica_unit=5e-8,
-                    t_compute_unit=7e-3, beta=0.92,
-                ),
-                512,
-            )
-            assert perfmodel.cache_stats()["perfmodel.knee"]["size"] == 3
-        finally:
-            perfmodel.configure(cache_maxsize=default)
+        """A cache filled past its cap keeps exactly the ``maxsize``
+        most recently used entries; a hit refreshes an entry's age."""
+        cache = _LRUCache("test", maxsize=3)
+        for key in range(10):
+            cache.put(key, key)
+        assert cache.info()["size"] == 3
+        assert cache.get(0) is perfmodel._MISSING
+        assert cache.get(7) == 7  # 7 is now the most recent
+        cache.put(10, 10)  # evicts 8, the least recently used
+        assert cache.get(8) is perfmodel._MISSING
+        assert [cache.get(key) for key in (7, 9, 10)] == [7, 9, 10]
+        assert cache.info()["size"] == 3
 
 
-def _reference_knee(estimate, max_arrays: int) -> int:
+def _scalar_times(estimate, grid) -> np.ndarray:
+    return np.array([estimate.total_time(int(m)) for m in grid], dtype=float)
+
+
+def _batch_times(estimate, grid) -> np.ndarray:
+    return np.asarray(estimate.total_time_batch(grid), dtype=float)
+
+
+def _reference_min_time(estimate, max_arrays: int) -> int:
+    """The strict t(x, m) minimiser over a per-point loop."""
+    grid = allocation_grid(estimate, max_arrays)
+    return int(grid[int(np.argmin(_scalar_times(estimate, grid)))])
+
+
+def _reference_knee(estimate, max_arrays: int, grid_times=_batch_times) -> int:
     """The knee search written out on ``np.gradient``: the contract
     the precomputed stencil must match bit for bit."""
     grid = allocation_grid(estimate, max_arrays)
     if len(grid) == 1:
         return int(grid[0])
-    times = np.asarray(estimate.total_time_batch(grid), dtype=float)
+    times = grid_times(estimate, grid)
     x = (grid - grid[0]) / max(1, (grid[-1] - grid[0]))
     t_span = times.max() - times.min()
     if t_span <= 0.0:
@@ -295,17 +279,20 @@ def _random_curve(rng):
 
 
 class TestKneeStencil:
-    @pytest.mark.parametrize("cache_enabled", [True, False])
-    def test_knee_matches_np_gradient_reference(self, cache_enabled):
-        perfmodel.configure(cache_enabled=cache_enabled)
+    @pytest.mark.parametrize("cold", [True, False])
+    def test_knee_matches_np_gradient_reference(self, cold):
+        """``cold`` empties the caches before every search, so each one
+        rebuilds its grid and stencil; warm searches share them."""
         rng = np.random.default_rng(2022)
         interior = 0
         for _ in range(600):
             est = _random_curve(rng)
             cap = est.unit_arrays * int(rng.integers(1, 300))
             expected = _reference_knee(est, cap)
+            if cold:
+                perfmodel.clear_caches()
             assert knee_allocation(est, cap) == expected
-            # Again: served from the knee cache (or recomputed uncached).
+            # Again: served from the knee cache.
             assert knee_allocation(est, cap) == expected
             interior += expected != int(allocation_grid(est, cap)[0])
         # Enough curves have a knee past the unit allocation for the

@@ -27,13 +27,13 @@ class TestFlightColumns:
     def test_grow_doubles_and_preserves_live_rows(self):
         col = FlightColumns(capacity=2)
         a, b = col.acquire(), col.acquire()
-        col.end_time[a] = 1.5
-        col.arrays[b] = 7
+        col.t0[a] = 1.5
+        col.attempt[b] = 7
         col.job[a] = "keep"
         c = col.acquire()  # triggers growth
         assert col.capacity == 4
-        assert col.end_time[a] == 1.5
-        assert col.arrays[b] == 7
+        assert col.t0[a] == 1.5
+        assert col.attempt[b] == 7
         assert col.job[a] == "keep"
         assert c not in (a, b)
         assert col.in_flight == 3
