@@ -8,10 +8,18 @@ pytest-benchmark fixture): run with ``pytest benchmarks/test_perf_regression.py 
 The full timed suite with the JSON artifact is ``python -m repro bench``.
 """
 
+import random
 import time
 
 from repro.core import perfmodel
-from repro.core.perfmodel import ScaleFreeEstimate, knee_allocation
+from repro.core.perfmodel import (
+    ProfileEstimate,
+    ScaleFreeEstimate,
+    knee_allocation,
+    knee_allocations,
+)
+from repro.harness.config import full_system
+from repro.serving.workload import OpenWorkload
 from repro.sim import Simulator
 
 
@@ -52,6 +60,55 @@ def test_knee_cache_speedup():
     assert cached < uncached / 1.3, (
         f"knee memo speedup only {uncached / cached:.2f}x"
     )
+
+
+def test_cohort_knee_speedup():
+    """Serving traffic misses the knee cache on every arrival, so its
+    searches are sized as cohorts: 600 serving-shaped curves (200
+    arrivals on every memory of the full system) in one
+    ``knee_allocations`` call must be visibly faster than 600 cold
+    single-curve searches, with the same answers.  The bound is loose
+    (the measured win is about 4x); this guards against the cohort
+    pass falling back to per-curve NumPy work."""
+    system = full_system()
+    workload = OpenWorkload(system)
+    rng = random.Random(14)
+    jobs = [workload.make_job(i, "tenant-0", rng, {}) for i in range(200)]
+    curves = [
+        (ProfileEstimate(job.profile(kind)), system.arrays(kind) // 2)
+        for job in jobs
+        for kind in system.kinds
+    ]
+    estimates = [estimate for estimate, _ in curves]
+    caps = [cap for _, cap in curves]
+
+    def best_of(runs: int, fn) -> float:
+        times = []
+        for _ in range(runs):
+            start = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    def singles():
+        for estimate, cap in curves:
+            perfmodel.clear_caches()
+            knee_allocation(estimate, cap)
+
+    def cohort():
+        perfmodel.clear_caches()
+        knee_allocations(estimates, caps)
+
+    try:
+        perfmodel.clear_caches()
+        expected = [knee_allocation(e, c) for e, c in curves]
+        perfmodel.clear_caches()
+        assert knee_allocations(estimates, caps) == expected
+        single = best_of(3, singles)
+        batched = best_of(3, cohort)
+    finally:
+        perfmodel.clear_caches()
+    assert batched < single / 2, f"cohort speedup only {single / batched:.2f}x"
 
 
 def test_chunked_run_matches_step_trace():

@@ -97,7 +97,10 @@ class JobPerfProfile:
 
     def load_time(self, arrays: int) -> float:
         """Input load plus replica copies (paper Eq. 2 ground truth)."""
-        replicas = self.replicas(arrays)
+        return self.load_time_at(self.replicas(arrays))
+
+    def load_time_at(self, replicas: int) -> float:
+        """:meth:`load_time` for a known replica count."""
         return self.t_load + self.t_replica_unit * (replicas - 1)
 
     def compute_time(self, arrays: int) -> float:
@@ -108,7 +111,10 @@ class JobPerfProfile:
         engage replicas that cannot reduce waves, keeping the model
         monotone in the allocation.
         """
-        replicas = self.replicas(arrays)
+        return self.compute_time_at(self.replicas(arrays))
+
+    def compute_time_at(self, replicas: int) -> float:
+        """:meth:`compute_time` for a known replica count."""
         waves = math.ceil(self.waves_unit / replicas)
         effective = math.ceil(self.waves_unit / waves)
         per_wave = self.t_compute_unit / self.waves_unit
@@ -117,36 +123,25 @@ class JobPerfProfile:
     def total_time(self, arrays: int) -> float:
         return self.n_iter * (self.load_time(arrays) + self.compute_time(arrays))
 
-    # -- vectorised batch evaluation (the scheduler's knee search asks
-    # for t(x, m) over a whole allocation grid at once) ----------------
-    def replicas_batch(self, arrays) -> np.ndarray:
+    def replica_shape(self, arrays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The time-free factors of t(x, m) over an allocation array:
+        ``(replicas - 1, waves, effective ** overhead_delta)``.
+
+        They depend on ``unit_arrays``, ``waves_unit`` and
+        ``overhead_delta`` alone, so every curve sharing those shares
+        them over a given allocation grid; the scheduler's allocation
+        searches scale them by each curve's times
+        (:meth:`repro.core.perfmodel.ProfileEstimate.total_time_batch`).
+        """
         a = np.asarray(arrays, dtype=np.int64)
         if a.size and int(a.min()) < self.unit_arrays:
             raise ValueError(
                 f"allocation below the unit allocation {self.unit_arrays}"
             )
-        return np.minimum(a // self.unit_arrays, self.waves_unit)
-
-    def load_time_of_replicas(self, replicas: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`load_time` over a :meth:`replicas_batch`
-        result (callers compute the replica counts once)."""
-        return self.t_load + self.t_replica_unit * (replicas - 1)
-
-    def compute_time_of_replicas(self, replicas: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`compute_time` over a :meth:`replicas_batch`
-        result."""
+        replicas = np.minimum(a // self.unit_arrays, self.waves_unit)
         waves = np.ceil(self.waves_unit / replicas)
         effective = np.ceil(self.waves_unit / waves)
-        per_wave = self.t_compute_unit / self.waves_unit
-        return waves * per_wave * effective**self.overhead_delta
-
-    def total_time_batch(self, arrays) -> np.ndarray:
-        """Vectorised :meth:`total_time` over an allocation array."""
-        replicas = self.replicas_batch(arrays)
-        return self.n_iter * (
-            self.load_time_of_replicas(replicas)
-            + self.compute_time_of_replicas(replicas)
-        )
+        return replicas - 1, waves, effective**self.overhead_delta
 
     def useful_max_arrays(self) -> int:
         """Beyond this allocation no further replica can help."""

@@ -33,13 +33,25 @@ vectorised NumPy batch (``total_time_batch``) per search::
     perfmodel.clear_caches()
 
 Serving traffic rarely repeats a knee search (every arrival is a new
-curve), so the cost of a miss matters too.  Everything in the knee
-search that depends on the grid alone -- the normalised allocation
-axis and the three-point ``np.gradient`` stencil over it (interior
+curve), so the cost of a miss matters too, and a lone miss is almost
+all NumPy per-call overhead on a ~40-point grid.  Searches therefore
+run in *cohorts*: :func:`knee_allocations` looks every (curve, cap)
+pair up in the knee cache and runs all the misses as one segmented
+pass over a flat array -- per-curve min and span by
+``np.minimum/maximum.reduceat``, the grids' stencils applied across
+segments, one ``np.arctan`` and a segmented first-index argmax -- so
+a planner sizing many jobs pays the per-call overhead once
+(:func:`knee_allocation` is the one-curve cohort).  Everything that
+depends on the grid alone is built once per grid and cached next to
+it in the ``perfmodel.grid`` cache: the normalised allocation axis
+and the three-point ``np.gradient`` stencil over it (interior
 coefficients plus the two one-sided end spacings,
-:func:`_knee_stencil`) -- is built once per grid and cached next to
-the grid in the ``perfmodel.grid`` cache; a miss only evaluates the
-curve and applies the stencil twice.
+:func:`_knee_stencil`), and, for the oracle's
+:class:`ProfileEstimate` curves, the time-free *replica shape*
+(``replicas - 1``, ``waves``, ``effective ** delta``) per
+``(waves_unit, overhead_delta)``, so a whole cohort of profile curves
+evaluates in a few array operations.  Each answer is bit-identical
+to a one-curve ``np.gradient`` / ``np.argmax`` search.
 
 The caches are per-process (no locking -- the simulator is
 single-threaded and parallel experiment runners fork worker processes
@@ -51,6 +63,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +75,7 @@ __all__ = [
     "estimate_from_profile",
     "allocation_grid",
     "knee_allocation",
+    "knee_allocations",
     "min_time_allocation",
     "fit_beta",
     "DEFAULT_BETA",
@@ -335,18 +349,27 @@ class ProfileEstimate:
         value = cache.get(replicas)
         if value is None:
             value = profile.n_iter * (
-                self.load_time(arrays) + self.compute_time(arrays)
+                profile.load_time_at(replicas)
+                + profile.compute_time_at(replicas) * self.compute_scale
             )
             cache[replicas] = value
         return value
 
     def total_time_batch(self, arrays) -> np.ndarray:
         """Vectorised :meth:`total_time` over an allocation array."""
-        profile = self.profile
-        replicas = profile.replicas_batch(arrays)
-        return profile.n_iter * (
-            profile.load_time_of_replicas(replicas)
-            + profile.compute_time_of_replicas(replicas) * self.compute_scale
+        return _profile_times(self.curve_params(), self.profile.replica_shape(arrays))
+
+    def curve_params(self) -> tuple:
+        """The per-curve scalars :func:`_profile_times` scales a
+        replica shape by: ``(n_iter, t_load, t_replica_unit, compute
+        time per wave, compute_scale)``."""
+        p = self.profile
+        return (
+            p.n_iter,
+            p.t_load,
+            p.t_replica_unit,
+            p.t_compute_unit / p.waves_unit,
+            self.compute_scale,
         )
 
     def snap_to_replica(self, arrays: int) -> int:
@@ -386,6 +409,19 @@ class ProfileEstimate:
             )
             self.__dict__["_curve_key"] = key
         return key
+
+
+def _profile_times(params, shape):
+    """t(x, m) of profile curves from their replica shape
+    (:meth:`~repro.core.job.JobPerfProfile.replica_shape`), in the
+    ground truth's operation order.  ``params`` are the
+    :meth:`ProfileEstimate.curve_params` -- scalars for one curve, or
+    columns repeated along a flat cohort of curves."""
+    n_iter, t_load, t_replica, per_wave, scale = params
+    replicas_less_one, waves, overhead = shape
+    return n_iter * (
+        t_load + t_replica * replicas_less_one + waves * per_wave * overhead * scale
+    )
 
 
 def estimate_from_profile(
@@ -435,12 +471,22 @@ def allocation_grid(estimate, max_arrays: int, points: int = 48) -> np.ndarray:
     results are memoised; cached grids are returned *read-only* (they
     are shared across callers -- copy before mutating).
     """
-    return _grid_entry(estimate, max_arrays, points)[0]
+    return _grid_entry(estimate, max_arrays, points).grid
 
 
-def _grid_entry(estimate, max_arrays: int, points: int = 48):
-    """``(grid, stencil)``: the allocation grid plus its knee stencil
-    (:func:`_knee_stencil`), cached together."""
+class _GridEntry(NamedTuple):
+    """One cached allocation grid and its knee stencil
+    (:func:`_knee_stencil`); ``key`` is its :data:`_GRID_CACHE` key."""
+
+    key: tuple
+    grid: np.ndarray
+    coeffs: np.ndarray | None
+    dx_first: float
+    dx_last: float
+
+
+def _grid_entry(estimate, max_arrays: int, points: int = 48) -> _GridEntry:
+    """The allocation grid plus its knee stencil, cached together."""
     lo = estimate.unit_arrays
     if max_arrays < lo:
         raise ValueError("max_arrays below the unit allocation")
@@ -454,7 +500,7 @@ def _grid_entry(estimate, max_arrays: int, points: int = 48):
         return cached
     grid = _build_grid(lo, max_replicas, points)
     grid.setflags(write=False)
-    entry = (grid, _knee_stencil(grid))
+    entry = _GridEntry(key, grid, *_knee_stencil(grid))
     _GRID_CACHE.put(key, entry)
     return entry
 
@@ -476,19 +522,38 @@ def _knee_stencil(grid: np.ndarray) -> tuple:
     fixed three-point stencil: second-order interior coefficients
     ``(a, b, c)`` and first-order one-sided ends over ``dx[0]`` and
     ``dx[-1]``.  None of it depends on the curve, so it is built once
-    per grid.  Returns ``(a, b, c, dx_first, dx_last)`` (``()`` for a
-    one-point grid, which has no knee to search).
+    per grid.  Returns ``(coeffs, dx_first, dx_last)``: ``coeffs`` is
+    the ``(3, len(grid))`` array of ``a, b, c`` with zeros at both
+    ends, so the stencils of a cohort's grids concatenate into one
+    (``(None, 0.0, 0.0)`` for a one-point grid, which has no knee to
+    search).
     """
     if len(grid) == 1:
-        return ()
+        return None, 0.0, 0.0
     x = (grid - grid[0]) / max(1, (grid[-1] - grid[0]))
     dx = np.diff(x)
     dx1 = dx[:-1]
     dx2 = dx[1:]
-    a = -(dx2) / (dx1 * (dx1 + dx2))
-    b = (dx2 - dx1) / (dx1 * dx2)
-    c = dx1 / (dx2 * (dx1 + dx2))
-    return a, b, c, float(dx[0]), float(dx[-1])
+    coeffs = np.zeros((3, len(grid)))
+    coeffs[0, 1:-1] = -(dx2) / (dx1 * (dx1 + dx2))
+    coeffs[1, 1:-1] = (dx2 - dx1) / (dx1 * dx2)
+    coeffs[2, 1:-1] = dx1 / (dx2 * (dx1 + dx2))
+    coeffs.setflags(write=False)
+    return coeffs, float(dx[0]), float(dx[-1])
+
+
+def _profile_shape(profile: JobPerfProfile, entry: _GridEntry) -> np.ndarray:
+    """``profile.replica_shape`` over a cached grid, as one read-only
+    ``(3, len(grid))`` array.  Cached in the grid cache under the grid
+    key plus the two shape fields, so every curve of the same shape
+    evaluates from it with a handful of array operations."""
+    key = entry.key + (profile.waves_unit, profile.overhead_delta)
+    shape = _GRID_CACHE.get(key)
+    if shape is _MISSING:
+        shape = np.array(profile.replica_shape(entry.grid), dtype=float)
+        shape.setflags(write=False)
+        _GRID_CACHE.put(key, shape)
+    return shape
 
 
 def _estimate_key(estimate, max_arrays: int) -> tuple:
@@ -524,55 +589,138 @@ def min_time_allocation(estimate, max_arrays: int) -> int:
 def knee_allocation(estimate, max_arrays: int) -> int:
     """Allocation at the knee of t(x, m): max angular speed of the
     tangent (paper III-C3)."""
-    key = _estimate_key(estimate, max_arrays)
-    cached = _KNEE_CACHE.get(key)
-    if cached is not _MISSING:
-        return cached
-    result = _knee_allocation_impl(estimate, max_arrays)
-    _KNEE_CACHE.put(key, result)
-    return result
+    return knee_allocations([estimate], [max_arrays])[0]
 
 
-def _gradient1d(f: np.ndarray, stencil: tuple) -> np.ndarray:
-    """``np.gradient(f, x)`` for 1-D arrays on the grid's precomputed
-    stencil (:func:`_knee_stencil`): bit-identical, but without the
-    generic axis/shape machinery or the per-call spacing arithmetic
-    (the knee search calls this twice per cache miss on small grids,
-    where that overhead dominates)."""
-    a, b, c, dx_first, dx_last = stencil
+def knee_allocations(estimates, caps) -> list[int]:
+    """:func:`knee_allocation` of each ``(estimate, cap)`` pair.
+
+    Searches already in the knee cache are lookups; the misses run as
+    one segmented NumPy pass (:func:`_knee_pass`) instead of one small
+    pass each, which is where a lone search spends its time.  A search
+    repeated within the cohort runs once and counts as a cache hit,
+    as it would have searched one at a time.
+    """
+    knees: list = [None] * len(estimates)
+    pending: dict[tuple, list[int]] = {}
+    for i, (estimate, cap) in enumerate(zip(estimates, caps, strict=True)):
+        key = _estimate_key(estimate, cap)
+        repeats = pending.get(key)
+        if repeats is not None:
+            _KNEE_CACHE.hits += 1
+            repeats.append(i)
+            continue
+        cached = _KNEE_CACHE.get(key)
+        if cached is _MISSING:
+            pending[key] = [i]
+        else:
+            knees[i] = cached
+    if pending:
+        firsts = [repeats[0] for repeats in pending.values()]
+        searched = _knee_pass([estimates[i] for i in firsts], [caps[i] for i in firsts])
+        for (key, repeats), knee in zip(pending.items(), searched):
+            _KNEE_CACHE.put(key, knee)
+            for i in repeats:
+                knees[i] = knee
+    return knees
+
+
+def _knee_pass(estimates, caps) -> list[int]:
+    """The knee search of many curves over one flat array.
+
+    Each curve's times over its grid form one segment of the flat
+    array.  Both axes are normalised per segment (so the angle is
+    scale-invariant); the x axis lives in the grid's stencil, and the
+    two gradients, the arctangent and the argmax run once for the
+    whole cohort.  Every step is elementwise on the same values in
+    the same order as a one-curve search, so each answer is
+    bit-identical to ``np.gradient`` / ``np.argmax`` on that curve
+    alone.
+    """
+    knees = [0] * len(estimates)
+    # (result slot, estimate, grid entry); profile curves first, so
+    # their times come from one flat evaluation over cached shapes.
+    profiles: list = []
+    others: list = []
+    for i, (estimate, cap) in enumerate(zip(estimates, caps)):
+        entry = _grid_entry(estimate, cap)
+        if entry.coeffs is None:
+            knees[i] = int(entry.grid[0])
+        elif isinstance(estimate, ProfileEstimate):
+            profiles.append((i, estimate, entry))
+        else:
+            others.append((i, estimate, entry))
+    curves = profiles + others
+    if not curves:
+        return knees
+    lengths = [len(entry.grid) for _, _, entry in curves]
+    starts: list[int] = []
+    ends: list[int] = []
+    size = 0
+    for length in lengths:
+        starts.append(size)
+        size += length
+        ends.append(size - 1)
+    segment = np.repeat(np.arange(len(curves)), lengths)
+    parts = []
+    if profiles:
+        params = np.array([estimate.curve_params() for _, estimate, _ in profiles])
+        shapes = np.concatenate(
+            [_profile_shape(est.profile, entry) for _, est, entry in profiles], axis=1
+        )
+        parts.append(_profile_times(params[segment[: shapes.shape[1]]].T, shapes))
+    parts.extend(est.total_time_batch(entry.grid) for _, est, entry in others)
+    times = np.concatenate(parts)
+
+    # Both one-sided ends of every segment, as positions in the flat
+    # array, positions in its forward difference, and spacings.
+    stencil = (
+        np.concatenate([entry.coeffs for _, _, entry in curves], axis=1)[:, 1:-1],
+        np.array(starts + ends),
+        np.array(starts + [end - 1 for end in ends]),
+        np.array(
+            [entry.dx_first for _, _, entry in curves]
+            + [entry.dx_last for _, _, entry in curves]
+        ),
+    )
+    low = np.minimum.reduceat(times, starts)
+    span = np.maximum.reduceat(times, starts) - low
+    # Flat curve: no benefit from more than the unit allocation.
+    flat = span <= 0.0
+    y = (times - low[segment]) / np.where(flat, 1.0, span)[segment]
+    theta = np.arctan(_segment_gradient(y, *stencil))
+    dtheta = np.abs(_segment_gradient(theta, *stencil))
+    # First index of each segment's maximum: np.argmax's rule (a NaN,
+    # as in np.argmax, counts as the maximum).
+    peak = np.maximum.reduceat(dtheta, starts)[segment]
+    at_peak = np.flatnonzero((dtheta == peak) | np.isnan(dtheta))
+    first = at_peak[np.searchsorted(at_peak, starts)]
+
+    for (i, estimate, entry), start, knee_at, is_flat in zip(
+        curves, starts, first.tolist(), flat.tolist()
+    ):
+        unit = int(entry.grid[0])
+        knee = unit if is_flat else int(entry.grid[knee_at - start])
+        # Guard: never pick an allocation that is *worse* than the unit
+        # allocation (possible when replication cost dominates).
+        if knee != unit and estimate.total_time(knee) > estimate.total_time(unit):
+            knee = unit
+        knees[i] = knee
+    return knees
+
+
+def _segment_gradient(f, coeffs, edges, edge_diffs, edge_dx) -> np.ndarray:
+    """``np.gradient(f_i, x_i)`` for every segment ``f_i`` of a flat
+    cohort array, on the concatenated stencils of the segments' grids
+    (:func:`_knee_stencil`, without the first and last column): the
+    interior three-point rule runs over the whole array (the zero
+    coefficients at segment ends keep the neighbours out), then each
+    segment's one-sided ends are written from the forward difference."""
+    a, b, c = coeffs
     out = np.empty_like(f)
     out[1:-1] = a * f[:-2] + b * f[1:-1] + c * f[2:]
-    out[0] = (f[1] - f[0]) / dx_first
-    out[-1] = (f[-1] - f[-2]) / dx_last
+    out[edges] = np.diff(f)[edge_diffs] / edge_dx
     return out
-
-
-def _knee_allocation_impl(estimate, max_arrays: int) -> int:
-    grid, stencil = _grid_entry(estimate, max_arrays)
-    if len(grid) == 1:
-        return int(grid[0])
-    times = estimate.total_time_batch(grid)
-
-    # Normalise both axes so the angle is scale-invariant; otherwise
-    # the knee depends on the units of seconds vs arrays.  The x axis
-    # lives in the grid's stencil.
-    t_span = times.max() - times.min()
-    if t_span <= 0.0:
-        # Flat curve: no benefit from more than the unit allocation.
-        return int(grid[0])
-    y = (times - times.min()) / t_span
-
-    slope = _gradient1d(y, stencil)
-    theta = np.arctan(slope)
-    dtheta = np.abs(_gradient1d(theta, stencil))
-    knee_idx = int(np.argmax(dtheta))
-    knee = int(grid[knee_idx])
-
-    # Guard: never pick an allocation that is *worse* than the unit
-    # allocation (possible when replication cost dominates).
-    if estimate.total_time(knee) > estimate.total_time(int(grid[0])):
-        return int(grid[0])
-    return knee
 
 
 def fit_beta(allocations, compute_times) -> tuple[float, float]:

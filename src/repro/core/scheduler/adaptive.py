@@ -15,19 +15,14 @@ remainders (III-C5).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable
 
 from ...memories.base import MemoryKind
 from ..job import Job
 from ..predictor import PerformancePredictor
-from .adjustments import (
-    PlannedJob,
-    drop_plans,
-    inter_queue_adjust,
-    job_fits,
-    plan_job,
-)
+from .adjustments import JobSizing, PlannedJob, drop_plans, inter_queue_adjust
 from .base import Dispatch, DispatchPolicy, MLIMPSystem, ResourceView, Scheduler
 
 __all__ = ["AdaptiveScheduler", "AdaptivePolicy"]
@@ -254,7 +249,7 @@ class AdaptivePolicy(DispatchPolicy):
 
 
 @dataclass
-class AdaptiveScheduler(Scheduler):
+class AdaptiveScheduler(JobSizing, Scheduler):
     """Knee-sized multi-queue LJF with inter-queue adjustment."""
 
     predictor: PerformancePredictor
@@ -263,24 +258,6 @@ class AdaptiveScheduler(Scheduler):
     allocation_cap_fraction: float = 0.5
     sizing: str = "knee"
     name: str = "adaptive"
-
-    def plan_options(
-        self, job: Job, system: MLIMPSystem
-    ) -> dict[MemoryKind, PlannedJob]:
-        """Knee-size one job on every memory it fits (the per-job plan
-        table; also the online-admission planner of the serving layer)."""
-        return {
-            kind: plan_job(
-                job,
-                kind,
-                self.predictor,
-                system,
-                self.allocation_cap_fraction,
-                sizing=self.sizing,
-            )
-            for kind in system.kinds
-            if job_fits(job, kind, system)
-        }
 
     def build_plans(
         self, jobs: list[Job], system: MLIMPSystem
@@ -297,8 +274,7 @@ class AdaptiveScheduler(Scheduler):
         """
         queues: dict[MemoryKind, list[PlannedJob]] = {k: [] for k in system.kinds}
         plans: dict[str, dict[MemoryKind, PlannedJob]] = {}
-        for job in jobs:
-            options = self.plan_options(job, system)
+        for job, options in zip(jobs, self.plan_many(jobs, system)):
             if not options:
                 raise ValueError(f"job {job.job_id} fits no memory in the system")
             plans[job.job_id] = options
@@ -314,12 +290,14 @@ class AdaptiveScheduler(Scheduler):
         """The balanced queues alone (see :meth:`build_plans`)."""
         return self.build_plans(jobs, system)[0]
 
-    def plan(self, jobs: list[Job], system: MLIMPSystem) -> AdaptivePolicy:
+    def plan(
+        self, jobs: list[Job], system: MLIMPSystem, upcoming: Sequence[Job] = ()
+    ) -> AdaptivePolicy:
         queues, plans = self.build_plans(jobs, system)
         return AdaptivePolicy(
             queues,
             backfill=self.backfill,
             plans=plans,
             system=system,
-            planner=lambda job: self.plan_options(job, system),
+            planner=self.admission_planner(system, upcoming),
         )

@@ -15,21 +15,37 @@ smooth scale-free estimates, never on ground truth.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 from ...memories.base import MemoryKind
 from ..job import Job
-from ..perfmodel import ScaleFreeEstimate, knee_allocation
+from ..perfmodel import ScaleFreeEstimate, knee_allocations, min_time_allocation
 from ..predictor import PerformancePredictor
 from .base import MLIMPSystem
 
-__all__ = ["PlannedJob", "plan_job", "inter_queue_adjust", "intra_queue_adjust"]
+__all__ = [
+    "PlannedJob",
+    "plan_job",
+    "plan_jobs",
+    "AdmissionPlanner",
+    "JobSizing",
+    "check_sizing",
+    "inter_queue_adjust",
+    "intra_queue_adjust",
+]
 
 #: Maximum balancing iterations (the paper's "up to N times").
 MAX_ROUNDS = 64
 
 #: Relative acceptable gap between queue means / job times.
 EPSILON_FRACTION = 0.05
+
+#: Allocation sizing heuristics (see :func:`plan_jobs`).
+SIZINGS = ("knee", "min", "unit")
+
+#: Upcoming arrivals :class:`AdmissionPlanner` sizes per cohort.
+LOOKAHEAD_JOBS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,6 +99,65 @@ def drop_plans(
             plans.pop(job.job_id, None)
 
 
+def check_sizing(sizing: str, allocation_cap_fraction: float) -> None:
+    """Reject a sizing heuristic or allocation cap no planner can use."""
+    if sizing not in SIZINGS:
+        raise ValueError(
+            f"unknown sizing policy {sizing!r}; choose from {', '.join(SIZINGS)}"
+        )
+    if not 0.0 < allocation_cap_fraction <= 1.0:
+        raise ValueError(
+            "allocation_cap_fraction must be in (0, 1], "
+            f"got {allocation_cap_fraction!r}"
+        )
+
+
+def plan_jobs(
+    jobs: Sequence[Job],
+    predictor: PerformancePredictor,
+    system: MLIMPSystem,
+    allocation_cap_fraction: float = 0.5,
+    sizing: str = "knee",
+) -> list[dict[MemoryKind, PlannedJob]]:
+    """Size every job on every memory it fits: one options table per
+    job, in order (empty for a job that fits nowhere).
+
+    Each allocation is capped at ``allocation_cap_fraction`` of the
+    device.  ``sizing`` selects the heuristic: ``"knee"`` (the paper's
+    III-C3 choice; every pair's search runs in one
+    :func:`~repro.core.perfmodel.knee_allocations` cohort), ``"min"``
+    (strict t(x, m) minimiser -- over-provisions), or ``"unit"`` (no
+    replication; the ablation baseline for the replication study).
+    """
+    check_sizing(sizing, allocation_cap_fraction)
+    pairs: list[tuple[int, MemoryKind, ScaleFreeEstimate]] = []
+    caps: list[int] = []
+    for index, job in enumerate(jobs):
+        for kind in system.kinds:
+            if not job_fits(job, kind, system):
+                continue
+            estimate = predictor.estimate(job, kind)
+            device = system.arrays(kind)
+            cap = max(estimate.unit_arrays, int(device * allocation_cap_fraction))
+            pairs.append((index, kind, estimate))
+            caps.append(min(cap, device))
+    if sizing == "knee":
+        sizes = knee_allocations([estimate for _, _, estimate in pairs], caps)
+    elif sizing == "min":
+        sizes = [
+            min_time_allocation(estimate, cap)
+            for (_, _, estimate), cap in zip(pairs, caps)
+        ]
+    else:
+        sizes = [estimate.unit_arrays for _, _, estimate in pairs]
+    tables: list[dict[MemoryKind, PlannedJob]] = [{} for _ in jobs]
+    for (index, kind, estimate), arrays in zip(pairs, sizes):
+        tables[index][kind] = PlannedJob(
+            job=jobs[index], kind=kind, arrays=arrays, estimate=estimate
+        )
+    return tables
+
+
 def plan_job(
     job: Job,
     kind: MemoryKind,
@@ -91,31 +166,94 @@ def plan_job(
     allocation_cap_fraction: float = 0.5,
     sizing: str = "knee",
 ) -> PlannedJob:
-    """Size one job on one memory.
-
-    ``sizing`` selects the allocation heuristic: ``"knee"`` (the
-    paper's III-C3 choice), ``"min"`` (strict t(x, m) minimiser --
-    over-provisions), or ``"unit"`` (no replication; the ablation
-    baseline for the replication study).
-    """
+    """Size one job on one memory (see :func:`plan_jobs`)."""
     if not job_fits(job, kind, system):
         raise ValueError(f"job {job.job_id} does not fit on {kind}")
-    estimate = predictor.estimate(job, kind)
-    cap = max(
-        estimate.unit_arrays, int(system.arrays(kind) * allocation_cap_fraction)
-    )
-    cap = min(max(cap, estimate.unit_arrays), system.arrays(kind))
-    if sizing == "knee":
-        arrays = knee_allocation(estimate, cap)
-    elif sizing == "min":
-        from ..perfmodel import min_time_allocation
+    return plan_jobs(
+        [job], predictor, system.subset([kind]), allocation_cap_fraction, sizing
+    )[0][kind]
 
-        arrays = min_time_allocation(estimate, cap)
-    elif sizing == "unit":
-        arrays = estimate.unit_arrays
-    else:
-        raise ValueError(f"unknown sizing policy {sizing!r}")
-    return PlannedJob(job=job, kind=kind, arrays=arrays, estimate=estimate)
+
+class AdmissionPlanner:
+    """Sizes the jobs a policy's ``admit`` hook receives.
+
+    A serving run knows its arrivals up front (``upcoming``, in arrival
+    order), so the planner sizes them ahead in cohorts: a job missing
+    from its table has the next :data:`LOOKAHEAD_JOBS` upcoming jobs,
+    itself first, sized in one :func:`plan_jobs` call, and that result
+    *replaces* the table -- it holds at most one cohort, and plans of
+    arrivals shed before admission do not pile up.  Each admitted job's
+    options are popped from it.
+
+    A learning predictor (one with an ``on_completion`` hook, which the
+    dispatcher feeds) changes its estimates between arrivals, so with
+    one -- or with no upcoming jobs -- every job is sized when it is
+    admitted.
+    """
+
+    def __init__(
+        self,
+        predictor: PerformancePredictor,
+        system: MLIMPSystem,
+        upcoming: Sequence[Job] = (),
+        allocation_cap_fraction: float = 0.5,
+        sizing: str = "knee",
+    ) -> None:
+        self._sizing = (predictor, system, allocation_cap_fraction, sizing)
+        learning = getattr(predictor, "on_completion", None) is not None
+        self._upcoming = [] if learning else list(upcoming)
+        # Keyed by identity: upcoming jobs stay alive in the list.
+        self._position = {id(job): i for i, job in enumerate(self._upcoming)}
+        self._table: dict[int, dict[MemoryKind, PlannedJob]] = {}
+
+    def __call__(self, job: Job) -> dict[MemoryKind, PlannedJob]:
+        options = self._table.pop(id(job), None)
+        if options is not None:
+            return options
+        at = self._position.get(id(job))
+        if at is None:
+            return plan_jobs([job], *self._sizing)[0]
+        cohort = self._upcoming[at : at + LOOKAHEAD_JOBS]
+        tables = plan_jobs(cohort, *self._sizing)
+        self._table = {id(ahead): options for ahead, options in zip(cohort, tables)}
+        return self._table.pop(id(job))
+
+
+class JobSizing:
+    """Planning surface of the schedulers that size jobs with
+    :func:`plan_jobs` (adaptive, EWT): a mixin over their
+    ``predictor``, ``allocation_cap_fraction`` and ``sizing`` fields,
+    which it validates at construction."""
+
+    predictor: PerformancePredictor
+    allocation_cap_fraction: float
+    sizing: str
+
+    def __post_init__(self) -> None:
+        check_sizing(self.sizing, self.allocation_cap_fraction)
+
+    def plan_options(
+        self, job: Job, system: MLIMPSystem
+    ) -> dict[MemoryKind, PlannedJob]:
+        """Size one job on every memory it fits (one row of the
+        per-job plan table)."""
+        return self.plan_many([job], system)[0]
+
+    def plan_many(
+        self, jobs: Sequence[Job], system: MLIMPSystem
+    ) -> list[dict[MemoryKind, PlannedJob]]:
+        """:meth:`plan_options` of every job, sized in one cohort."""
+        return plan_jobs(
+            jobs, self.predictor, system, self.allocation_cap_fraction, self.sizing
+        )
+
+    def admission_planner(
+        self, system: MLIMPSystem, upcoming: Sequence[Job] = ()
+    ) -> AdmissionPlanner:
+        """The planner a policy's ``admit`` hook sizes arrivals with."""
+        return AdmissionPlanner(
+            self.predictor, system, upcoming, self.allocation_cap_fraction, self.sizing
+        )
 
 
 def _queue_mean(queue: list[PlannedJob]) -> float:

@@ -14,6 +14,7 @@ that fixes the complete plan in advance.
 from __future__ import annotations
 
 import abc
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from ...memories.base import MemoryKind, MemorySpec
@@ -187,5 +188,13 @@ class Scheduler(abc.ABC):
     name: str = "scheduler"
 
     @abc.abstractmethod
-    def plan(self, jobs: list[Job], system: MLIMPSystem) -> DispatchPolicy:
-        """Build the policy for one batch."""
+    def plan(
+        self, jobs: list[Job], system: MLIMPSystem, upcoming: Sequence[Job] = ()
+    ) -> DispatchPolicy:
+        """Build the policy for one batch.
+
+        ``upcoming`` lists the jobs the run will later offer to the
+        policy's ``admit`` hook, in arrival order (empty for a closed
+        batch).  A policy may size them ahead of their arrival; it
+        must not queue them before they are admitted.
+        """

@@ -30,19 +30,14 @@ accumulated wait), and ``device_derated`` only rescales scores.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
 
 from ...memories.base import MemoryKind
 from ..job import Job
 from ..predictor import PerformancePredictor
-from .adjustments import (
-    PlannedJob,
-    drop_plans,
-    job_fits,
-    plan_job,
-    queue_drain_estimate,
-)
+from .adjustments import JobSizing, PlannedJob, drop_plans, queue_drain_estimate
 from .base import Dispatch, DispatchPolicy, MLIMPSystem, ResourceView, Scheduler
 
 __all__ = ["EWTScheduler", "EWTPolicy"]
@@ -210,7 +205,7 @@ class EWTPolicy(DispatchPolicy):
 
 
 @dataclass
-class EWTScheduler(Scheduler):
+class EWTScheduler(JobSizing, Scheduler):
     """Expected-wait-time priority rule over knee-sized plans."""
 
     predictor: PerformancePredictor
@@ -218,36 +213,19 @@ class EWTScheduler(Scheduler):
     sizing: str = "knee"
     name: str = "ewt"
 
-    def plan_options(
-        self, job: Job, system: MLIMPSystem
-    ) -> dict[MemoryKind, PlannedJob]:
-        """Knee-size one job on every memory it fits (shared shape
-        with the adaptive scheduler; also the serving-layer planner)."""
-        return {
-            kind: plan_job(
-                job,
-                kind,
-                self.predictor,
-                system,
-                self.allocation_cap_fraction,
-                sizing=self.sizing,
-            )
-            for kind in system.kinds
-            if job_fits(job, kind, system)
-        }
-
-    def plan(self, jobs: list[Job], system: MLIMPSystem) -> EWTPolicy:
+    def plan(
+        self, jobs: list[Job], system: MLIMPSystem, upcoming: Sequence[Job] = ()
+    ) -> EWTPolicy:
         policy = EWTPolicy(
             queues={kind: [] for kind in system.kinds},
             plans={},
             system=system,
-            planner=lambda job: self.plan_options(job, system),
+            planner=self.admission_planner(system, upcoming),
         )
         # Closed batch: everything "arrived" at time zero, so the EWT
         # score is pure estimated time and placement is incremental
         # drain-balancing in input order (deterministic).
-        for job in jobs:
-            options = self.plan_options(job, system)
+        for job, options in zip(jobs, self.plan_many(jobs, system)):
             if not options:
                 raise ValueError(f"job {job.job_id} fits no memory in the system")
             policy._plans[job.job_id] = options

@@ -47,6 +47,7 @@ bit-identical makespan, and so does any permutation of the input jobs.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from ...memories.base import MemoryKind
@@ -555,7 +556,9 @@ class ExactScheduler(Scheduler):
     node_budget: int = DEFAULT_NODE_BUDGET
     name: str = "exact"
 
-    def plan(self, jobs: list[Job], system: MLIMPSystem) -> GlobalPolicy:
+    def plan(
+        self, jobs: list[Job], system: MLIMPSystem, upcoming: Sequence[Job] = ()
+    ) -> GlobalPolicy:
         solution = solve_exact(
             list(jobs),
             system,

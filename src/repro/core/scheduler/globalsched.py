@@ -20,6 +20,7 @@ the sigma ~ 0.39 adaptive/global crossover of Section V-B3.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,7 +28,7 @@ from ...memories.base import MemoryKind
 from ..job import Job
 from ..predictor import PerformancePredictor
 from .adaptive import AdaptiveScheduler
-from .adjustments import PlannedJob, drop_plans, intra_queue_adjust
+from .adjustments import PlannedJob, check_sizing, drop_plans, intra_queue_adjust
 from .base import Dispatch, DispatchPolicy, MLIMPSystem, ResourceView, Scheduler
 
 __all__ = ["GlobalScheduler", "GlobalPolicy", "ScheduledEntry", "build_static_schedule"]
@@ -370,7 +371,13 @@ class GlobalScheduler(Scheduler):
     allocation_cap_fraction: float = 0.5
     name: str = "global"
 
-    def plan(self, jobs: list[Job], system: MLIMPSystem) -> GlobalPolicy:
+    def __post_init__(self) -> None:
+        # The global scheduler always knee-sizes; only the cap varies.
+        check_sizing("knee", self.allocation_cap_fraction)
+
+    def plan(
+        self, jobs: list[Job], system: MLIMPSystem, upcoming: Sequence[Job] = ()
+    ) -> GlobalPolicy:
         base = AdaptiveScheduler(
             predictor=self.predictor,
             allocation_cap_fraction=self.allocation_cap_fraction,
@@ -391,5 +398,5 @@ class GlobalScheduler(Scheduler):
             plans=plans,
             system=system,
             intra_queue=self.intra_queue,
-            planner=lambda job: base.plan_options(job, system),
+            planner=base.admission_planner(system, upcoming),
         )

@@ -19,6 +19,7 @@ used by the optimality tests.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ...memories.base import MemoryKind
@@ -114,7 +115,9 @@ class JohnsonScheduler(Scheduler):
     predictor: PerformancePredictor
     name: str = "johnson"
 
-    def plan(self, jobs: list[Job], system: MLIMPSystem) -> _JohnsonPolicy:
+    def plan(
+        self, jobs: list[Job], system: MLIMPSystem, upcoming: Sequence[Job] = ()
+    ) -> _JohnsonPolicy:
         if len(system.kinds) != 1:
             raise ValueError(
                 "Johnson's rule applies to a single-memory system; "

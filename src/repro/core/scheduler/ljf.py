@@ -13,6 +13,7 @@ shows.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -201,7 +202,9 @@ class LJFScheduler(Scheduler):
             )
         return options
 
-    def plan(self, jobs: list[Job], system: MLIMPSystem) -> LJFPolicy:
+    def plan(
+        self, jobs: list[Job], system: MLIMPSystem, upcoming: Sequence[Job] = ()
+    ) -> LJFPolicy:
         planner = lambda job: self.fair_share_options(job, system)  # noqa: E731
         if not jobs:
             return LJFPolicy([], candidates={}, planner=planner)

@@ -10,6 +10,7 @@ unconstrained layers instead.  Built on
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from ...memories.base import MemoryKind
@@ -76,8 +77,10 @@ class WearAwareScheduler(Scheduler):
         if not self.name:
             self.name = f"wear-aware({self.inner.name})"
 
-    def plan(self, jobs: list[Job], system: MLIMPSystem) -> DispatchPolicy:
+    def plan(
+        self, jobs: list[Job], system: MLIMPSystem, upcoming: Sequence[Job] = ()
+    ) -> DispatchPolicy:
         restricted = restrict_worn_memories(
             jobs, self.trackers, self.reserve_fraction
         )
-        return self.inner.plan(restricted, system)
+        return self.inner.plan(restricted, system, upcoming)

@@ -125,7 +125,11 @@ class ServingRuntime:
             max_backlog=self.max_backlog,
             admission=controller,
         )
-        policy = scheduler.plan(list(initial_jobs or []), self.system)
+        policy = scheduler.plan(
+            list(initial_jobs or []),
+            self.system,
+            upcoming=[arrival.job for arrival in timeline],
+        )
         result = Dispatcher(self.system, self.ddr4).run(
             policy,
             label=label or scheduler.name,

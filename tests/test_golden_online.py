@@ -5,8 +5,11 @@ output to the sha256 of the canonical JSON.  The digests in
 ``tests/golden/online.json`` were captured before the online
 admission path was optimised (plan-table pruning, the backlog-scoped
 Algorithm 1 ranking, the precomputed knee stencil and the lean
-cluster node summaries); every one of those changes is meant to keep
-the simulated output byte-identical, and these cases hold them to it.
+cluster node summaries); the learning-predictor, noisy-predictor and
+estimate-order cases were captured before knee searches ran in
+cohorts and admission sized arrivals ahead.  Every one of those
+changes is meant to keep the simulated output byte-identical, and
+these cases hold them to it.
 
 Regenerate (only for a change that is *meant* to move the output,
 with the reason stated in the change log) with::
@@ -23,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro.cluster import ClusterRuntime, ClusterSpec, InterconnectSpec
+from repro.core.predictor import NoisyPredictor, OnlinePredictor, OraclePredictor
 from repro.faults import FaultPlan
 from repro.harness.config import gnn_system
 from repro.harness.replay import ReplayConfig, resume_replay, run_replay
@@ -60,9 +64,11 @@ def _serve_payload(served) -> dict:
 
 
 def _serve(
-    scheduler: str, faults: FaultPlan | None = None, arrivals=None
+    scheduler: str, faults: FaultPlan | None = None, arrivals=None, predictor=None
 ) -> dict:
-    runtime = ServingRuntime(gnn_system(), scheduler=scheduler, max_backlog=32)
+    runtime = ServingRuntime(
+        gnn_system(), scheduler=scheduler, predictor=predictor, max_backlog=32
+    )
     served = runtime.serve(
         arrivals or _arrivals(seed=11),
         tenants=_tenants(),
@@ -70,6 +76,26 @@ def _serve(
         faults=faults,
     )
     return _serve_payload(served)
+
+
+class _RecordingOnlinePredictor(OnlinePredictor):
+    """An :class:`OnlinePredictor` that logs every ``estimate`` query."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self.calls: list[tuple[str, str]] = []
+
+    def estimate(self, job, kind):
+        self.calls.append((job.job_id, kind.value))
+        return super().estimate(job, kind)
+
+
+def _online_estimate_calls() -> list:
+    """The (job, memory) order a learning predictor is queried in: it
+    learns between queries, so planning must never ask it ahead."""
+    predictor = _RecordingOnlinePredictor()
+    _serve("adaptive", predictor=predictor)
+    return predictor.calls
 
 
 def _serve_overload(scheduler: str) -> dict:
@@ -134,6 +160,13 @@ def _cases(tmp_dir: Path) -> dict:
     cases["serve-overload-adaptive"] = lambda: _serve_overload("adaptive")
     cases["serve-faults-adaptive"] = lambda: _serve_faults("adaptive")
     cases["serve-faults-ewt"] = lambda: _serve_faults("ewt")
+    # A learning predictor (it has an ``on_completion`` hook) and a
+    # consistently wrong one that hands the planner scaled profile curves.
+    cases["serve-online"] = lambda: _serve("adaptive", predictor=OnlinePredictor())
+    cases["serve-noisy"] = lambda: _serve(
+        "adaptive", predictor=NoisyPredictor(OraclePredictor(), sigma=0.3)
+    )
+    cases["serve-online-estimate-calls"] = _online_estimate_calls
     cases["cluster-shards1"] = lambda: _cluster(1)
     cases["cluster-shards2"] = lambda: _cluster(2)
     cases["cluster-node-rows"] = lambda: _cluster_rows(2)
