@@ -1,7 +1,8 @@
 """Perf-layer regression checks: the caches must make repeat work
-visibly cheaper, and the batched event drain must not change the
-event order.  Byte-identity of the simulated output is pinned by the
-golden digests (``tests/golden/``).
+visibly cheaper, admission must size each arrival about once, and the
+batched event drain must not change the event order.  Byte-identity
+of the simulated output is pinned by the golden digests
+(``tests/golden/``).
 
 Unlike the figure benchmarks these are plain assertions (no
 pytest-benchmark fixture): run with ``pytest benchmarks/test_perf_regression.py -q``.
@@ -18,7 +19,10 @@ from repro.core.perfmodel import (
     knee_allocation,
     knee_allocations,
 )
-from repro.harness.config import full_system
+from repro.core.scheduler import adjustments
+from repro.core.scheduler.adjustments import AdmissionPlanner
+from repro.harness.config import full_system, gnn_system
+from repro.serving import PoissonArrivals, ServingRuntime, Tenant
 from repro.serving.workload import OpenWorkload
 from repro.sim import Simulator
 
@@ -109,6 +113,52 @@ def test_cohort_knee_speedup():
     finally:
         perfmodel.clear_caches()
     assert batched < single / 2, f"cohort speedup only {single / batched:.2f}x"
+
+
+def test_out_of_order_admission_sizes_once(monkeypatch):
+    """Overloaded, weighted tenant queues release arrivals out of
+    arrival order; the admission planner must still size each upcoming
+    job about once (a replaced table re-sized them 7-12x).  Counts
+    only: one serve shaped like a ``replay`` window (weights 3:2:1,
+    tenant queues of 32, predictive admission)."""
+    sized: list = []
+    admitted: list[int] = []
+    plan_jobs = adjustments.plan_jobs
+    call = AdmissionPlanner.__call__
+    inside = []
+
+    def counted(jobs, *args):
+        if inside:
+            sized.extend(jobs)
+        return plan_jobs(jobs, *args)
+
+    def admit(planner, job):
+        inside.append(job)
+        try:
+            return call(planner, job)
+        finally:
+            inside.pop()
+            admitted.append(planner._position[id(job)])
+
+    monkeypatch.setattr(adjustments, "plan_jobs", counted)
+    monkeypatch.setattr(AdmissionPlanner, "__call__", admit)
+    tenants = [Tenant(f"tenant-{i}", weight=3.0 - i, queue_limit=32) for i in range(3)]
+    arrivals = PoissonArrivals(
+        rate=2e6,
+        horizon=2.5e-4,
+        seed=3,
+        tenants=tuple(t.name for t in tenants),
+        weights=tuple(t.weight for t in tenants),
+    )
+    served = ServingRuntime(gnn_system(), max_backlog=16).serve(
+        arrivals, tenants=tenants, slo_s=1e-4, admission="predictive"
+    )
+    assert served.open_loop.total_shed() > 0
+    assert sum(later < earlier for earlier, later in zip(admitted, admitted[1:])) > 50
+    distinct = {id(job) for job in sized}
+    assert len(sized) <= 1.1 * len(distinct), (
+        f"sized {len(sized)} jobs for {len(distinct)} distinct upcoming ones"
+    )
 
 
 def test_chunked_run_matches_step_trace():

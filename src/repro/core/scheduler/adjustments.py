@@ -178,12 +178,16 @@ class AdmissionPlanner:
     """Sizes the jobs a policy's ``admit`` hook receives.
 
     A serving run knows its arrivals up front (``upcoming``, in arrival
-    order), so the planner sizes them ahead in cohorts: a job missing
-    from its table has the next :data:`LOOKAHEAD_JOBS` upcoming jobs,
-    itself first, sized in one :func:`plan_jobs` call, and that result
-    *replaces* the table -- it holds at most one cohort, and plans of
-    arrivals shed before admission do not pile up.  Each admitted job's
-    options are popped from it.
+    order), so the planner sizes them ahead in cohorts and keeps one
+    table of plans, by ``upcoming`` position, across cohorts.  A job
+    missing from the table has the not-yet-sized jobs among the next
+    :data:`LOOKAHEAD_JOBS` upcoming positions, itself first, sized in
+    one :func:`plan_jobs` call and merged in, so tenant queues that
+    release jobs out of arrival order size each job once.  Each
+    admitted job's options are popped.  Past ``2 * LOOKAHEAD_JOBS``
+    entries the lowest positions -- the furthest-behind jobs, under
+    overload mostly shed before admission -- are evicted; an evicted
+    job, like one not in ``upcoming``, is sized alone if admitted.
 
     A learning predictor (one with an ``on_completion`` hook, which the
     dispatcher feeds) changes its estimates between arrivals, so with
@@ -204,19 +208,27 @@ class AdmissionPlanner:
         self._upcoming = [] if learning else list(upcoming)
         # Keyed by identity: upcoming jobs stay alive in the list.
         self._position = {id(job): i for i, job in enumerate(self._upcoming)}
+        self._sized = [False] * len(self._upcoming)
         self._table: dict[int, dict[MemoryKind, PlannedJob]] = {}
 
     def __call__(self, job: Job) -> dict[MemoryKind, PlannedJob]:
-        options = self._table.pop(id(job), None)
+        at = self._position.get(id(job))
+        options = self._table.pop(at, None)
         if options is not None:
             return options
-        at = self._position.get(id(job))
-        if at is None:
+        if at is None or self._sized[at]:
             return plan_jobs([job], *self._sizing)[0]
-        cohort = self._upcoming[at : at + LOOKAHEAD_JOBS]
-        tables = plan_jobs(cohort, *self._sizing)
-        self._table = {id(ahead): options for ahead, options in zip(cohort, tables)}
-        return self._table.pop(id(job))
+        window = range(at, min(at + LOOKAHEAD_JOBS, len(self._upcoming)))
+        cohort = [p for p in window if not self._sized[p]]
+        tables = plan_jobs([self._upcoming[p] for p in cohort], *self._sizing)
+        for p in cohort:
+            self._sized[p] = True
+        self._table.update(zip(cohort[1:], tables[1:]))
+        excess = len(self._table) - 2 * LOOKAHEAD_JOBS
+        if excess > 0:
+            for p in sorted(self._table)[:excess]:
+                del self._table[p]
+        return tables[0]
 
 
 class JobSizing:

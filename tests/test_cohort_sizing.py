@@ -8,8 +8,11 @@
 * **Admission lookahead** -- in a seeded serve, the options the
   admission planner hands ``admit`` for every admitted job equal
   ``plan_options(job, system)`` (kind, arrays and estimate), and its
-  table never holds more than one cohort.  A learning predictor is
-  never asked ahead.
+  table never holds more than ``2 * LOOKAHEAD_JOBS`` plans.  Tenant
+  queues that release out of arrival order do not make it size a job
+  twice unless the job was evicted in between; eviction drops the
+  lowest positions first, and an evicted job is sized alone to its
+  ``plan_options``.  A learning predictor is never asked ahead.
 * **Sizing parameters** -- a bad ``sizing`` or
   ``allocation_cap_fraction`` fails when the scheduler is built.
 """
@@ -31,9 +34,11 @@ from repro.core.perfmodel import (
 )
 from repro.core.predictor import NoisyPredictor, OnlinePredictor, OraclePredictor
 from repro.core.scheduler import AdaptiveScheduler, EWTScheduler, GlobalScheduler
+from repro.core.scheduler import adjustments
 from repro.core.scheduler.adjustments import LOOKAHEAD_JOBS, AdmissionPlanner
 from repro.harness.config import gnn_system
 from repro.serving import PoissonArrivals, ServingRuntime, Tenant
+from repro.serving.workload import OpenWorkload
 
 from tests.test_perf_cache import _random_curve, _reference_knee
 
@@ -143,33 +148,63 @@ def _serve(scheduler, rate: float = 3e5, horizon: float = 0.003):
 
 
 class _Recorder:
-    """Wraps :class:`AdmissionPlanner` calls: what each admitted job got
-    and how many options the table held afterwards."""
+    """Wraps :class:`AdmissionPlanner` calls: what each admitted job got,
+    how many options the table held afterwards, and the planner's
+    history by ``upcoming`` position -- ``("sized", positions)`` per
+    :func:`plan_jobs` call it made, then ``("evicted", positions)`` and
+    ``("admitted", [position])`` -- plus ``(evicted, kept)`` table
+    positions for every call that evicted."""
 
     def __init__(self, monkeypatch) -> None:
         self.calls: list[tuple] = []
         self.table_sizes: list[int] = []
+        self.events: list[tuple[str, list]] = []
+        self.evictions: list[tuple[list[int], list[int]]] = []
         recorder = self
         call = AdmissionPlanner.__call__
+        plan_jobs = adjustments.plan_jobs
+        active: list[AdmissionPlanner] = []
+
+        def sized(jobs, *args):
+            if active:
+                where = active[-1]._position
+                recorder.events.append(("sized", [where.get(id(job)) for job in jobs]))
+            return plan_jobs(jobs, *args)
 
         def recorded(planner, job):
-            options = call(planner, job)
+            before = set(planner._table)
+            start = len(recorder.events)
+            active.append(planner)
+            try:
+                options = call(planner, job)
+            finally:
+                active.pop()
+            at = planner._position.get(id(job))
+            after = set(planner._table)
+            for _, positions in recorder.events[start:]:
+                before.update(positions)
+            evicted = sorted(before - after - {at})
+            if evicted:
+                recorder.events.append(("evicted", evicted))
+                recorder.evictions.append((evicted, sorted(after)))
+            recorder.events.append(("admitted", [at]))
             recorder.calls.append((job, options))
             recorder.table_sizes.append(len(planner._table))
             return options
 
+        monkeypatch.setattr(adjustments, "plan_jobs", sized)
         monkeypatch.setattr(AdmissionPlanner, "__call__", recorded)
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda p: AdaptiveScheduler(p),
-        lambda p: EWTScheduler(p),
-        lambda p: GlobalScheduler(p),
-    ],
-    ids=["adaptive", "ewt", "global"],
-)
+SCHEDULERS = [
+    lambda p: AdaptiveScheduler(p),
+    lambda p: EWTScheduler(p),
+    lambda p: GlobalScheduler(p),
+]
+SCHEDULER_IDS = ["adaptive", "ewt", "global"]
+
+
+@pytest.mark.parametrize("make", SCHEDULERS, ids=SCHEDULER_IDS)
 @pytest.mark.parametrize(
     "predictor",
     [OraclePredictor(), NoisyPredictor(OraclePredictor(), sigma=0.3)],
@@ -184,8 +219,10 @@ def test_lookahead_options_equal_plan_options(monkeypatch, make, predictor, rate
     served = _serve(make(predictor), rate=rate)
     if rate > 3e5:
         assert served.open_loop.total_shed() > 0
+        # Some admitted jobs had been evicted and were sized alone.
+        assert recorder.evictions
     assert len(recorder.calls) >= 3 * LOOKAHEAD_JOBS
-    assert max(recorder.table_sizes) <= LOOKAHEAD_JOBS
+    assert max(recorder.table_sizes) <= 2 * LOOKAHEAD_JOBS
     # The lookahead ran: admissions were served from the table.
     assert max(recorder.table_sizes) > 0
     system = gnn_system()
@@ -201,11 +238,91 @@ def test_lookahead_options_equal_plan_options(monkeypatch, make, predictor, rate
     assert served.report.as_dict()
 
 
-def test_learning_predictor_is_never_asked_ahead(monkeypatch):
+@pytest.mark.parametrize("make", SCHEDULERS, ids=SCHEDULER_IDS)
+def test_upcoming_jobs_enter_one_cohort_unless_evicted(monkeypatch, make):
+    """Overloaded, tenant queues release out of arrival order: the
+    planner keeps its table, so a job is sized again only after it was
+    evicted (and then alone)."""
     recorder = _Recorder(monkeypatch)
-    _serve(AdaptiveScheduler(OnlinePredictor()))
+    _serve(make(OraclePredictor()), rate=1e6)
+    admitted = [p[0] for event, p in recorder.events if event == "admitted"]
+    assert any(later < earlier for earlier, later in zip(admitted, admitted[1:]))
+    state: dict[int, str] = {}
+    resized = 0
+    for event, positions in recorder.events:
+        if event == "sized":
+            for position in positions:
+                assert state.get(position) in (None, "evicted"), (position, state)
+                resized += state.get(position) == "evicted"
+        for position in positions:
+            state[position] = event
+    assert resized > 0
+
+
+@pytest.mark.parametrize("make", SCHEDULERS, ids=SCHEDULER_IDS)
+def test_eviction_drops_lowest_positions_first(monkeypatch, make):
+    """The table is trimmed only past ``2 * LOOKAHEAD_JOBS`` plans, and
+    then only below every plan it keeps."""
+    recorder = _Recorder(monkeypatch)
+    _serve(make(OraclePredictor()), rate=1e6)
+    assert recorder.evictions
+    for evicted, kept in recorder.evictions:
+        assert len(kept) == 2 * LOOKAHEAD_JOBS
+        assert max(evicted) < min(kept)
+
+
+def test_evicted_job_is_sized_alone_to_its_plan_options(monkeypatch):
+    system = gnn_system()
+    arrivals = PoissonArrivals(rate=1e6, horizon=3e-4, seed=11, tenants=("a",))
+    jobs = [arrival.job for arrival in arrivals.generate(OpenWorkload(system).make_job)]
+    assert len(jobs) > 3 * LOOKAHEAD_JOBS
+    predictor = NoisyPredictor(OraclePredictor(), sigma=0.3)
+    planner = AdmissionPlanner(predictor, system, jobs)
+    for at in (0, LOOKAHEAD_JOBS, 2 * LOOKAHEAD_JOBS):
+        planner(jobs[at])
+    # Three cohorts leave 3 * 63 plans; the 61 lowest positions go.
+    evicted = range(1, 3 * (LOOKAHEAD_JOBS - 1) - 2 * LOOKAHEAD_JOBS + 1)
+    assert min(planner._table) == evicted[-1] + 1
+    assert len(planner._table) == 2 * LOOKAHEAD_JOBS
+    positions = (evicted[0], evicted[-1], evicted[-1] + 1)
+    reference = AdaptiveScheduler(predictor)
+    expected = [reference.plan_options(jobs[at], system) for at in positions]
+    cohorts = []
+    plan_jobs = adjustments.plan_jobs
+
+    def sized(cohort, *args):
+        cohorts.append(cohort)
+        return plan_jobs(cohort, *args)
+
+    monkeypatch.setattr(adjustments, "plan_jobs", sized)
+    for at, fresh in zip(positions, expected):
+        options = planner(jobs[at])
+        assert options and list(options) == list(fresh)
+        for kind, entry in options.items():
+            assert entry.job is jobs[at]
+            assert (entry.kind, entry.arrays, entry.estimate) == (
+                fresh[kind].kind,
+                fresh[kind].arrays,
+                fresh[kind].estimate,
+            )
+    # The two evicted jobs were sized alone; the kept one was not resized.
+    assert [[job.job_id for job in cohort] for cohort in cohorts] == [
+        [jobs[evicted[0]].job_id],
+        [jobs[evicted[-1]].job_id],
+    ]
+
+
+def test_learning_predictor_is_never_asked_ahead(monkeypatch):
+    """Out of order and with evictions possible, a learning predictor
+    is still asked about each job alone, when it is admitted."""
+    recorder = _Recorder(monkeypatch)
+    _serve(AdaptiveScheduler(OnlinePredictor()), rate=1e6)
     assert recorder.calls
     assert max(recorder.table_sizes) == 0
+    assert not recorder.evictions
+    sized = [positions for event, positions in recorder.events if event == "sized"]
+    assert len(sized) == len(recorder.calls)
+    assert all(positions == [None] for positions in sized)
 
 
 def test_planner_without_upcoming_sizes_on_demand():

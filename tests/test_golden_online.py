@@ -7,7 +7,9 @@ admission path was optimised (plan-table pruning, the backlog-scoped
 Algorithm 1 ranking, the precomputed knee stencil and the lean
 cluster node summaries); the learning-predictor, noisy-predictor and
 estimate-order cases were captured before knee searches ran in
-cohorts and admission sized arrivals ahead.  Every one of those
+cohorts and admission sized arrivals ahead; the EWT and global
+overload cases before the admission planner kept its table across
+cohorts.  Every one of those
 changes is meant to keep the simulated output byte-identical, and
 these cases hold them to it.
 
@@ -157,7 +159,9 @@ def _replay(tmp_dir: Path) -> dict:
 
 def _cases(tmp_dir: Path) -> dict:
     cases = {f"serve-{name}": (lambda n=name: _serve(n)) for name in SCHEDULERS}
-    cases["serve-overload-adaptive"] = lambda: _serve_overload("adaptive")
+    # EWT and global size arrivals through the same admission planner.
+    for name in ("adaptive", "ewt", "global"):
+        cases[f"serve-overload-{name}"] = lambda n=name: _serve_overload(n)
     cases["serve-faults-adaptive"] = lambda: _serve_faults("adaptive")
     cases["serve-faults-ewt"] = lambda: _serve_faults("ewt")
     # A learning predictor (it has an ``on_completion`` hook) and a
