@@ -43,19 +43,12 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..cluster.placement import FeedbackPlacement, PlacementPolicy
+from ..cluster.placement import PLACEMENTS, FeedbackPlacement, PlacementPolicy
 from ..cluster.runtime import ClusterRuntime
 from ..cluster.spec import ClusterSpec
-from ..serving import (
-    AutoscalePolicy,
-    Autoscaler,
-    PoissonArrivals,
-    ServingRuntime,
-    Tenant,
-    scale_system,
-)
-from .config import full_system, gnn_system
+from ..serving import AutoscalePolicy, Autoscaler, ServingRuntime, scale_system
 from .reporting import Report
+from .spec import RunSpec, _require
 
 __all__ = [
     "ReplayConfig",
@@ -69,28 +62,29 @@ __all__ = [
 CHECKPOINT_FORMAT = "mlimp-replay-checkpoint"
 PAYLOAD_FORMAT = "mlimp-replay"
 REPLAY_STATE_VERSION = 1
+#: What ``resume_replay`` reads from a checkpoint besides its header.
+_CHECKPOINT_KEYS = ("config", "next_window", "autoscale", "windows")
 
 #: Window-seed stride: seeds of consecutive windows stay far apart so
 #: neighbouring windows never share an arrival stream.
 _SEED_STRIDE = 7919
 
 
-@dataclass(frozen=True)
-class ReplayConfig:
-    """One replay's complete, JSON-round-trippable description."""
+@dataclass(frozen=True, kw_only=True)
+class ReplayConfig(RunSpec):
+    """One replay's complete, JSON-round-trippable description.
 
-    seed: int = 0
+    The shared serving fields come from :class:`RunSpec`, defaulted to
+    an overloaded scale-1 gnn pool under a 100 us SLO.
+    """
+
     rate: float = 2e6
-    windows: int = 6
-    window_s: float = 0.002
-    tenants: int = 3
     slo_s: float = 100e-6
-    scheduler: str = "adaptive"
     system: str = "gnn"
     queue_limit: int = 32
     max_backlog: int = 16
-    admission: str = "shed"
-    admission_margin: float = 1.0
+    windows: int = 6
+    window_s: float = 0.002
     autoscale: bool = False
     max_scale: int = 4
     #: 0 = single-node serving; N > 0 = an N-node cluster replay (the
@@ -99,29 +93,19 @@ class ReplayConfig:
     placement: str = "least-loaded"
 
     def __post_init__(self) -> None:
-        if self.windows < 1:
-            raise ValueError("windows must be >= 1")
-        if self.window_s <= 0:
-            raise ValueError("window_s must be positive")
-        if self.tenants < 1:
-            raise ValueError("tenants must be >= 1")
-        if self.slo_s <= 0:
-            raise ValueError("slo_s must be positive")
-        if self.nodes < 0:
-            raise ValueError("nodes must be >= 0 (0 = single node)")
-        if self.system not in ("gnn", "full"):
-            raise ValueError(f"unknown system {self.system!r}")
+        super().__post_init__()
+        _require(
+            self,
+            ("windows", self.windows >= 1, "must be >= 1"),
+            ("window_s", self.window_s > 0, "must be positive"),
+            ("nodes", self.nodes >= 0, "must be >= 0 (0 = single node)"),
+            ("placement", self.placement in PLACEMENTS,
+             f"must be one of {sorted(PLACEMENTS)}"),
+        )
 
     @property
     def horizon_s(self) -> float:
         return self.windows * self.window_s
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ReplayConfig":
-        return cls(**payload)
 
     def autoscale_policy(self) -> AutoscalePolicy:
         return AutoscalePolicy(max_scale=self.max_scale)
@@ -130,18 +114,6 @@ class ReplayConfig:
 # ----------------------------------------------------------------------
 def _window_seed(config: ReplayConfig, window: int) -> int:
     return config.seed + _SEED_STRIDE * window
-
-def _tenants(config: ReplayConfig) -> list[Tenant]:
-    """The serve CLI's deliberate weight asymmetry, replay-wide."""
-    return [
-        Tenant(
-            f"tenant-{i}",
-            weight=float(config.tenants - i),
-            queue_limit=config.queue_limit,
-        )
-        for i in range(config.tenants)
-    ]
-
 
 def _run_window(
     config: ReplayConfig,
@@ -157,15 +129,8 @@ def _run_window(
     windows, and this function feeds it the finished window's
     per-node report sections).
     """
-    base = gnn_system() if config.system == "gnn" else full_system()
-    system = scale_system(base, scale)
-    tenants = _tenants(config)
-    arrivals = PoissonArrivals(
-        rate=config.rate,
-        horizon=config.window_s,
-        seed=_window_seed(config, window),
-        tenants=tuple(t.name for t in tenants),
-    )
+    system = scale_system(config.build_system(), scale)
+    arrivals = config.arrivals(config.window_s, _window_seed(config, window))
     label = f"{config.scheduler}/replay-w{window}"
     if config.nodes > 0:
         cluster = ClusterSpec.homogeneous(config.nodes, system=system)
@@ -175,14 +140,7 @@ def _run_window(
             placement=placement if placement is not None else config.placement,
             max_backlog=config.max_backlog,
         )
-        result = runtime.serve(
-            arrivals,
-            tenants=tenants,
-            slo_s=config.slo_s,
-            label=label,
-            admission=config.admission,
-            admission_margin=config.admission_margin,
-        )
+        result = runtime.serve(arrivals, label=label, **config.serve_kwargs())
         report = result.report
         if isinstance(placement, FeedbackPlacement):
             placement.observe_reports(
@@ -197,14 +155,7 @@ def _run_window(
             scheduler=config.scheduler,
             max_backlog=config.max_backlog,
         )
-        serving = runtime.serve(
-            arrivals,
-            tenants=tenants,
-            slo_s=config.slo_s,
-            label=label,
-            admission=config.admission,
-            admission_margin=config.admission_margin,
-        )
+        serving = runtime.serve(arrivals, label=label, **config.serve_kwargs())
         report = serving.report
         makespan = serving.result.makespan
         queue_depth = (
@@ -294,14 +245,20 @@ def _write_checkpoint(
 
 def load_checkpoint(path) -> dict:
     """Read and validate a replay checkpoint file."""
-    state = json.loads(Path(path).read_text())
-    if state.get("format") != CHECKPOINT_FORMAT:
+    try:
+        state = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as error:
+        raise ValueError(f"cannot read checkpoint {path}: {error}") from error
+    if not isinstance(state, dict) or state.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path} is not a replay checkpoint")
     if state.get("version") != REPLAY_STATE_VERSION:
         raise ValueError(
             f"unsupported checkpoint version {state.get('version')!r} "
             f"(this build reads version {REPLAY_STATE_VERSION})"
         )
+    missing = sorted(set(_CHECKPOINT_KEYS) - set(state))
+    if missing:
+        raise ValueError(f"checkpoint {path} misses {', '.join(missing)}")
     return state
 
 
@@ -376,20 +333,10 @@ def resume_replay(
 
 
 # ----------------------------------------------------------------------
-#: The overloaded seeded trace both experiment arms replay: ~2x the
-#: drain rate of the scale-1 gnn pool, judged against a 100 us SLO.
-_HORIZON_CONFIG = ReplayConfig(
-    seed=20,
-    rate=2e6,
-    windows=6,
-    window_s=0.002,
-    tenants=3,
-    slo_s=100e-6,
-    scheduler="adaptive",
-    system="gnn",
-    queue_limit=32,
-    max_backlog=16,
-)
+#: The overloaded seeded trace both experiment arms replay (the
+#: ReplayConfig defaults): ~2x the drain rate of the scale-1 gnn pool,
+#: judged against a 100 us SLO.
+_HORIZON_CONFIG = ReplayConfig(seed=20)
 
 
 def replay_horizon() -> Report:

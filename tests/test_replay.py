@@ -90,6 +90,25 @@ def test_checkpoint_validation(tmp_path):
         load_checkpoint(stale)
     with pytest.raises(ValueError, match="checkpoint_path"):
         run_replay(SMALL, halt_after=1)
+    with pytest.raises(ValueError, match="cannot read checkpoint"):
+        load_checkpoint(tmp_path / "missing.json")
+    # A malformed checkpoint names the unknown or missing key.
+    good = tmp_path / "good.json"
+    assert run_replay(SMALL, checkpoint_path=good, halt_after=0) is None
+    state = json.loads(good.read_text())
+    bad = tmp_path / "bad.json"
+    for broken, match in (
+        ({**state, "config": {**state["config"], "bogus": 1}}, "bogus"),
+        ({**state, "config": [1, 2]}, "JSON object"),
+        ({k: v for k, v in state.items() if k != "next_window"},
+         "next_window"),
+        ({**state, "config": {
+            k: v for k, v in state["config"].items() if k != "rate"
+        }}, "rate"),
+    ):
+        bad.write_text(json.dumps(broken))
+        with pytest.raises(ValueError, match=match):
+            resume_replay(bad)
 
 
 def test_config_validation_and_roundtrip():
@@ -103,6 +122,13 @@ def test_config_validation_and_roundtrip():
         {"slo_s": 0.0},
         {"nodes": -1},
         {"system": "bogus"},
+        {"rate": -1.0},
+        {"queue_limit": 0},
+        {"max_backlog": 0},
+        {"admission_margin": 0.0},
+        {"scheduler": "bogus"},
+        {"admission": "bogus"},
+        {"placement": "bogus"},
     ):
         with pytest.raises(ValueError):
             dataclasses.replace(SMALL, **bad)
