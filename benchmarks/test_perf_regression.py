@@ -1,5 +1,6 @@
 """Perf-layer regression checks: the caches must make repeat work
-visibly cheaper, admission must size each arrival about once, and the
+visibly cheaper, admission must size each arrival about once, adaptive
+dispatch must not re-evaluate every queued curve per call, and the
 batched event drain must not change the event order.  Byte-identity
 of the simulated output is pinned by the golden digests
 (``tests/golden/``).
@@ -19,9 +20,11 @@ from repro.core.perfmodel import (
     knee_allocation,
     knee_allocations,
 )
-from repro.core.scheduler import adjustments
+from repro.core.scheduler import AdaptivePolicy, adjustments
 from repro.core.scheduler.adjustments import AdmissionPlanner
+from repro.harness.ablations import ablation_knee
 from repro.harness.config import full_system, gnn_system
+from repro.harness.gnn import build_workload
 from repro.serving import PoissonArrivals, ServingRuntime, Tenant
 from repro.serving.workload import OpenWorkload
 from repro.sim import Simulator
@@ -158,6 +161,46 @@ def test_out_of_order_admission_sizes_once(monkeypatch):
     distinct = {id(job) for job in sized}
     assert len(sized) <= 1.1 * len(distinct), (
         f"sized {len(sized)} jobs for {len(distinct)} distinct upcoming ones"
+    )
+
+
+def test_adaptive_dispatch_evaluates_few_curves(monkeypatch):
+    """Adaptive dispatch runs at every completion event; it must not
+    re-evaluate the allocation curve of every queued job per call (a
+    queue-order backfill scan made 41.9 ``snap_to_replica`` +
+    ``total_time`` calls per dispatch here).  Counts only: the Fig. 10
+    sizing sweep on one ``collab`` batch."""
+    counts = {"curve": 0, "dispatched": 0}
+    inside: list = []
+    dispatch = AdaptivePolicy.next_dispatches
+
+    def counted_dispatch(policy, view):
+        inside.append(policy)
+        try:
+            launched = dispatch(policy, view)
+        finally:
+            inside.pop()
+        counts["dispatched"] += len(launched)
+        return launched
+
+    def counting(method):
+        def wrapper(estimate, arrays):
+            if inside:
+                counts["curve"] += 1
+            return method(estimate, arrays)
+
+        return wrapper
+
+    for cls in (ProfileEstimate, ScaleFreeEstimate):
+        for name in ("snap_to_replica", "total_time"):
+            monkeypatch.setattr(cls, name, counting(getattr(cls, name)))
+    monkeypatch.setattr(AdaptivePolicy, "next_dispatches", counted_dispatch)
+    ablation_knee("collab", workload=build_workload("collab", num_batches=1, seed=0))
+    assert counts["dispatched"] > 1000
+    per_dispatch = counts["curve"] / counts["dispatched"]
+    assert per_dispatch <= 8, (
+        f"{counts['curve']} curve evaluations for {counts['dispatched']} "
+        f"dispatches ({per_dispatch:.1f} per dispatch)"
     )
 
 

@@ -23,8 +23,31 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
+
+
+def _read(flag: str, load, path):
+    """``load(path)``, with a file that cannot be read or parsed as a
+    one-line ``ValueError`` naming ``flag`` and the path."""
+    try:
+        return load(path)
+    except OSError as error:
+        reason = error.strerror or error
+        raise ValueError(f"{flag}: cannot read {path}: {reason}") from None
+    except json.JSONDecodeError as error:
+        raise ValueError(f"{flag}: {path} is not JSON: {error}") from None
+
+
+def _fault_plan(args: argparse.Namespace):
+    """The ``--faults`` plan of a command, or ``None`` without one."""
+    from .faults.plan import FaultPlan
+    from .harness.spec import FLAGS
+
+    if not args.faults:
+        return None
+    return _read(FLAGS["faults"].flag, FaultPlan.load, args.faults)
 
 
 def _registry() -> dict:
@@ -59,7 +82,9 @@ def cmd_fault_demo(args: argparse.Namespace) -> int:
     from .harness.faultdemo import run_fault_demo
 
     result = run_fault_demo(
-        args.faults, scheduler=args.scheduler, combo=args.combo
+        _fault_plan(args),
+        scheduler=args.scheduler,
+        combo=args.combo,
     )
     print(result.report())
     if result.failed_jobs:
@@ -104,8 +129,6 @@ def cmd_run(names: list[str], parallel: int | None = None) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     """Time the pinned perf suite and write ``BENCH_<date>.json``."""
-    import json
-
     from .harness.bench import (
         check_cache_health,
         check_regression,
@@ -283,9 +306,6 @@ def cmd_predictor(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Open-system serving run: arrivals, admission, per-tenant SLOs."""
-    import json
-
-    from .faults.plan import FaultPlan
     from .harness.spec import RunSpec
     from .serving import ServingRuntime, TraceArrivals
 
@@ -297,12 +317,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
         if not args.trace_file:
             raise ValueError("--arrivals trace needs --trace-file PATH")
         process = TraceArrivals(path=args.trace_file, seed=spec.seed)
-        tenant_names = tuple(
-            sorted({str(e["tenant"]) for e in process.entries()})
-        )
+        entries = _read("--trace-file", lambda _: process.entries(), args.trace_file)
+        tenant_names = tuple(sorted({str(e["tenant"]) for e in entries}))
         if not tenant_names:
             raise ValueError(f"trace {args.trace_file} has no arrivals")
-    faults = FaultPlan.load(args.faults) if args.faults else None
+    faults = _fault_plan(args)
     predictor = None
     if args.predictor == "online":
         from .core.predictor import OnlinePredictor
@@ -311,7 +330,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     elif args.predictor != "oracle":
         from .core.predictor import MLPPredictor
 
-        predictor = MLPPredictor.load(args.predictor)
+        predictor = _read("--predictor", MLPPredictor.load, args.predictor)
     runtime = ServingRuntime(
         spec.build_system(),
         scheduler=spec.scheduler,
@@ -352,10 +371,7 @@ def _split_entry(entry: str, flag: str, form: str) -> tuple[str, float]:
 
 def cmd_cluster(args: argparse.Namespace) -> int:
     """Cluster serving run: placement, sharded node sims, merged SLOs."""
-    import json
-
     from .cluster import ClusterRuntime, ClusterSpec, InterconnectSpec, NodeFault
-    from .faults.plan import FaultPlan
     from .harness.spec import RunSpec
 
     if args.nodes < 1:
@@ -396,7 +412,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
                 f"nodes are {', '.join(cluster.names)}"
             )
         node_faults.append(NodeFault(node=name, time=when))
-    faults = FaultPlan.load(args.faults) if args.faults else None
+    faults = _fault_plan(args)
     runtime = ClusterRuntime(
         cluster,
         scheduler=spec.scheduler,
@@ -444,8 +460,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     """Trace-replay horizon run: windows, autoscaling, checkpointing."""
-    import json
-
     from .harness.replay import ReplayConfig, resume_replay, run_replay
 
     if args.halt_after is not None:
@@ -736,6 +750,16 @@ def build_parser() -> argparse.ArgumentParser:
 _RUN_COMMANDS = {"serve": cmd_serve, "cluster": cmd_cluster, "replay": cmd_replay}
 
 
+def _one_line_errors(command, args: argparse.Namespace) -> int:
+    """Run ``command``; malformed parameters or input files end in one
+    stderr line and exit 2, not a traceback."""
+    try:
+        return command(args)
+    except ValueError as error:
+        print(error, file=sys.stderr)
+        return 2
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list":
@@ -747,12 +771,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "bench":
         return cmd_bench(args)
     if args.command in _RUN_COMMANDS:
-        # Malformed run parameters end in one stderr line, not a traceback.
-        try:
-            return _RUN_COMMANDS[args.command](args)
-        except ValueError as error:
-            print(error, file=sys.stderr)
-            return 2
+        return _one_line_errors(_RUN_COMMANDS[args.command], args)
     if args.command == "predictor":
         if args.action in {"eval", "export"} and not args.model:
             print(f"predictor {args.action} needs --model PATH", file=sys.stderr)
@@ -766,7 +785,7 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 2
-        return cmd_fault_demo(args)
+        return _one_line_errors(cmd_fault_demo, args)
     return cmd_run(args.names, parallel=args.parallel)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable
 
 from ...memories.base import MemoryKind
@@ -26,6 +27,124 @@ from .adjustments import JobSizing, PlannedJob, drop_plans, inter_queue_adjust
 from .base import Dispatch, DispatchPolicy, MLIMPSystem, ResourceView, Scheduler
 
 __all__ = ["AdaptiveScheduler", "AdaptivePolicy"]
+
+
+#: Tree value of a launched position: larger than any free run.
+_GONE = float("inf")
+
+
+class _Queue:
+    """One memory's queue in dispatch order, with the two exact indexes
+    :meth:`AdaptivePolicy.next_dispatches` answers from.
+
+    An entry keeps the position it had when the queue was built, and a
+    launch only marks its position gone, so queue order is position
+    order for the queue's whole life.  Anything that adds to or
+    re-orders a queue (admission, Algorithm 1, device loss or derate)
+    builds a new one instead, which drops both indexes.  The policy
+    wraps a queue's list in a ``_Queue`` only when dispatch first reads
+    it, and each index is built on first use.
+
+    * ``_levels`` -- a min tree over the entries' ``arrays`` (root
+      first, leaves last, launched leaves at ``_GONE``): the leftmost
+      queued entry that fits a free run, or none if the root says even
+      the smallest queued allocation does not fit.  A ``head`` (first
+      queued position) that fits is that entry too, so the short
+      queues of an open system rarely build the tree.
+    * ``_backfill[run]`` -- ``(t, position, arrays)`` rows of the
+      entries with ``unit_arrays <= run`` sorted by ``t``, where
+      ``arrays = snap_to_replica(run)`` and ``t = total_time(arrays)``:
+      the entries that finish by a horizon are a prefix of the rows.
+    """
+
+    __slots__ = ("entries", "live", "size", "head", "_levels", "_backfill")
+
+    def __init__(self, entries: list[PlannedJob]) -> None:
+        self.entries = entries
+        self.live = [True] * len(entries)
+        self.size = len(entries)
+        self.head = 0
+        self._levels: list[list[float]] | None = None
+        self._backfill: dict[int, list[tuple[float, int, int]]] = {}
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self):
+        """The queued entries, in dispatch order."""
+        return compress(self.entries, self.live)
+
+    def _tree(self) -> list[list[float]]:
+        levels = self._levels
+        if levels is None:
+            level = [
+                e.arrays if live else _GONE for e, live in zip(self.entries, self.live)
+            ]
+            width = 1
+            while width < len(level):
+                width *= 2
+            level += [_GONE] * (width - len(level))
+            levels = [level]
+            while len(level) > 1:
+                level = list(map(min, level[::2], level[1::2]))
+                levels.append(level)
+            levels.reverse()
+            self._levels = levels
+        return levels
+
+    def first_fitting(self, run: int) -> int | None:
+        """Position of the first queued entry with ``arrays <= run``
+        (the queue must not be empty)."""
+        if self.entries[self.head].arrays <= run:
+            return self.head  # a head that fits needs no tree
+        levels = self._tree()
+        if levels[0][0] > run:
+            return None
+        pos = 0
+        for level in levels[1:]:
+            pos *= 2
+            if level[pos] > run:
+                pos += 1
+        return pos
+
+    def backfill_rows(self, run: int) -> list[tuple[float, int, int]]:
+        """The ``(t, position, arrays)`` rows for a free run of ``run``."""
+        rows = self._backfill.get(run)
+        if rows is None:
+            rows = []
+            for pos, entry in enumerate(self.entries):
+                estimate = entry.estimate
+                if self.live[pos] and estimate.unit_arrays <= run:
+                    arrays = estimate.snap_to_replica(run)
+                    rows.append((estimate.total_time(arrays), pos, arrays))
+            rows.sort()
+            self._backfill[run] = rows
+        return rows
+
+    def take(self, pos: int) -> PlannedJob:
+        """Remove the entry at ``pos`` from the queue and return it."""
+        live = self.live
+        live[pos] = False
+        self.size -= 1
+        if pos == self.head:
+            head = pos + 1
+            while head < len(live) and not live[head]:
+                head += 1
+            self.head = head
+        levels = self._levels
+        if levels is not None:
+            depth = len(levels) - 1
+            levels[depth][pos] = _GONE
+            node = pos
+            while depth:
+                below = levels[depth]
+                value = min(below[node & ~1], below[node | 1])
+                depth -= 1
+                node >>= 1
+                if levels[depth][node] == value:
+                    break  # unchanged here, so unchanged above
+                levels[depth][node] = value
+        return self.entries[pos]
 
 
 class AdaptivePolicy(DispatchPolicy):
@@ -39,8 +158,9 @@ class AdaptivePolicy(DispatchPolicy):
         system: MLIMPSystem | None = None,
         planner: Callable[[Job], dict[MemoryKind, PlannedJob]] | None = None,
     ) -> None:
-        # Largest estimated time first within each queue.
-        self._queues = {
+        # Largest estimated time first within each queue: a plain list
+        # until dispatch first reads it (see _indexed).
+        self._queues: dict[MemoryKind, list[PlannedJob] | _Queue] = {
             kind: sorted(entries, key=lambda e: e.est_time, reverse=True)
             for kind, entries in queues.items()
         }
@@ -60,10 +180,10 @@ class AdaptivePolicy(DispatchPolicy):
         self._derate: dict[MemoryKind, float] = {}
 
     def pending(self) -> int:
-        return sum(len(entries) for entries in self._queues.values())
+        return sum(map(len, self._queues.values()))
 
     def queue_depths(self) -> dict[str, int]:
-        return {kind.value: len(entries) for kind, entries in self._queues.items()}
+        return {kind.value: len(queue) for kind, queue in self._queues.items()}
 
     def notify_completion(self, job: Job, kind: MemoryKind, now: float) -> None:
         self._inflight.get(kind, {}).pop(job.job_id, None)
@@ -71,6 +191,17 @@ class AdaptivePolicy(DispatchPolicy):
 
     def notify_failed(self, job: Job, now: float) -> None:
         drop_plans(self._plans, [job])
+
+    def _queued(self) -> dict[MemoryKind, list[PlannedJob]]:
+        """The live queues as plain lists, for a pass that rebuilds them."""
+        return {kind: list(queue) for kind, queue in self._queues.items()}
+
+    def _indexed(self, kind: MemoryKind) -> _Queue:
+        """``kind``'s queue, wrapped for dispatch on first use."""
+        queue = self._queues[kind]
+        if type(queue) is list:
+            queue = self._queues[kind] = _Queue(queue)
+        return queue
 
     # -- graceful degradation (repro.faults) ---------------------------
     def _scaled_time(self, entry: PlannedJob, kind: MemoryKind) -> float:
@@ -94,38 +225,39 @@ class AdaptivePolicy(DispatchPolicy):
             return list(jobs)
         orphans = self._queues.pop(kind)
         self._inflight.pop(kind, None)
+        queues = self._queued()
         unplaced: list[Job] = []
         for entry in orphans:
             best = self._best_placement(entry.job.job_id)
             if best is None:
                 unplaced.append(entry.job)
             else:
-                self._queues[best.kind].append(best)
+                queues[best.kind].append(best)
         for job in jobs:
             best = self._best_placement(job.job_id)
             if best is None:
                 unplaced.append(job)
             else:
-                self._queues[best.kind].append(best)
+                queues[best.kind].append(best)
         drop_plans(self._plans, unplaced)
         # Re-run Algorithm 1 over the survivors so the degraded system
         # is balanced, not merely feasible.
-        self._rebalance()
+        self._rebalance(queues)
         return unplaced
 
-    def _rebalance(self) -> None:
-        """Algorithm 1 over the currently *queued* jobs (the live
+    def _rebalance(self, queues: dict[MemoryKind, list[PlannedJob]]) -> None:
+        """Algorithm 1 over the queued jobs ``queues`` (the live
         queues), then restore longest-first dispatch order."""
-        if self._system is not None and self._queues and self._plans is not None:
+        if self._system is not None and queues and self._plans is not None:
             # Algorithm 1 only reads the options of queued jobs on live
             # queues, so the plan table goes in unfiltered.
-            alive = [k for k in self._system.kinds if k in self._queues]
-            self._queues = inter_queue_adjust(
-                self._queues, self._plans, self._system.subset(alive)
+            alive = [k for k in self._system.kinds if k in queues]
+            queues = inter_queue_adjust(
+                queues, self._plans, self._system.subset(alive)
             )
         self._queues = {
             k: sorted(entries, key=lambda e: e.est_time, reverse=True)
-            for k, entries in self._queues.items()
+            for k, entries in queues.items()
         }
 
     # -- online admission (repro.serving) ------------------------------
@@ -143,7 +275,7 @@ class AdaptivePolicy(DispatchPolicy):
         if self._planner is None:
             return list(jobs)
         unplaced: list[Job] = []
-        admitted = False
+        queues: dict[MemoryKind, list[PlannedJob]] | None = None
         for job in jobs:
             options = {
                 kind: entry
@@ -159,10 +291,11 @@ class AdaptivePolicy(DispatchPolicy):
                 options.items(),
                 key=lambda kv: (self._scaled_time(kv[1], kv[0]), kv[0].value),
             )[1]
-            self._queues[best.kind].append(best)
-            admitted = True
-        if admitted:
-            self._rebalance()
+            if queues is None:
+                queues = self._queued()
+            queues[best.kind].append(best)
+        if queues is not None:
+            self._rebalance(queues)
         return unplaced
 
     def device_derated(self, kind: MemoryKind, factor: float, now: float) -> None:
@@ -171,30 +304,37 @@ class AdaptivePolicy(DispatchPolicy):
             return
         # Re-pick every queued job's best memory under the new scaling
         # (an inter-queue migration pass with derated estimates).
-        queued = [e for entries in self._queues.values() for e in entries]
-        self._queues = {k: [] for k in self._queues}
+        queued = [e for queue in self._queues.values() for e in queue]
+        queues: dict[MemoryKind, list[PlannedJob]] = {k: [] for k in self._queues}
         for entry in queued:
             best = self._best_placement(entry.job.job_id) or entry
-            self._queues[best.kind].append(best)
+            queues[best.kind].append(best)
         self._queues = {
-            k: sorted(
-                entries, key=lambda e: self._scaled_time(e, k), reverse=True
-            )
-            for k, entries in self._queues.items()
+            k: sorted(entries, key=lambda e: self._scaled_time(e, k), reverse=True)
+            for k, entries in queues.items()
         }
 
     # ------------------------------------------------------------------
     def next_dispatches(self, view: ResourceView) -> list[Dispatch]:
         dispatches: list[Dispatch] = []
-        free_slots = dict(view.free_slots)
-        free_run = dict(view.largest_free_run)
+        now = view.now
+        # (free slots, largest free run) per memory after pass 1.
+        left: dict[MemoryKind, tuple[int, int]] = {}
 
         # Pass 1: greedy, priority to larger jobs with their requested
-        # allocation.
-        for kind, queue in self._queues.items():
-            remaining: list[PlannedJob] = []
-            for entry in queue:
-                if free_slots.get(kind, 0) > 0 and free_run.get(kind, 0) >= entry.arrays:
+        # allocation -- each launch is the first queued entry that fits
+        # what the earlier launches left.
+        for kind in self._queues:
+            slots = view.free_slots.get(kind, 0)
+            run = view.largest_free_run.get(kind, 0)
+            if slots > 0 and self._queues[kind]:
+                queue = self._indexed(kind)
+                inflight = self._inflight[kind]
+                while slots > 0 and queue.size:
+                    pos = queue.first_fitting(run)
+                    if pos is None:
+                        break
+                    entry = queue.take(pos)
                     est_time = self._scaled_time(entry, kind)
                     dispatches.append(
                         Dispatch(
@@ -204,47 +344,49 @@ class AdaptivePolicy(DispatchPolicy):
                             predicted_time=est_time,
                         )
                     )
-                    free_slots[kind] -= 1
-                    free_run[kind] -= entry.arrays
-                    self._inflight[kind][entry.job.job_id] = (
-                        view.now + est_time
-                    )
-                else:
-                    remaining.append(entry)
-            self._queues[kind] = remaining
+                    slots -= 1
+                    run -= entry.arrays
+                    inflight[entry.job.job_id] = now + est_time
+            left[kind] = (slots, run)
 
         # Pass 2: backfill remainders with jobs that finish before the
-        # current in-flight work.
+        # current in-flight work: the first queued entry (lowest
+        # position) whose snapped remainder allocation finishes by the
+        # horizon.
         if self._backfill:
             for kind, queue in self._queues.items():
-                run = free_run.get(kind, 0)
-                if free_slots.get(kind, 0) <= 0 or run <= 0 or not queue:
+                slots, run = left[kind]
+                if slots <= 0 or run <= 0 or not queue:
                     continue
-                inflight = self._inflight.get(kind, {})
+                inflight = self._inflight[kind]
                 if not inflight:
                     continue  # nothing to hide behind; pass 1 covers idle devices
                 horizon = min(inflight.values())
-                for entry in list(queue):
-                    if entry.estimate.unit_arrays > run:
-                        continue
-                    arrays = entry.estimate.snap_to_replica(run)
-                    est_time = entry.estimate.total_time(arrays) / self._derate.get(
-                        kind, 1.0
-                    )
-                    finish = view.now + est_time
-                    if finish <= horizon:
-                        dispatches.append(
-                            Dispatch(
-                                job=entry.job,
-                                kind=kind,
-                                arrays=arrays,
-                                predicted_time=est_time,
-                            )
-                        )
-                        queue.remove(entry)
-                        free_slots[kind] -= 1
-                        inflight[entry.job.job_id] = finish
+                derate = self._derate.get(kind, 1.0)
+                queue = self._indexed(kind)
+                live = queue.live
+                chosen = None
+                # Division and addition round monotonically, so the
+                # rows that finish by the horizon are a prefix.
+                for row in queue.backfill_rows(run):
+                    if now + row[0] / derate > horizon:
                         break
+                    if live[row[1]] and (chosen is None or row[1] < chosen[1]):
+                        chosen = row
+                if chosen is None:
+                    continue
+                t, pos, arrays = chosen
+                entry = queue.take(pos)
+                est_time = t / derate
+                dispatches.append(
+                    Dispatch(
+                        job=entry.job,
+                        kind=kind,
+                        arrays=arrays,
+                        predicted_time=est_time,
+                    )
+                )
+                inflight[entry.job.job_id] = now + est_time
         return dispatches
 
 

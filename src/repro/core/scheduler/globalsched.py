@@ -20,6 +20,8 @@ the sigma ~ 0.39 adaptive/global crossover of Section V-B3.
 
 from __future__ import annotations
 
+import heapq
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
@@ -181,7 +183,7 @@ class GlobalPolicy(DispatchPolicy):
         intra_queue: bool = True,
         planner: Callable[[Job], dict[MemoryKind, PlannedJob]] | None = None,
     ) -> None:
-        self._schedule = list(schedule)
+        self._load(schedule)
         # Re-planning context for the graceful-degradation hooks
         # (optional: without it the hooks fall back to the base class).
         self._plans = plans
@@ -192,22 +194,26 @@ class GlobalPolicy(DispatchPolicy):
         self._planner = planner
         self._lost: set[MemoryKind] = set()
         self._derate: dict[MemoryKind, float] = {}
-        self._depths = self._count_depths()
 
-    def _count_depths(self) -> dict[str, int]:
-        depths: dict[str, int] = {}
-        for scheduled in self._schedule:
-            device = scheduled.entry.kind.value
-            depths[device] = depths.get(device, 0) + 1
-        return depths
+    def _load(self, schedule: list[ScheduledEntry]) -> None:
+        """Split the time-ordered ``schedule`` into one lane per memory,
+        each entry tagged with its plan position: launches pop lane
+        heads, and the tags restore the cross-memory plan order."""
+        self._lanes: dict[MemoryKind, deque[tuple[int, ScheduledEntry]]] = {}
+        for position, scheduled in enumerate(schedule):
+            self._lanes.setdefault(scheduled.entry.kind, deque()).append(
+                (position, scheduled)
+            )
+
+    def _scheduled(self) -> list[ScheduledEntry]:
+        """The unlaunched schedule, in plan order."""
+        return [scheduled for _, scheduled in heapq.merge(*self._lanes.values())]
 
     def pending(self) -> int:
-        return len(self._schedule)
+        return sum(len(lane) for lane in self._lanes.values())
 
     def queue_depths(self) -> dict[str, int]:
-        # Maintained incrementally (decremented as entries launch,
-        # rebuilt on re-plan): the dispatcher polls this per pump.
-        return dict(self._depths)
+        return {kind.value: len(lane) for kind, lane in self._lanes.items() if lane}
 
     def notify_completion(self, job: Job, kind: MemoryKind, now: float) -> None:
         drop_plans(self._plans, [job])
@@ -216,46 +222,39 @@ class GlobalPolicy(DispatchPolicy):
         drop_plans(self._plans, [job])
 
     def next_event_time(self, now: float) -> float | None:
-        if not self._schedule:
-            return None
-        return self._schedule[0].planned_start
+        heads = [lane[0][1].planned_start for lane in self._lanes.values() if lane]
+        return min(heads) if heads else None
 
     def next_dispatches(self, view: ResourceView) -> list[Dispatch]:
-        dispatches: list[Dispatch] = []
-        free_slots = dict(view.free_slots)
-        free_run = dict(view.largest_free_run)
-        blocked: set[MemoryKind] = set()
-        taken: set[int] = set()
-        for index, scheduled in enumerate(self._schedule):
-            if scheduled.planned_start > view.now:
-                break  # schedule is time-ordered
-            entry = scheduled.entry
-            kind = entry.kind
-            if kind in blocked:
-                continue  # strict per-memory plan order
-            if free_slots.get(kind, 0) <= 0 or free_run.get(kind, 0) < entry.arrays:
-                blocked.add(kind)
-                continue
-            taken.add(index)
-            device = kind.value
-            self._depths[device] -= 1
-            if not self._depths[device]:
-                del self._depths[device]
-            dispatches.append(
-                Dispatch(
+        # Each memory launches a prefix of its lane: entries due by now
+        # that fit, up to the first that does not (strict per-memory
+        # plan order).  Memories never share resources, so the lanes
+        # are independent; the launches come back in plan order.
+        launched: list[tuple[int, Dispatch]] = []
+        for kind, lane in self._lanes.items():
+            slots = view.free_slots.get(kind, 0)
+            run = view.largest_free_run.get(kind, 0)
+            while lane:
+                position, scheduled = lane[0]
+                entry = scheduled.entry
+                if (
+                    scheduled.planned_start > view.now
+                    or slots <= 0
+                    or run < entry.arrays
+                ):
+                    break
+                lane.popleft()
+                dispatch = Dispatch(
                     job=entry.job,
                     kind=kind,
                     arrays=entry.arrays,
                     predicted_time=entry.est_time / self._derate.get(kind, 1.0),
                 )
-            )
-            free_slots[kind] -= 1
-            free_run[kind] -= entry.arrays
-        if taken:
-            self._schedule = [
-                s for i, s in enumerate(self._schedule) if i not in taken
-            ]
-        return dispatches
+                launched.append((position, dispatch))
+                slots -= 1
+                run -= entry.arrays
+        launched.sort(key=lambda item: item[0])
+        return [dispatch for _, dispatch in launched]
 
     # -- re-planning core (shared by device_lost and admit) ------------
     def _replan(self, new_jobs: list[Job], now: float) -> list[Job]:
@@ -269,8 +268,7 @@ class GlobalPolicy(DispatchPolicy):
         """
         alive = [k for k in self._system.kinds if k not in self._lost]
         if not alive:
-            self._schedule = []
-            self._depths = {}
+            self._load([])
             return list(new_jobs)
         subset = self._system.subset(alive)
         queues: dict[MemoryKind, list[PlannedJob]] = {k: [] for k in alive}
@@ -291,7 +289,7 @@ class GlobalPolicy(DispatchPolicy):
             best = min(options)[2]
             queues[best.kind].append(best)
 
-        for scheduled in self._schedule:
+        for scheduled in self._scheduled():
             place(scheduled.entry.job, scheduled.entry)
         for job in new_jobs:
             place(job, None)
@@ -301,11 +299,12 @@ class GlobalPolicy(DispatchPolicy):
             k: [e.with_arrays(min(e.arrays, subset.arrays(k))) for e in entries]
             for k, entries in queues.items()
         }
-        self._schedule = [
-            ScheduledEntry(planned_start=now + s.planned_start, entry=s.entry)
-            for s in build_static_schedule(capped, subset)
-        ]
-        self._depths = self._count_depths()
+        self._load(
+            [
+                ScheduledEntry(planned_start=now + s.planned_start, entry=s.entry)
+                for s in build_static_schedule(capped, subset)
+            ]
+        )
         drop_plans(self._plans, unplaced)
         return unplaced
 

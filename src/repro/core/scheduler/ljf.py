@@ -13,6 +13,7 @@ shows.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable
@@ -49,7 +50,7 @@ class LJFPolicy(DispatchPolicy):
         candidates: dict[str, list[_QueuedJob]] | None = None,
         planner: Callable[[Job], list[_QueuedJob]] | None = None,
     ) -> None:
-        self._queue = queue
+        self._queue = deque(queue)
         self._candidates = candidates
         # Sizes a newly arrived job on every memory it fits (the plan
         # loop as a closure); enables online admission (repro.serving).
@@ -75,7 +76,7 @@ class LJFPolicy(DispatchPolicy):
             kind = head.best_kind
             if free_slots.get(kind, 0) <= 0 or free_run.get(kind, 0) < head.arrays:
                 break  # naive head-of-line blocking
-            self._queue.pop(0)
+            self._queue.popleft()
             dispatches.append(
                 Dispatch(
                     job=head.job,
@@ -131,7 +132,9 @@ class LJFPolicy(DispatchPolicy):
         return min(options, key=self._effective_time)
 
     def _resort(self) -> None:
-        self._queue.sort(key=self._effective_time, reverse=True)
+        self._queue = deque(
+            sorted(self._queue, key=self._effective_time, reverse=True)
+        )
 
     def device_lost(
         self, kind: MemoryKind, jobs: list[Job], now: float

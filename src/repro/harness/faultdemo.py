@@ -24,20 +24,22 @@ __all__ = ["run_fault_demo"]
 
 
 def run_fault_demo(
-    plan_path: str | Path,
+    plan: FaultPlan | str | Path,
     scheduler: str = "adaptive",
     combo: str = "A",
 ) -> DispatchResult:
     """Run one combo under a fault plan, with a fault-free baseline.
 
-    Raises ``ValueError`` for an unknown combo; JSON/plan validation
-    errors surface from :meth:`FaultPlan.load`.
+    ``plan`` is a loaded plan or the path of one.  Raises
+    ``ValueError`` for an unknown combo; JSON/plan validation errors
+    surface from :meth:`FaultPlan.load`.
     """
     if combo not in COMBOS:
         raise ValueError(
             f"unknown combo {combo!r}; choose from {', '.join(sorted(COMBOS))}"
         )
-    plan = FaultPlan.load(plan_path)
+    if not isinstance(plan, FaultPlan):
+        plan = FaultPlan.load(plan)
     runtime = MLIMPRuntime(full_system(), scheduler=scheduler)
     runtime.submit_many(combo_jobs(combo, DEFAULT_SPECS))
     return runtime.run(

@@ -269,9 +269,19 @@ class TestFaultsCommand:
         assert main(["run", "table3", "--faults", self.SMOKE_PLAN]) == 2
         assert "not combinable" in capsys.readouterr().err
 
-    def test_faults_unknown_combo(self):
-        with pytest.raises(ValueError, match="unknown combo"):
-            main(["run", "--faults", self.SMOKE_PLAN, "--combo", "Z"])
+    def test_faults_unknown_combo(self, capsys):
+        _assert_one_line_error(
+            capsys, ["run", "--faults", self.SMOKE_PLAN, "--combo", "Z"], "unknown combo"
+        )
+
+    def test_faults_unreadable_plan(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        _assert_one_line_error(
+            capsys, ["run", "--faults", missing], f"--faults: cannot read {missing}"
+        )
+        garbled = tmp_path / "garbled.json"
+        garbled.write_text("{not json")
+        _assert_one_line_error(capsys, ["run", "--faults", str(garbled)], "--faults")
 
 
 class TestServeCommand:
@@ -340,7 +350,7 @@ class TestServeCommand:
         assert main(["serve", "--arrivals", "trace"]) == 2
         assert "--trace-file" in capsys.readouterr().err
 
-    def test_serve_rejects_bad_args(self, capsys):
+    def test_serve_rejects_bad_args(self, capsys, tmp_path):
         assert main(["serve", "--tenants", "0"]) == 2
         assert "--tenants" in capsys.readouterr().err
         assert main(["serve", "--slo", "-1"]) == 2
@@ -353,6 +363,15 @@ class TestServeCommand:
              "--admission-margin", "0"],
         ):
             _assert_one_line_error(capsys, ["serve", *bad], bad[-2])
+        missing = str(tmp_path / "missing.json")
+        for bad in (
+            ["--faults", missing],
+            ["--predictor", missing],
+            ["--arrivals", "trace", "--trace-file", missing],
+        ):
+            _assert_one_line_error(
+                capsys, ["serve", *bad], f"{bad[-2]}: cannot read {missing}"
+            )
 
     def test_serve_with_fault_plan(self, capsys):
         plan = TestFaultsCommand.SMOKE_PLAN
@@ -411,7 +430,7 @@ class TestClusterCommand:
         assert main(self.ARGS + ["--fail-node", "node-1:0.005"]) == 0
         assert "node-1" in capsys.readouterr().out
 
-    def test_cluster_rejects_bad_args(self, capsys):
+    def test_cluster_rejects_bad_args(self, capsys, tmp_path):
         assert main(["cluster", "--nodes", "0"]) == 2
         assert "--nodes" in capsys.readouterr().err
         assert main(["cluster", "--shards", "0"]) == 2
@@ -426,6 +445,10 @@ class TestClusterCommand:
             ["--admission-margin", "0"],
         ):
             _assert_one_line_error(capsys, ["cluster", *bad], bad[0])
+        missing = str(tmp_path / "missing.json")
+        _assert_one_line_error(
+            capsys, ["cluster", "--faults", missing], f"--faults: cannot read {missing}"
+        )
 
 
 class TestReplayCommand:

@@ -35,7 +35,7 @@ from repro.serving.workload import OpenWorkload
 
 def _queued_ids(policy) -> set[str]:
     if isinstance(policy, GlobalPolicy):
-        return {s.entry.job.job_id for s in policy._schedule}
+        return {s.entry.job.job_id for s in policy._scheduled()}
     if isinstance(policy, EWTPolicy):
         return {w.entry.job.job_id for q in policy._queues.values() for w in q}
     return {e.job.job_id for q in policy._queues.values() for e in q}
