@@ -25,6 +25,7 @@ from repro.core.scheduler.adjustments import AdmissionPlanner
 from repro.harness.ablations import ablation_knee
 from repro.harness.config import full_system, gnn_system
 from repro.harness.gnn import build_workload
+from repro.kernels import spmm
 from repro.serving import PoissonArrivals, ServingRuntime, Tenant
 from repro.serving.workload import OpenWorkload
 from repro.sim import Simulator
@@ -202,6 +203,27 @@ def test_adaptive_dispatch_evaluates_few_curves(monkeypatch):
         f"{counts['curve']} curve evaluations for {counts['dispatched']} "
         f"dispatches ({per_dispatch:.1f} per dispatch)"
     )
+
+
+def test_spmm_job_scans_strips_once_per_memory(monkeypatch):
+    """Lowering an SpMM job must scan the adjacency's strips at most
+    once per memory layer, sharing that population between the job's
+    profile and its ``h_w`` tag (each was scanned separately before:
+    6 scans per job).  Counts only: every SpMM job of one ``collab``
+    batch and its predictor training set."""
+    scans: list[int] = []
+    population = spmm.prow_population
+
+    def counted(graph, width):
+        scans.append(width)
+        return population(graph, width)
+
+    monkeypatch.setattr(spmm, "prow_population", counted)
+    workload = build_workload("collab", num_batches=1, seed=0)
+    jobs = len(workload.spmm_jobs()) + len(workload.training_jobs)
+    assert jobs > 100
+    per_job = len(scans) / jobs
+    assert 0 < per_job <= 3, f"{len(scans)} strip scans for {jobs} SpMM jobs"
 
 
 def test_chunked_run_matches_step_trace():

@@ -265,7 +265,7 @@ def cmd_predictor(args: argparse.Namespace) -> int:
             print(f"{kind:6s} n={n:4d}  log-R2 {r2:6.3f}  rel-RMSE {rel:6.3f}")
         return 0
 
-    predictor = MLPPredictor.load(args.model)
+    predictor = _read("--model", MLPPredictor.load, args.model)
     if args.action == "eval":
         from .harness.gnn import build_workload
 
@@ -776,7 +776,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.action in {"eval", "export"} and not args.model:
             print(f"predictor {args.action} needs --model PATH", file=sys.stderr)
             return 2
-        return cmd_predictor(args)
+        return _one_line_errors(cmd_predictor, args)
     if args.faults is not None:
         if args.names:
             print(

@@ -374,7 +374,7 @@ class MLPPredictor(PerformancePredictor):
     @classmethod
     def from_dict(cls, payload: dict) -> "MLPPredictor":
         """Rebuild a predictor saved with :meth:`to_dict`."""
-        if payload.get("format") != "mlimp-predictor":
+        if not isinstance(payload, dict) or payload.get("format") != "mlimp-predictor":
             raise ValueError("not an mlimp-predictor artifact")
         version = payload.get("version")
         if version != PREDICTOR_STATE_VERSION:

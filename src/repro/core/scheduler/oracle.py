@@ -25,7 +25,6 @@ throughput of each in-memory processor".
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ...memories.base import MemoryKind
 from ..job import Job
@@ -55,6 +54,10 @@ def _fair_time(job: Job, system: MLIMPSystem, kind: MemoryKind) -> float:
 
 def oracle_makespan(jobs: list[Job], system: MLIMPSystem) -> float:
     """Perfect-balance fluid makespan for a batch of jobs."""
+    # scipy.optimize is imported here, not at module level: it is a
+    # large import that only the oracle bound needs.
+    from scipy.optimize import linprog
+
     if not jobs:
         return 0.0
     kinds = system.kinds

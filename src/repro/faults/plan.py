@@ -105,7 +105,15 @@ class FaultEvent:
         return out
 
     @classmethod
-    def from_dict(cls, data: dict) -> "FaultEvent":
+    def from_dict(cls, data: dict, index: int = 0) -> "FaultEvent":
+        """Rebuild an event from :meth:`as_dict`.  ``index`` is the
+        event's position in its plan, named by the error when a
+        required key is missing."""
+        if not isinstance(data, dict):
+            raise ValueError(f"fault event {index}: expected a JSON object, got {data!r}")
+        for key in ("kind", "device"):
+            if key not in data:
+                raise ValueError(f"fault event {index}: missing key {key!r}")
         return cls(
             kind=FaultKind(data["kind"]),
             device=MemoryKind(data["device"]),
@@ -266,6 +274,8 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
+        if not isinstance(data, dict):
+            raise ValueError("a fault plan must be a JSON object")
         retry = (
             RetryPolicy.from_dict(data["retry"])
             if "retry" in data
@@ -273,7 +283,8 @@ class FaultPlan:
         )
         return cls(
             events=tuple(
-                FaultEvent.from_dict(e) for e in data.get("events", [])
+                FaultEvent.from_dict(e, i)
+                for i, e in enumerate(data.get("events", []))
             ),
             retry=retry,
             seed=data.get("seed"),

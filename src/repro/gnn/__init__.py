@@ -1,7 +1,7 @@
 """GNN workload substrate: graphs, datasets, sampling, GCN job streams."""
 
 from .datasets import DATASETS, DatasetSpec, barabasi_albert, dataset_names, generate
-from .gcn import GCNConfig, batch_jobs, gcn_jobs
+from .gcn import GCNConfig, batch_jobs, gcn_jobs, spmm_jobs
 from .graph import CSRGraph
 from .metadata import SubgraphMetadata, extract_metadata, nonzero_prows, prow_population
 from .sampler import NeighborSampler, Subgraph, sample_batches
@@ -15,6 +15,7 @@ __all__ = [
     "GCNConfig",
     "batch_jobs",
     "gcn_jobs",
+    "spmm_jobs",
     "CSRGraph",
     "SubgraphMetadata",
     "extract_metadata",

@@ -21,7 +21,7 @@ stationary across the whole batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..core.job import Job
 from ..kernels.gemm import make_gemm_job
@@ -31,7 +31,7 @@ from ..memories.base import MemoryKind, MemorySpec
 from .metadata import extract_metadata
 from .sampler import Subgraph
 
-__all__ = ["GCNConfig", "gcn_jobs", "batch_jobs"]
+__all__ = ["GCNConfig", "spmm_jobs", "gcn_jobs", "batch_jobs"]
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,31 @@ class GCNConfig:
         return len(self.layer_dims)
 
 
+def spmm_jobs(
+    subgraph: Subgraph,
+    config: GCNConfig,
+    specs: dict[MemoryKind, MemorySpec],
+    prefix: str,
+) -> list[Job]:
+    """The aggregation (SpMM) job of every layer of one subgraph: the
+    input-dependent jobs, which carry the predictor's metadata."""
+    # Degree statistics are per subgraph; only the feature width
+    # changes from layer to layer.
+    metadata = extract_metadata(subgraph, config.layer_dims[0][0])
+    return [
+        make_spmm_job(
+            f"{prefix}/L{layer}/spmm",
+            subgraph.graph,
+            fan_in,
+            specs,
+            metadata=replace(metadata, feature_dim=fan_in),
+            resident_b=layer > 0,
+            tags={"layer": layer, "phase": "aggregate"},
+        )
+        for layer, (fan_in, _) in enumerate(config.layer_dims)
+    ]
+
+
 def gcn_jobs(
     subgraph: Subgraph,
     config: GCNConfig,
@@ -74,19 +99,9 @@ def gcn_jobs(
     """All MLIMP jobs of one subgraph's GCN inference."""
     jobs: list[Job] = []
     n = subgraph.num_nodes
-    for layer, (fan_in, fan_out) in enumerate(config.layer_dims):
-        metadata = extract_metadata(subgraph, fan_in)
-        jobs.append(
-            make_spmm_job(
-                f"{prefix}/L{layer}/spmm",
-                subgraph.graph,
-                fan_in,
-                specs,
-                metadata=metadata,
-                resident_b=layer > 0,
-                tags={"layer": layer, "phase": "aggregate"},
-            )
-        )
+    aggregates = spmm_jobs(subgraph, config, specs, prefix)
+    for layer, ((fan_in, fan_out), spmm) in enumerate(zip(config.layer_dims, aggregates)):
+        jobs.append(spmm)
         jobs.append(
             make_gemm_job(
                 f"{prefix}/L{layer}/gemm",

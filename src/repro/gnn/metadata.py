@@ -32,18 +32,25 @@ def prow_population(graph: CSRGraph, width: int) -> np.ndarray:
     A prow is the segment of adjacency row ``r`` covering columns
     ``[s*width, (s+1)*width)``; its population is how many non-zeros it
     holds -- i.e. how many B-rows one multi-operand accumulation can
-    fuse on ReRAM.  Returned in no particular order.
+    fuse on ReRAM.  Returned in (row, strip) order.
+
+    The (row, strip) keys of a graph with sorted rows are already
+    non-decreasing, so the populations are the lengths of their runs;
+    the keys are sorted first only when some row is not.
     """
     if width < 1:
         raise ValueError("width must be >= 1")
     if graph.nnz == 0:
         return np.empty(0, dtype=np.int64)
     rows = np.repeat(np.arange(graph.num_nodes), np.diff(graph.indptr))
-    strips = graph.indices // width
     num_strips = -(-graph.num_nodes // width)
-    keys = rows * num_strips + strips
-    _, counts = np.unique(keys, return_counts=True)
-    return counts
+    keys = rows * num_strips + graph.indices // width
+    if np.any(keys[1:] < keys[:-1]):
+        keys = np.sort(keys, kind="stable")
+    run_edges = np.empty(len(keys) + 1, dtype=bool)
+    run_edges[0] = run_edges[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=run_edges[1:-1])
+    return np.diff(np.flatnonzero(run_edges))
 
 
 def nonzero_prows(graph: CSRGraph, width: int) -> int:

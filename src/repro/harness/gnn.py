@@ -19,7 +19,7 @@ from ..core.dispatcher import Dispatcher, DispatchResult
 from ..core.job import Job
 from ..core.predictor import MLPPredictor
 from ..core.scheduler import MLIMPSystem, Scheduler, oracle_makespan
-from ..gnn import DATASETS, GCNConfig, batch_jobs, generate, sample_batches
+from ..gnn import DATASETS, GCNConfig, batch_jobs, generate, sample_batches, spmm_jobs
 from ..gnn.sampler import Subgraph
 from ..memories import MemoryKind, MemorySpec
 from ..sim import EnergyCategory, EnergyLedger
@@ -182,8 +182,8 @@ def build_workload(
     training_jobs = [
         job
         for i, batch in enumerate(training_batches)
-        for job in batch_jobs(batch, config, specs, batch_id=1000 + i)
-        if job.kernel == "spmm"
+        for q, subgraph in enumerate(batch)
+        for job in spmm_jobs(subgraph, config, specs, prefix=f"b{1000 + i}/q{q}")
     ]
     return GNNWorkload(
         dataset=dataset,

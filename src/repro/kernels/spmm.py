@@ -48,7 +48,6 @@ __all__ = [
     "spmm_profile_c_stationary",
     "make_spmm_job",
     "spmm_macs",
-    "spmm_stats",
 ]
 
 #: Bytes per streamed non-zero of A (a 32-bit column index plus a
@@ -61,20 +60,12 @@ def spmm_macs(adjacency: CSRGraph, feature_dim: int) -> int:
     return adjacency.nnz * feature_dim
 
 
-def spmm_stats(
-    spec: MemorySpec, adjacency: CSRGraph, feature_dim: int
-) -> tuple[int, int]:
-    """(strip width w, H_w) for one target -- the paper's job-size
-    statistics (III-E)."""
-    width = spmm_strip_width(spec, feature_dim)
-    return width, int(len(prow_population(adjacency, width)))
-
-
 def spmm_profile(
     spec: MemorySpec,
     adjacency: CSRGraph,
     feature_dim: int,
     resident_b: bool = False,
+    population: np.ndarray | None = None,
 ) -> JobPerfProfile:
     """Ground-truth profile of one SpMM job on ``spec``.
 
@@ -87,7 +78,9 @@ def spmm_profile(
     region (a later GCN layer consuming the previous layer's in-memory
     output) -- the "tight integration with the host memory hierarchy"
     that lets MLIMP bypass the memcpy bottleneck (paper V-B1); only
-    the sparse-matrix stream is then charged.
+    the sparse-matrix stream is then charged.  ``population`` is the
+    adjacency's :func:`prow_population` at this target's strip width,
+    when the caller has it already.
     """
     if feature_dim <= 0:
         raise ValueError("feature_dim must be positive")
@@ -97,7 +90,7 @@ def spmm_profile(
 
     width = spmm_strip_width(spec, feature_dim)
     unit_arrays = spmm_unit_arrays(spec, n, feature_dim)
-    pops = prow_population(adjacency, width)
+    pops = prow_population(adjacency, width) if population is None else population
     h_w = len(pops)
     nnz = adjacency.nnz
 
@@ -214,19 +207,31 @@ def make_spmm_job(
     resident_b: bool = False,
     tags: dict | None = None,
 ) -> Job:
-    """Cross-map one SpMM onto every configured memory layer."""
+    """Cross-map one SpMM onto every configured memory layer.
+
+    The adjacency is scanned once per distinct strip width: each
+    memory's profile and its ``h_w`` tag (the paper's job-size
+    statistic, III-E) share that population.
+    """
+    widths = {kind: spmm_strip_width(spec, feature_dim) for kind, spec in specs.items()}
+    populations = {w: prow_population(adjacency, w) for w in set(widths.values())}
     profiles = {
-        kind: spmm_profile(spec, adjacency, feature_dim, resident_b=resident_b)
+        kind: spmm_profile(
+            spec,
+            adjacency,
+            feature_dim,
+            resident_b=resident_b,
+            population=populations[widths[kind]],
+        )
         for kind, spec in specs.items()
     }
-    stats = {kind: spmm_stats(spec, adjacency, feature_dim) for kind, spec in specs.items()}
     job_tags = {
         "nodes": adjacency.num_nodes,
         "nnz": adjacency.nnz,
         "feature_dim": feature_dim,
         "macs": spmm_macs(adjacency, feature_dim),
-        "strip_width": {kind: width for kind, (width, _) in stats.items()},
-        "h_w": {kind: hw for kind, (_, hw) in stats.items()},
+        "strip_width": widths,
+        "h_w": {kind: len(populations[width]) for kind, width in widths.items()},
     }
     if tags:
         job_tags.update(tags)

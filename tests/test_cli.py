@@ -152,6 +152,25 @@ def _assert_one_line_error(capsys, argv, needle):
     assert needle in err, err
 
 
+def _incomplete_plans(tmp_path) -> list[tuple[str, str]]:
+    """Fault plans whose events lack a required key, each with the
+    error text that must name the event and the key."""
+    plans = []
+    for name, events, needle in (
+        ("no-kind", [{"time": 0.001}], "fault event 0: missing key 'kind'"),
+        ("no-device", [{"kind": "fail", "device": "sram"}, {"kind": "stall"}],
+         "fault event 1: missing key 'device'"),
+        ("not-object", [7], "fault event 0: expected a JSON object"),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"events": events}))
+        plans.append((str(path), needle))
+    top = tmp_path / "list.json"
+    top.write_text("[]")
+    plans.append((str(top), "fault plan must be a JSON object"))
+    return plans
+
+
 #: The flags the serve, cluster and replay subcommands share.
 SHARED_FLAGS = (
     "--rate", "--tenants", "--slo", "--seed", "--scheduler", "--system",
@@ -282,6 +301,8 @@ class TestFaultsCommand:
         garbled = tmp_path / "garbled.json"
         garbled.write_text("{not json")
         _assert_one_line_error(capsys, ["run", "--faults", str(garbled)], "--faults")
+        for plan, needle in _incomplete_plans(tmp_path):
+            _assert_one_line_error(capsys, ["run", "--faults", plan], needle)
 
 
 class TestServeCommand:
@@ -372,6 +393,8 @@ class TestServeCommand:
             _assert_one_line_error(
                 capsys, ["serve", *bad], f"{bad[-2]}: cannot read {missing}"
             )
+        for plan, needle in _incomplete_plans(tmp_path):
+            _assert_one_line_error(capsys, ["serve", "--faults", plan], needle)
 
     def test_serve_with_fault_plan(self, capsys):
         plan = TestFaultsCommand.SMOKE_PLAN
@@ -449,6 +472,31 @@ class TestClusterCommand:
         _assert_one_line_error(
             capsys, ["cluster", "--faults", missing], f"--faults: cannot read {missing}"
         )
+        for plan, needle in _incomplete_plans(tmp_path):
+            _assert_one_line_error(capsys, ["cluster", "--faults", plan], needle)
+
+
+class TestPredictorCommand:
+    @pytest.mark.parametrize("action", ["eval", "export"])
+    def test_rejects_unreadable_model(self, capsys, tmp_path, action):
+        missing = str(tmp_path / "missing.json")
+        _assert_one_line_error(
+            capsys, ["predictor", action, "--model", missing],
+            f"--model: cannot read {missing}",
+        )
+        garbled = tmp_path / "garbled.json"
+        garbled.write_text("{not json")
+        _assert_one_line_error(
+            capsys, ["predictor", action, "--model", str(garbled)],
+            f"--model: {garbled} is not JSON",
+        )
+        for payload in ("[]", '{"format": "other"}'):
+            wrong = tmp_path / "wrong.json"
+            wrong.write_text(payload)
+            _assert_one_line_error(
+                capsys, ["predictor", action, "--model", str(wrong)],
+                "not an mlimp-predictor artifact",
+            )
 
 
 class TestReplayCommand:

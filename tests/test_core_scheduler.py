@@ -1,6 +1,13 @@
 """Schedulers: LJF baseline, adaptive, global, EWT, adjustments, oracle."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.core import (
     AdaptiveScheduler,
@@ -350,6 +357,24 @@ class TestOracle:
     def test_single_job(self, system):
         jobs = [make_job("one", 1e-4, 2e-4)]
         assert oracle_makespan(jobs, system) > 0
+
+    def test_scipy_optimize_is_imported_only_by_the_oracle(self):
+        """The LP solver is a large import that only the oracle bound
+        uses: importing the package and its serve/cluster/replay and
+        figure entry points must not load it."""
+        code = (
+            "import sys\n"
+            "import repro, repro.harness.experiments, repro.cluster.runtime, "
+            "repro.harness.replay\n"
+            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        subprocess.run(
+            [sys.executable, "-c", code],
+            check=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
 
 
 class TestPolicyViews:

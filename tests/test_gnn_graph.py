@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gnn import CSRGraph
+from repro.gnn import CSRGraph, prow_population
 
 
 def triangle() -> CSRGraph:
@@ -124,3 +124,114 @@ def test_subgraph_edges_are_subset_property(n, edges, data):
     )
     assert sub.num_edges == expected
     assert sub.num_nodes == k
+
+
+# ----------------------------------------------------------------------
+# Reference models: the straightforward extraction and strip count the
+# optimised ones must reproduce exactly.
+
+
+def reference_induced_subgraph(graph: CSRGraph, nodes: np.ndarray) -> CSRGraph:
+    """Gather every kept row whole, drop the arcs that leave the node
+    set, then lexsort the survivors into CSR order."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    mapping = np.full(graph.num_nodes, -1, dtype=np.int64)
+    mapping[nodes] = np.arange(len(nodes))
+    starts = graph.indptr[nodes]
+    counts = graph.indptr[nodes + 1] - starts
+    total = int(counts.sum())
+    if total:
+        run_offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        flat = np.arange(total) + np.repeat(starts - run_offsets, counts)
+        local_dst = mapping[graph.indices[flat]]
+        local_src = np.repeat(np.arange(len(nodes)), counts)
+        keep = local_dst >= 0
+        local_src, local_dst = local_src[keep], local_dst[keep]
+        order = np.lexsort((local_dst, local_src))
+        local_src, local_dst = local_src[order], local_dst[order]
+    else:
+        local_src = local_dst = np.empty(0, dtype=np.int64)
+    sub_counts = np.bincount(local_src, minlength=len(nodes))
+    return CSRGraph(
+        indptr=np.concatenate([[0], np.cumsum(sub_counts)]),
+        indices=local_dst,
+        num_nodes=len(nodes),
+    )
+
+
+def reference_prow_population(graph: CSRGraph, width: int) -> np.ndarray:
+    """Sort every (row, strip) key and count the distinct ones."""
+    if graph.nnz == 0:
+        return np.empty(0, dtype=np.int64)
+    rows = np.repeat(np.arange(graph.num_nodes), np.diff(graph.indptr))
+    num_strips = -(-graph.num_nodes // width)
+    keys = rows * num_strips + graph.indices // width
+    return np.unique(keys, return_counts=True)[1]
+
+
+@st.composite
+def csr_graphs(draw, max_nodes: int = 24):
+    """Arbitrary CSR graphs: rows in any order, duplicate arcs and
+    self loops allowed, plus (half the time) the sorted, deduplicated
+    symmetric form the dataset generators build."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    rows = draw(
+        st.lists(st.lists(st.integers(0, n - 1), max_size=3 * n), min_size=n, max_size=n)
+    )
+    if draw(st.booleans()):
+        edges = [(r, c) for r, row in enumerate(rows) for c in row]
+        return CSRGraph.from_edges(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
+    indptr = np.concatenate([[0], np.cumsum([len(row) for row in rows])])
+    indices = np.asarray([c for row in rows for c in row], dtype=np.int64)
+    return CSRGraph(indptr=indptr, indices=indices, num_nodes=n)
+
+
+def assert_same_graph(got: CSRGraph, want: CSRGraph) -> None:
+    assert got.num_nodes == want.num_nodes
+    assert got.indptr.dtype == want.indptr.dtype == np.int64
+    assert got.indices.dtype == want.indices.dtype == np.int64
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=csr_graphs(), data=st.data())
+def test_induced_subgraph_matches_reference(graph, data):
+    """Any graph, any node subset in any order: the mask walk builds
+    the reference's arrays exactly."""
+    k = data.draw(st.integers(min_value=0, max_value=graph.num_nodes))
+    nodes = data.draw(st.permutations(list(range(graph.num_nodes))))[:k]
+    if data.draw(st.booleans()):
+        nodes = sorted(nodes)
+    nodes = np.asarray(nodes, dtype=np.int64)
+    assert_same_graph(
+        graph.induced_subgraph(nodes), reference_induced_subgraph(graph, nodes)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=csr_graphs(), width=st.integers(min_value=1, max_value=30))
+def test_prow_population_matches_reference(graph, width):
+    got = prow_population(graph, width)
+    want = reference_prow_population(graph, width)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_unsorted_rows_match_reference():
+    """Rows listed out of column order (and a repeated arc) take the
+    sorting path of both the extraction and the strip count."""
+    graph = CSRGraph(
+        indptr=np.asarray([0, 4, 6, 8, 9, 11]),
+        indices=np.asarray([4, 1, 3, 1, 2, 0, 4, 0, 2, 3, 0]),
+        num_nodes=5,
+    )
+    for nodes in ([0, 1, 2, 3, 4], [4, 0, 3], [3, 1, 0, 2], [2]):
+        nodes = np.asarray(nodes)
+        assert_same_graph(
+            graph.induced_subgraph(nodes), reference_induced_subgraph(graph, nodes)
+        )
+    for width in (1, 2, 3, 5, 8):
+        assert np.array_equal(
+            prow_population(graph, width), reference_prow_population(graph, width)
+        )
