@@ -27,7 +27,13 @@ from ..memories.allocator import Allocation, ScratchpadAllocator
 from ..memories.base import MemoryKind
 from ..obs.analytics import RunReport, build_report
 from ..obs.decisions import DecisionLog
-from ..obs.metrics import MetricsRegistry, runtime_counter_inc, runtime_state_set
+from ..obs.metrics import (
+    Counter,
+    Gauge,
+    MetricsRegistry,
+    runtime_counter_inc,
+    runtime_state_set,
+)
 from ..sim.columnar import (
     PHASE_BEGIN_FILL,
     PHASE_COMPUTE_DONE,
@@ -134,8 +140,18 @@ class DispatchResult:
 
 @dataclass
 class _Device:
+    """One memory device's ledger and metric handles within a run."""
+
     allocator: ScratchpadAllocator
+    slots: int
+    slot_gauge: Gauge
+    array_gauge: Gauge
     running: int = 0
+    #: The ``<name>.jobs`` counter, created at the device's first
+    #: launch so a snapshot lists metrics in the same order.
+    jobs_counter: Counter | None = None
+    #: Fault mode: launches waiting for the device to have room.
+    parked: list[_Flight] = field(default_factory=list)
 
 
 @dataclass
@@ -166,6 +182,13 @@ class _Flight:
 #: firmware kernel launch; "similar to the kernel launch for CUDA
 #: runtime", paper III-A).
 DEFAULT_DISPATCH_OVERHEAD_S = 2e-6
+
+# Enum members the phase machine reads on every transition.
+_DRAM = MemoryKind.DRAM
+_FILL, _REPLICATE, _COMPUTE = Phase.FILL, Phase.REPLICATE, Phase.COMPUTE
+_FILL_ENERGY = EnergyCategory.FILL
+_REPLICATION = EnergyCategory.REPLICATION
+_COMPUTE_ENERGY = EnergyCategory.COMPUTE
 
 
 class Dispatcher:
@@ -230,619 +253,700 @@ class Dispatcher:
         without the hook are ignored here (they only shape estimates
         inside the policy).
         """
-        predictor_hook = getattr(predictor, "on_completion", None)
-        sim = Simulator()
-        pipe = SharedBandwidthPipe(sim, self.ddr4)
-        if trace is None:
-            trace = ExecutionTrace()
-        ledger = EnergyLedger()
-        records: dict[str, JobRecord] = {}
-        devices = {
-            kind: _Device(allocator=ScratchpadAllocator(spec))
-            for kind, spec in self.system.specs.items()
-        }
+        run = _Run(self, policy, label, faults, open_loop, predictor, trace)
+        try:
+            return run.execute()
+        finally:
+            run.close()
 
-        # Fault state: only materialised for a non-empty plan, so the
-        # common path stays untouched.
-        injector: FaultInjector | None = None
-        if faults is not None and len(faults) > 0:
-            injector = FaultInjector(faults, list(devices))
-        flights: dict[str, _Flight] = {}
-        parked: dict[MemoryKind, list[_Flight]] = {kind: [] for kind in devices}
-        failed_jobs: dict[str, str] = {}
-        backoffs_pending = 0
+
+class _Run:
+    """State and event handlers of one :meth:`Dispatcher.run`.
+
+    The handlers are methods, so the engine, the DDR4 pipe and the
+    flight table point back into the run only through the callbacks
+    they hold; :meth:`close` drops those, and a finished run -- trace,
+    records, jobs and all -- is freed by reference counting as soon as
+    its caller lets go of the result.
+    """
+
+    def __init__(
+        self,
+        dispatcher: Dispatcher,
+        policy: DispatchPolicy,
+        label: str,
+        faults: FaultPlan | None,
+        open_loop: "OpenLoop | None",
+        predictor: object | None,
+        trace: "ExecutionTrace | StreamingTrace | None",
+    ) -> None:
+        system = dispatcher.system
+        self.system = system
+        self.dispatch_overhead_s = dispatcher.dispatch_overhead_s
+        self.pipe_bandwidth_bps = dispatcher.ddr4.total_bandwidth_bps
+        self.policy = policy
+        self.label = label
+        self.faults = faults
+        self.open_loop = open_loop
+        self.predictor_hook = getattr(predictor, "on_completion", None)
+        self.sim = sim = Simulator()
+        self.pipe = SharedBandwidthPipe(sim, dispatcher.ddr4)
+        self.trace = trace if trace is not None else ExecutionTrace()
+        self.ledger = EnergyLedger()
+        self.records: dict[str, JobRecord] = {}
 
         # Observability: metric gauges track device occupancy and the
         # shared-pipe load over time; the decision log pairs every
         # dispatch's predicted time with its measured latency.
-        metrics = MetricsRegistry()
-        decisions = DecisionLog()
-        pending_gauge = metrics.gauge("jobs.pending")
+        self.metrics = metrics = MetricsRegistry()
+        self.decisions = DecisionLog()
+        self.pending_gauge = metrics.gauge("jobs.pending")
         pipe_gauge = metrics.gauge("ddr4.active_transfers")
         pipe_gauge.set(0.0, 0)
-        pipe.on_occupancy = pipe_gauge.set
-        slot_gauges = {
-            kind: metrics.gauge(f"{kind.value}.slots_in_use") for kind in devices
+        self.pipe.on_occupancy = pipe_gauge.set
+        #: ``kind.value`` of every device: an enum property, read once.
+        self.names = {kind: kind.value for kind in system.specs}
+        self.devices = {
+            kind: _Device(
+                allocator=ScratchpadAllocator(spec),
+                slots=system.slots(kind),
+                slot_gauge=metrics.gauge(f"{self.names[kind]}.slots_in_use"),
+                array_gauge=metrics.gauge(f"{self.names[kind]}.arrays_in_use"),
+            )
+            for kind, spec in system.specs.items()
         }
-        array_gauges = {
-            kind: metrics.gauge(f"{kind.value}.arrays_in_use") for kind in devices
-        }
-        for kind in devices:
-            slot_gauges[kind].set(0.0, 0)
-            array_gauges[kind].set(0.0, 0)
+        for device in self.devices.values():
+            device.slot_gauge.set(0.0, 0)
+            device.array_gauge.set(0.0, 0)
+        #: ``queue_depth.*`` gauges, resolved once per queue name and
+        #: created on first use, so a snapshot lists the same metrics
+        #: in the same order.
+        self.depth_gauges: dict[str, Gauge] = {}
 
-        def sample_queue_depths() -> None:
-            depths = policy.queue_depths()
-            if depths is None:
-                return
-            for queue_name, depth in depths.items():
-                metrics.gauge(f"queue_depth.{queue_name}").set(sim.now, depth)
+        # Fault state: only materialised for a non-empty plan, so the
+        # common path stays untouched.
+        self.injector: FaultInjector | None = None
+        if faults is not None and len(faults) > 0:
+            self.injector = FaultInjector(faults, list(self.devices))
+        self.flights: dict[str, _Flight] = {}
+        self.failed_jobs: dict[str, str] = {}
+        self.backoffs_pending = 0
 
-        def view() -> ResourceView:
-            free_slots = {
-                kind: self.system.slots(kind) - dev.running
-                for kind, dev in devices.items()
-            }
-            free_arrays = {
-                kind: dev.allocator.free_arrays for kind, dev in devices.items()
-            }
-            largest_free_run = {
-                kind: dev.allocator.largest_free_run
-                for kind, dev in devices.items()
-            }
-            if injector is not None:
-                # Dead and stalled devices accept no launches: hide
-                # their capacity so policies route around them.
-                for kind, health in injector.health.items():
-                    if not health.usable(sim.now):
-                        free_slots[kind] = 0
-                        free_arrays[kind] = 0
-                        largest_free_run[kind] = 0
-            return ResourceView(
-                now=sim.now,
-                free_slots=free_slots,
-                free_arrays=free_arrays,
-                largest_free_run=largest_free_run,
-            )
-
-        # -- fault machinery (no-ops without an injector) ---------------
-        def park(flight: _Flight) -> None:
-            flight.parked = True
-            parked[flight.dispatch.kind].append(flight)
-
-        def drain_parked(kind: MemoryKind) -> None:
-            """Launch parked jobs while the device has room again."""
-            queue = parked[kind]
-            if not queue or not injector.health[kind].usable(sim.now):
-                return
-            device = devices[kind]
-            slots = self.system.slots(kind)
-            for flight in list(queue):
-                if device.running >= slots:
-                    break
-                if device.allocator.largest_free_run < flight.dispatch.arrays:
-                    continue
-                queue.remove(flight)
-                flight.parked = False
-                launch(flight.dispatch, requeued=True)
-
-        def abort_flight(flight: _Flight) -> None:
-            """Release the device; the attempt's stale events no-op."""
-            if not flight.active:
-                return
-            flight.active = False
-            kind = flight.dispatch.kind
-            device = devices[kind]
-            if flight.allocation is not None:
-                device.allocator.free(flight.allocation)
-                flight.allocation = None
-            device.running -= 1
-            slot_gauges[kind].set(sim.now, device.running)
-            array_gauges[kind].set(sim.now, device.allocator.used_arrays)
-
-        def fail_job(flight: _Flight, reason: str) -> None:
-            abort_flight(flight)
-            flight.done = True
-            flight.pending_retry = False
-            job_id = flight.dispatch.job.job_id
-            records.pop(job_id, None)
-            failed_jobs[job_id] = reason
-            policy.notify_failed(flight.dispatch.job, sim.now)
-            metrics.counter("jobs.failed").inc()
-            runtime_counter_inc("jobs.failed")
-            if open_loop is not None:
-                # A failed job leaves the system too: return its
-                # predicted-work reservation to the admission ledger.
-                open_loop.on_finished(job_id)
-
-        def requeue_elsewhere(flight: _Flight, reason: str) -> None:
-            """Fallback migration: park the job on the surviving device
-            with the most free arrays (profile-driven fair-share
-            sizing), or report it failed if none fits."""
-            flight.pending_retry = False
-            job = flight.dispatch.job
-            source = flight.dispatch.kind
-            best_kind: MemoryKind | None = None
-            best_free = -1
-            for cand, dev in devices.items():
-                if not injector.health[cand].alive or cand not in job.profiles:
-                    continue
-                if job.profile(cand).unit_arrays > self.system.arrays(cand):
-                    continue
-                free = dev.allocator.free_arrays
-                if free > best_free:
-                    best_free, best_kind = free, cand
-            if best_kind is None:
-                fail_job(flight, f"{reason}; no surviving device fits")
-                return
-            arrays = min(
-                max(
-                    self.system.fair_share(best_kind),
-                    job.profile(best_kind).unit_arrays,
-                ),
-                self.system.arrays(best_kind),
-            )
-            flight.dispatch = Dispatch(job=job, kind=best_kind, arrays=arrays)
-            metrics.counter("jobs.requeued").inc()
-            metrics.counter(f"jobs.requeued.{source.value}").inc()
-            runtime_counter_inc("jobs.requeued")
-            park(flight)
-            drain_parked(best_kind)
-
-        def retry_attempt(
-            flight: _Flight, next_backoff: float, attempts: int
-        ) -> None:
-            nonlocal backoffs_pending
-            backoffs_pending -= 1
-            if flight.done or flight.active or flight.parked or flight.with_policy:
-                return  # already resolved by another path
-            kind = flight.dispatch.kind
-            health = injector.health[kind]
-            if not health.alive:
-                requeue_elsewhere(flight, f"{kind.value} failed during backoff")
-                return
-            if health.stalled(sim.now):
-                if attempts >= injector.retry.max_attempts:
-                    fail_job(
-                        flight,
-                        f"retry budget exhausted on stalled {kind.value}",
-                    )
-                    return
-                metrics.counter("jobs.retry_backoff").inc()
-                backoffs_pending += 1
-                sim.after(
-                    next_backoff,
-                    retry_attempt,
-                    flight,
-                    next_backoff * injector.retry.multiplier,
-                    attempts + 1,
-                )
-                return
-            launch(flight.dispatch, requeued=True)
-
-        def on_stall(event: "FaultEvent") -> None:
-            nonlocal backoffs_pending
-            kind = event.device
-            retry = injector.retry
-            for flight in [
-                f
-                for f in flights.values()
-                if f.active and f.dispatch.kind is kind
-            ]:
-                abort_flight(flight)
-                flight.pending_retry = True
-                backoffs_pending += 1
-                sim.after(
-                    retry.base_backoff_s,
-                    retry_attempt,
-                    flight,
-                    retry.base_backoff_s * retry.multiplier,
-                    1,
-                )
-            sim.at(injector.health[kind].stalled_until, stall_end, kind)
-
-        def stall_end(kind: MemoryKind) -> None:
-            health = injector.health[kind]
-            if not health.alive or health.stalled(sim.now):
-                return  # died meanwhile, or the stall was extended
-            drain_parked(kind)
-            pump()
-
-        def on_derate(event: "FaultEvent") -> None:
-            kind = event.device
-            metrics.gauge(f"faults.derate.{kind.value}").set(
-                sim.now, event.factor
-            )
-            runtime_state_set(f"faults.derate.{kind.value}", event.factor)
-            policy.device_derated(kind, event.factor, sim.now)
-            pump()
-
-        def on_fail(kind: MemoryKind, reason: str) -> None:
-            victims = [
-                f
-                for f in flights.values()
-                if not f.done
-                and f.dispatch.kind is kind
-                and (f.active or f.parked or f.pending_retry)
-            ]
-            for flight in victims:
-                abort_flight(flight)
-                if flight.parked:
-                    parked[kind].remove(flight)
-                    flight.parked = False
-                flight.pending_retry = False
-            unplaced = policy.device_lost(
-                kind, [f.dispatch.job for f in victims], sim.now
-            )
-            unplaced_ids = {job.job_id for job in unplaced}
-            for flight in victims:
-                if flight.dispatch.job.job_id in unplaced_ids:
-                    continue
-                # The policy absorbed this in-flight job onto a
-                # survivor; it will come back through next_dispatches.
-                flight.with_policy = True
-                metrics.counter("jobs.requeued").inc()
-                metrics.counter(f"jobs.requeued.{kind.value}").inc()
-                runtime_counter_inc("jobs.requeued")
-            for job in unplaced:
-                flight = flights.get(job.job_id)
-                if flight is None:
-                    # Policy-queued, never launched, and unplaceable by
-                    # the policy: carry it through the fallback.
-                    flight = _Flight(
-                        dispatch=Dispatch(job=job, kind=kind, arrays=1)
-                    )
-                    flights[job.job_id] = flight
-                requeue_elsewhere(flight, reason)
-            pump()
-
-        def fire_fault(event: "FaultEvent") -> None:
-            # Injection is counted per plan event (wear-outs when they
-            # trigger); a fault against an already-dead device is moot.
-            metrics.counter("faults.injected").inc()
-            metrics.counter(
-                f"faults.{event.device.value}.{event.kind.value}"
-            ).inc()
-            runtime_counter_inc("faults.injected")
-            if not injector.apply(event, sim.now):
-                return
-            if event.kind is FaultKind.STALL:
-                on_stall(event)
-            elif event.kind is FaultKind.DERATE:
-                on_derate(event)
-            else:
-                on_fail(event.device, event.reason or f"{event.kind.value} fault")
-
-        # -- columnar flight table (the batch simulation hot path) ------
         # In-flight phase rows live in struct-of-arrays columns; the
         # engine fires due rows straight from its chunked drain through
         # fire_row, which advances each row's fill -> replicate ->
         # compute state machine in place.
-        flights_col = FlightColumns()
+        self.col = FlightColumns()
 
-        def pipe_fill_done(row: int, attempt: int, extra: float) -> None:
-            """Shared-pipe fill completed: arm the fill-done transition."""
-            flight = flights_col.flight[row]
-            if flight is not None and not (
-                flight.active and flight.attempt == attempt
-            ):
-                flights_col.release(row)
-                return
-            flights_col.state[row] = PHASE_FILL_DONE
-            sim.after_row(extra, row)
-
-        def fire_row(row: int) -> None:
-            col = flights_col
-            flight = col.flight[row]
-            if flight is not None and not (
-                flight.active and flight.attempt == col.attempt[row]
-            ):
-                # Stale transition of an aborted attempt: no-op, and
-                # recycle the row.
-                col.release(row)
-                return
-            state = col.state[row]
-            dispatch = col.dispatch[row]
-            kind = col.kind[row]
-            job = col.job[row]
-            profile = col.profile[row]
-            spec = col.spec[row]
-            record = col.record[row]
-            if state == PHASE_BEGIN_FILL:
-                bytes_total = float(col.fill_bytes[row])
-                if kind is MemoryKind.DRAM:
-                    # In-situ: data is already in main memory; the fill
-                    # is an internal row-move, off the shared pipe.
-                    fill_time = spec.fill_seconds(bytes_total)
-                    if injector is not None:
-                        fill_time *= injector.time_scale(kind)
-                    col.state[row] = PHASE_FILL_DONE
-                    sim.after_row(fill_time, row)
-                else:
-                    # Off-chip stream through the shared DDR4 pipe, plus
-                    # device-side write overhead beyond pipe bandwidth.
-                    # (An aborted job's in-flight transfer still drains
-                    # the pipe -- the DMA stream is already committed --
-                    # but its completion no-ops in pipe_fill_done.)
-                    extra = max(
-                        0.0,
-                        spec.fill_seconds(bytes_total)
-                        - bytes_total / self.ddr4.total_bandwidth_bps,
-                    )
-                    if injector is not None:
-                        extra *= injector.time_scale(kind)
-                    attempt = int(col.attempt[row])
-                    pipe.submit(
-                        bytes_total,
-                        lambda: pipe_fill_done(row, attempt, extra),
-                    )
-            elif state == PHASE_FILL_DONE:
-                record.fill_done_at = sim.now
-                trace.record(
-                    job.job_id, kind.value, Phase.FILL,
-                    record.dispatched_at, sim.now, dispatch.arrays,
-                )
-                replicas = profile.replicas(dispatch.arrays)
-                rep_time = profile.n_iter * profile.t_replica_unit * (replicas - 1)
-                rep_bytes = profile.fill_bytes * (replicas - 1)
-                if rep_bytes > 0:
-                    ledger.add(
-                        EnergyCategory.REPLICATION,
-                        kind.value,
-                        rep_bytes * spec.fill_energy_pj_per_byte * 1e-12,
-                    )
-                if injector is not None:
-                    rep_time *= injector.time_scale(kind)
-                    if rep_bytes > 0:
-                        wear = injector.record_fill(kind, rep_bytes)
-                        if wear is not None:
-                            sim.after(0.0, fire_fault, wear)
-                col.state[row] = PHASE_REPLICATE_DONE
-                sim.after_row(rep_time, row)
-            elif state == PHASE_REPLICATE_DONE:
-                record.replicate_done_at = sim.now
-                if sim.now > record.fill_done_at:
-                    trace.record(
-                        job.job_id, kind.value, Phase.REPLICATE,
-                        record.fill_done_at, sim.now, dispatch.arrays,
-                    )
-                compute = profile.n_iter * profile.compute_time(dispatch.arrays)
-                if injector is not None:
-                    compute *= injector.time_scale(kind)
-                col.t0[row] = sim.now
-                col.state[row] = PHASE_COMPUTE_DONE
-                sim.after_row(compute, row)
-            else:  # PHASE_COMPUTE_DONE
-                record.finished_at = sim.now
-                trace.record(
-                    job.job_id, kind.value, Phase.COMPUTE,
-                    float(col.t0[row]), sim.now, dispatch.arrays,
-                )
-                ledger.add(
-                    EnergyCategory.COMPUTE, kind.value, profile.compute_energy_j
-                )
-                if flight is not None:
-                    flight.active = False
-                    flight.done = True
-                    flight.allocation = None
-                allocation = col.alloc[row]
-                device = devices[kind]
-                device.allocator.free(allocation)
-                device.running -= 1
-                metrics.counter("jobs.completed").inc()
-                slot_gauges[kind].set(sim.now, device.running)
-                array_gauges[kind].set(sim.now, device.allocator.used_arrays)
-                decisions.complete(job.job_id, record.latency)
-                col.release(row)
-                policy.notify_completion(job, kind, sim.now)
-                if predictor_hook is not None:
-                    predictor_hook(job, kind, sim.now, metrics)
-                if open_loop is not None:
-                    open_loop.on_finished(job.job_id)
-                if injector is not None:
-                    # Freed capacity goes to migrated/retried jobs first.
-                    drain_parked(kind)
-                pump()
-
-        sim.attach_row_handler(fire_row)
-
-        def launch(dispatch: Dispatch, requeued: bool = False) -> None:
-            kind, job = dispatch.kind, dispatch.job
-            spec = self.system.specs[kind]
-            device = devices[kind]
-            profile = job.profile(kind)
-            if dispatch.arrays > spec.num_arrays:
-                raise DispatchError(
-                    f"{job.job_id}: requested {dispatch.arrays} arrays on "
-                    f"{kind} (device has {spec.num_arrays})"
-                )
-            flight: _Flight | None = None
-            if injector is not None:
-                flight = flights.get(job.job_id)
-                if flight is None:
-                    flight = _Flight(dispatch=dispatch)
-                    flights[job.job_id] = flight
-                if flight.active or flight.done:
-                    raise DispatchError(f"job {job.job_id} dispatched twice")
-                flight.with_policy = False
-                flight.dispatch = dispatch
-                health = injector.health[kind]
-                if not health.alive:
-                    # The policy raced a failure it has not absorbed:
-                    # migrate the job instead of crashing the batch.
-                    requeue_elsewhere(flight, f"{kind.value} is failed")
-                    return
-                if health.stalled(sim.now):
-                    park(flight)
-                    return
-                if requeued and (
-                    device.running >= self.system.slots(kind)
-                    or device.allocator.largest_free_run < dispatch.arrays
-                ):
-                    # A re-queued job must not crash the run on a full
-                    # device -- it waits for room instead.
-                    park(flight)
-                    return
-            slots = self.system.slots(kind)
-            if device.running >= slots:
-                raise DispatchError(
-                    f"{job.job_id}: {kind.value} already runs {device.running} "
-                    f"jobs (limit {slots}); the policy over-subscribed the "
-                    "device's job slots"
-                )
-            allocation = device.allocator.allocate(dispatch.arrays)
-            device.running += 1
-            record = records.get(job.job_id)
-            relaunch = record is not None
-            if relaunch and flight is None:
-                raise DispatchError(f"job {job.job_id} dispatched twice")
-            if relaunch:
-                record.kind = kind
-                record.arrays = dispatch.arrays
-                record.dispatched_at = sim.now
-                record.fill_done_at = 0.0
-                record.replicate_done_at = 0.0
-                record.attempts += 1
-            else:
-                record = JobRecord(
-                    job_id=job.job_id,
-                    kind=kind,
-                    arrays=dispatch.arrays,
-                    dispatched_at=sim.now,
-                )
-                records[job.job_id] = record
-            metrics.counter("jobs.dispatched").inc()
-            metrics.counter(f"{kind.value}.jobs").inc()
-            slot_gauges[kind].set(sim.now, device.running)
-            array_gauges[kind].set(sim.now, device.allocator.used_arrays)
-            if not relaunch:
-                decisions.record(
-                    job_id=job.job_id,
-                    device=kind.value,
-                    arrays=dispatch.arrays,
-                    decided_at=sim.now,
-                    predicted_time=dispatch.predicted_time,
-                    queue_depth=policy.pending(),
-                )
-            if flight is not None:
-                if flight.pending_retry:
-                    flight.pending_retry = False
-                    metrics.counter("jobs.retried").inc()
-                    runtime_counter_inc("jobs.retried")
-                flight.attempt += 1
-                flight.active = True
-                flight.allocation = allocation
-            attempt = flight.attempt if flight is not None else 0
-            bytes_total = profile.fill_bytes * profile.n_iter
-            ledger.add(
-                EnergyCategory.FILL,
-                kind.value,
-                bytes_total * spec.fill_energy_pj_per_byte * 1e-12,
-            )
-            if injector is not None:
-                wear = injector.record_fill(kind, bytes_total)
-                if wear is not None:
-                    sim.after(0.0, fire_fault, wear)
-
-            # One flight-table row per launch; the dispatch-overhead
-            # transition begins its fill.
-            col = flights_col
-            row = col.acquire()
-            col.job[row] = job
-            col.kind[row] = kind
-            col.dispatch[row] = dispatch
-            col.profile[row] = profile
-            col.spec[row] = spec
-            col.record[row] = record
-            col.flight[row] = flight
-            col.alloc[row] = allocation
-            col.attempt[row] = attempt
-            col.fill_bytes[row] = bytes_total
-            col.state[row] = PHASE_BEGIN_FILL
-            sim.after_row(self.dispatch_overhead_s, row)
-
-        def pump() -> None:
-            if open_loop is not None:
-                # Admission before dispatch: release queued arrivals up
-                # to the backlog cap, offer them to the policy, count
-                # what it cannot place as shed.
-                released = open_loop.release(sim.now, policy.pending())
-                if released:
-                    rejected = policy.admit(released, sim.now)
-                    open_loop.on_rejected(rejected, sim.now)
-            dispatches = policy.next_dispatches(view())
-            for dispatch in dispatches:
-                launch(dispatch)
-            pending_gauge.set(sim.now, policy.pending())
-            sample_queue_depths()
-            # Time-driven policies (static global schedules) want to be
-            # consulted at their next planned dispatch time.  Planned
-            # times already in the past are served by the next
-            # completion event instead (never self-schedule at `now`,
-            # which would spin).
-            wakeup = policy.next_event_time(sim.now)
-            if wakeup is not None and wakeup > sim.now and policy.pending() > 0:
-                sim.at(wakeup, pump)
-                return
-            if (
-                not dispatches
-                and policy.pending() > 0
-                and all(dev.running == 0 for dev in devices.values())
-                and pipe.active_transfers == 0
-                and (
-                    injector is None
-                    or (
-                        backoffs_pending == 0
-                        and not any(parked.values())
-                        and not any(
-                            h.stalled(sim.now)
-                            for h in injector.health.values()
-                        )
-                    )
-                )
-            ):
-                raise DispatchError(
-                    f"policy dead-locked with {policy.pending()} jobs pending"
-                )
-
-        sim.after(0.0, pump)
+    # ------------------------------------------------------------------
+    def execute(self) -> DispatchResult:
+        """Schedule the first pump, the arrivals and the timed faults,
+        run the engine to drain, check the ledgers and build the
+        result."""
+        sim, policy, open_loop = self.sim, self.policy, self.open_loop
+        injector = self.injector
+        sim.attach_row_handler(self.fire_row)
+        sim.after(0.0, self.pump)
         if open_loop is not None:
-            open_loop.bind(metrics)
-
-            def handle_arrival(arrival) -> None:
-                open_loop.on_arrival(arrival, sim.now)
-                pump()
-
+            open_loop.bind(self.metrics)
             # Each timed arrival becomes a first-class sim event; an
             # empty arrival list schedules nothing at all.
+            handle_arrival = self.handle_arrival
             for arrival in open_loop.arrivals:
                 sim.at_arrival(arrival, handle_arrival)
         if injector is not None:
             # The plan's timed faults become first-class sim events.
-            for event in faults.timed_events():
-                sim.at(event.time, fire_fault, event)
+            for event in self.faults.timed_events():
+                sim.at(event.time, self.fire_fault, event)
         makespan = sim.run()
         if policy.pending() > 0:
             raise DispatchError(f"{policy.pending()} jobs never dispatched")
+        self.check_drained()
         if injector is not None:
             # Fault machinery (stall ends, backoff probes) can outlive
             # the last completion; the makespan is the end of useful
             # work, comparable with the fault-free run's.
-            makespan = trace.makespan
-        ledger.add(EnergyCategory.OFFCHIP, "ddr4", pipe.energy_j())
+            makespan = self.trace.makespan
+        self.ledger.add(EnergyCategory.OFFCHIP, "ddr4", self.pipe.energy_j())
         # Engine throughput: per-run counter for the snapshot, plus the
         # process-global totals `repro bench` derives events/sec from.
-        metrics.counter("sim.events").inc(sim.processed)
+        self.metrics.counter("sim.events").inc(sim.processed)
         runtime_counter_inc("sim.events", sim.processed)
         runtime_counter_inc("sim.runs")
         return DispatchResult(
             makespan=makespan,
-            trace=trace,
-            energy=ledger,
-            records=records,
-            scheduler_name=label,
-            metrics=metrics,
-            decisions=decisions,
-            failed_jobs=failed_jobs,
+            trace=self.trace,
+            energy=self.ledger,
+            records=self.records,
+            scheduler_name=self.label,
+            metrics=self.metrics,
+            decisions=self.decisions,
+            failed_jobs=self.failed_jobs,
             fault_summary=injector.summary() if injector is not None else None,
         )
+
+    def check_drained(self) -> None:
+        """Every device ledger must be back at zero once the queue
+        drains: no job running, no array allocated, no job parked."""
+        for kind, device in self.devices.items():
+            running = device.running
+            live = device.allocator.live_allocations
+            parked = len(device.parked)
+            if running or live or parked:
+                raise DispatchError(
+                    f"{self.names[kind]} did not drain: {running} jobs running, "
+                    f"{live} live allocations, {parked} parked jobs"
+                )
+
+    def close(self) -> None:
+        """Break the references the engine and the pipe hold back into
+        this run, and let go of the caller's objects.
+
+        The engine drops its row handler and, for a run that raised,
+        the events still queued (their callbacks are this run's
+        methods).
+        """
+        self.sim.close()
+        self.pipe.on_occupancy = None
+        self.col = None
+        self.policy = self.open_loop = self.predictor_hook = None
+
+    # ------------------------------------------------------------------
+    def sample_queue_depths(self) -> None:
+        depths = self.policy.queue_depths()
+        if depths is None:
+            return
+        now = self.sim.now
+        gauges = self.depth_gauges
+        for queue_name, depth in depths.items():
+            gauge = gauges.get(queue_name)
+            if gauge is None:
+                gauge = gauges[queue_name] = self.metrics.gauge(
+                    f"queue_depth.{queue_name}"
+                )
+            gauge.set(now, depth)
+
+    def view(self) -> ResourceView:
+        now = self.sim.now
+        free_slots = {}
+        free_arrays = {}
+        largest_free_run = {}
+        for kind, device in self.devices.items():
+            allocator = device.allocator
+            free_slots[kind] = device.slots - device.running
+            free_arrays[kind] = allocator.free_arrays
+            largest_free_run[kind] = allocator.largest_free_run
+        if self.injector is not None:
+            # Dead and stalled devices accept no launches: hide
+            # their capacity so policies route around them.
+            for kind, health in self.injector.health.items():
+                if not health.usable(now):
+                    free_slots[kind] = 0
+                    free_arrays[kind] = 0
+                    largest_free_run[kind] = 0
+        return ResourceView(
+            now=now,
+            free_slots=free_slots,
+            free_arrays=free_arrays,
+            largest_free_run=largest_free_run,
+        )
+
+    def note_occupancy(self, device: _Device) -> None:
+        now = self.sim.now
+        device.slot_gauge.set(now, device.running)
+        device.array_gauge.set(now, device.allocator.used_arrays)
+
+    # -- fault machinery (only reached with an injector) ---------------
+    def park(self, flight: _Flight) -> None:
+        flight.parked = True
+        self.devices[flight.dispatch.kind].parked.append(flight)
+
+    def drain_parked(self, kind: MemoryKind) -> None:
+        """Launch parked jobs while the device has room again."""
+        device = self.devices[kind]
+        queue = device.parked
+        if not queue or not self.injector.health[kind].usable(self.sim.now):
+            return
+        for flight in list(queue):
+            if device.running >= device.slots:
+                break
+            if device.allocator.largest_free_run < flight.dispatch.arrays:
+                continue
+            queue.remove(flight)
+            flight.parked = False
+            self.launch(flight.dispatch, requeued=True)
+
+    def abort_flight(self, flight: _Flight) -> None:
+        """Release the device; the attempt's stale events no-op."""
+        if not flight.active:
+            return
+        flight.active = False
+        device = self.devices[flight.dispatch.kind]
+        if flight.allocation is not None:
+            device.allocator.free(flight.allocation)
+            flight.allocation = None
+        device.running -= 1
+        self.note_occupancy(device)
+
+    def fail_job(self, flight: _Flight, reason: str) -> None:
+        self.abort_flight(flight)
+        flight.done = True
+        flight.pending_retry = False
+        job_id = flight.dispatch.job.job_id
+        self.records.pop(job_id, None)
+        self.failed_jobs[job_id] = reason
+        self.policy.notify_failed(flight.dispatch.job, self.sim.now)
+        self.metrics.counter("jobs.failed").inc()
+        runtime_counter_inc("jobs.failed")
+        if self.open_loop is not None:
+            # A failed job leaves the system too: return its
+            # predicted-work reservation to the admission ledger.
+            self.open_loop.on_finished(job_id)
+
+    def requeue_elsewhere(self, flight: _Flight, reason: str) -> None:
+        """Fallback migration: park the job on the surviving device
+        with the most free arrays (profile-driven fair-share sizing),
+        or report it failed if none fits."""
+        flight.pending_retry = False
+        system = self.system
+        job = flight.dispatch.job
+        source = flight.dispatch.kind
+        best_kind: MemoryKind | None = None
+        best_free = -1
+        for cand, device in self.devices.items():
+            if not self.injector.health[cand].alive or cand not in job.profiles:
+                continue
+            if job.profile(cand).unit_arrays > system.arrays(cand):
+                continue
+            free = device.allocator.free_arrays
+            if free > best_free:
+                best_free, best_kind = free, cand
+        if best_kind is None:
+            self.fail_job(flight, f"{reason}; no surviving device fits")
+            return
+        arrays = min(
+            max(system.fair_share(best_kind), job.profile(best_kind).unit_arrays),
+            system.arrays(best_kind),
+        )
+        flight.dispatch = Dispatch(job=job, kind=best_kind, arrays=arrays)
+        self.count_requeued(source)
+        self.park(flight)
+        self.drain_parked(best_kind)
+
+    def count_requeued(self, source: MemoryKind) -> None:
+        self.metrics.counter("jobs.requeued").inc()
+        self.metrics.counter(f"jobs.requeued.{self.names[source]}").inc()
+        runtime_counter_inc("jobs.requeued")
+
+    def retry_attempt(
+        self, flight: _Flight, next_backoff: float, attempts: int
+    ) -> None:
+        self.backoffs_pending -= 1
+        if flight.done or flight.active or flight.parked or flight.with_policy:
+            return  # already resolved by another path
+        kind = flight.dispatch.kind
+        injector = self.injector
+        health = injector.health[kind]
+        if not health.alive:
+            self.requeue_elsewhere(flight, f"{kind.value} failed during backoff")
+            return
+        if health.stalled(self.sim.now):
+            if attempts >= injector.retry.max_attempts:
+                self.fail_job(
+                    flight, f"retry budget exhausted on stalled {kind.value}"
+                )
+                return
+            self.metrics.counter("jobs.retry_backoff").inc()
+            self.backoffs_pending += 1
+            self.sim.after(
+                next_backoff,
+                self.retry_attempt,
+                flight,
+                next_backoff * injector.retry.multiplier,
+                attempts + 1,
+            )
+            return
+        self.launch(flight.dispatch, requeued=True)
+
+    def on_stall(self, event: FaultEvent) -> None:
+        kind = event.device
+        retry = self.injector.retry
+        for flight in [
+            f
+            for f in self.flights.values()
+            if f.active and f.dispatch.kind is kind
+        ]:
+            self.abort_flight(flight)
+            flight.pending_retry = True
+            self.backoffs_pending += 1
+            self.sim.after(
+                retry.base_backoff_s,
+                self.retry_attempt,
+                flight,
+                retry.base_backoff_s * retry.multiplier,
+                1,
+            )
+        self.sim.at(self.injector.health[kind].stalled_until, self.stall_end, kind)
+
+    def stall_end(self, kind: MemoryKind) -> None:
+        health = self.injector.health[kind]
+        if not health.alive or health.stalled(self.sim.now):
+            return  # died meanwhile, or the stall was extended
+        self.drain_parked(kind)
+        self.pump()
+
+    def on_derate(self, event: FaultEvent) -> None:
+        kind = event.device
+        name = f"faults.derate.{self.names[kind]}"
+        self.metrics.gauge(name).set(self.sim.now, event.factor)
+        runtime_state_set(name, event.factor)
+        self.policy.device_derated(kind, event.factor, self.sim.now)
+        self.pump()
+
+    def on_fail(self, kind: MemoryKind, reason: str) -> None:
+        victims = [
+            f
+            for f in self.flights.values()
+            if not f.done
+            and f.dispatch.kind is kind
+            and (f.active or f.parked or f.pending_retry)
+        ]
+        parked = self.devices[kind].parked
+        for flight in victims:
+            self.abort_flight(flight)
+            if flight.parked:
+                parked.remove(flight)
+                flight.parked = False
+            flight.pending_retry = False
+        unplaced = self.policy.device_lost(
+            kind, [f.dispatch.job for f in victims], self.sim.now
+        )
+        unplaced_ids = {job.job_id for job in unplaced}
+        for flight in victims:
+            if flight.dispatch.job.job_id in unplaced_ids:
+                continue
+            # The policy absorbed this in-flight job onto a survivor;
+            # it will come back through next_dispatches.
+            flight.with_policy = True
+            self.count_requeued(kind)
+        for job in unplaced:
+            flight = self.flights.get(job.job_id)
+            if flight is None:
+                # Policy-queued, never launched, and unplaceable by the
+                # policy: carry it through the fallback.
+                flight = _Flight(dispatch=Dispatch(job=job, kind=kind, arrays=1))
+                self.flights[job.job_id] = flight
+            self.requeue_elsewhere(flight, reason)
+        self.pump()
+
+    def fire_fault(self, event: FaultEvent) -> None:
+        # Injection is counted per plan event (wear-outs when they
+        # trigger); a fault against an already-dead device is moot.
+        metrics = self.metrics
+        metrics.counter("faults.injected").inc()
+        metrics.counter(f"faults.{event.device.value}.{event.kind.value}").inc()
+        runtime_counter_inc("faults.injected")
+        if not self.injector.apply(event, self.sim.now):
+            return
+        if event.kind is FaultKind.STALL:
+            self.on_stall(event)
+        elif event.kind is FaultKind.DERATE:
+            self.on_derate(event)
+        else:
+            self.on_fail(event.device, event.reason or f"{event.kind.value} fault")
+
+    # -- the columnar phase machine (the batch simulation hot path) ----
+    def pipe_fill_done(self, row: int, attempt: int, extra: float) -> None:
+        """Shared-pipe fill completed: arm the fill-done transition."""
+        col = self.col
+        flight = col.flight[row]
+        if flight is not None and not (flight.active and flight.attempt == attempt):
+            col.release(row)
+            return
+        col.state[row] = PHASE_FILL_DONE
+        self.sim.after_row(extra, row)
+
+    def fire_row(self, row: int) -> None:
+        col = self.col
+        flight = col.flight[row]
+        if flight is not None and not (
+            flight.active and flight.attempt == col.attempt[row]
+        ):
+            # Stale transition of an aborted attempt: no-op, and
+            # recycle the row.
+            col.release(row)
+            return
+        state = col.state[row]
+        kind = col.kind[row]
+        sim = self.sim
+        now = sim.now
+        injector = self.injector
+        if state == PHASE_BEGIN_FILL:
+            spec = col.spec[row]
+            bytes_total = col.fill_bytes[row]
+            if kind is _DRAM:
+                # In-situ: data is already in main memory; the fill is
+                # an internal row-move, off the shared pipe.
+                fill_time = spec.fill_seconds(bytes_total)
+                if injector is not None:
+                    fill_time *= injector.time_scale(kind)
+                col.state[row] = PHASE_FILL_DONE
+                sim.after_row(fill_time, row)
+            else:
+                # Off-chip stream through the shared DDR4 pipe, plus
+                # device-side write overhead beyond pipe bandwidth.  (An
+                # aborted job's in-flight transfer still drains the
+                # pipe -- the DMA stream is already committed -- but
+                # its completion no-ops in pipe_fill_done.)
+                extra = max(
+                    0.0,
+                    spec.fill_seconds(bytes_total)
+                    - bytes_total / self.pipe_bandwidth_bps,
+                )
+                if injector is not None:
+                    extra *= injector.time_scale(kind)
+                self.pipe.submit(
+                    bytes_total, self.pipe_fill_done, row, col.attempt[row], extra
+                )
+        elif state == PHASE_FILL_DONE:
+            record = col.record[row]
+            profile = col.profile[row]
+            arrays = col.dispatch[row].arrays
+            name = self.names[kind]
+            record.fill_done_at = now
+            self.trace.record(
+                col.job[row].job_id, name, _FILL, record.dispatched_at, now, arrays
+            )
+            replicas = profile.replicas(arrays)
+            rep_time = profile.n_iter * profile.t_replica_unit * (replicas - 1)
+            rep_bytes = profile.fill_bytes * (replicas - 1)
+            if rep_bytes > 0:
+                self.ledger.add(
+                    _REPLICATION,
+                    name,
+                    rep_bytes * col.spec[row].fill_energy_pj_per_byte * 1e-12,
+                )
+            if injector is not None:
+                rep_time *= injector.time_scale(kind)
+                if rep_bytes > 0:
+                    wear = injector.record_fill(kind, rep_bytes)
+                    if wear is not None:
+                        sim.after(0.0, self.fire_fault, wear)
+            col.state[row] = PHASE_REPLICATE_DONE
+            sim.after_row(rep_time, row)
+        elif state == PHASE_REPLICATE_DONE:
+            record = col.record[row]
+            arrays = col.dispatch[row].arrays
+            record.replicate_done_at = now
+            if now > record.fill_done_at:
+                self.trace.record(
+                    col.job[row].job_id, self.names[kind], _REPLICATE,
+                    record.fill_done_at, now, arrays,
+                )
+            profile = col.profile[row]
+            compute = profile.n_iter * profile.compute_time(arrays)
+            if injector is not None:
+                compute *= injector.time_scale(kind)
+            col.t0[row] = now
+            col.state[row] = PHASE_COMPUTE_DONE
+            sim.after_row(compute, row)
+        else:  # PHASE_COMPUTE_DONE
+            record = col.record[row]
+            job = col.job[row]
+            name = self.names[kind]
+            record.finished_at = now
+            self.trace.record(
+                job.job_id, name, _COMPUTE, col.t0[row], now, col.dispatch[row].arrays
+            )
+            self.ledger.add(_COMPUTE_ENERGY, name, col.profile[row].compute_energy_j)
+            if flight is not None:
+                flight.active = False
+                flight.done = True
+                flight.allocation = None
+            device = self.devices[kind]
+            device.allocator.free(col.alloc[row])
+            device.running -= 1
+            self.metrics.counter("jobs.completed").inc()
+            self.note_occupancy(device)
+            self.decisions.complete(job.job_id, record.latency)
+            col.release(row)
+            self.policy.notify_completion(job, kind, now)
+            if self.predictor_hook is not None:
+                self.predictor_hook(job, kind, now, self.metrics)
+            if self.open_loop is not None:
+                self.open_loop.on_finished(job.job_id)
+            if injector is not None:
+                # Freed capacity goes to migrated/retried jobs first.
+                self.drain_parked(kind)
+            self.pump()
+
+    def launch(self, dispatch: Dispatch, requeued: bool = False) -> None:
+        kind, job = dispatch.kind, dispatch.job
+        spec = self.system.specs[kind]
+        device = self.devices[kind]
+        profile = job.profile(kind)
+        arrays = dispatch.arrays
+        if arrays > spec.num_arrays:
+            raise DispatchError(
+                f"{job.job_id}: requested {arrays} arrays on "
+                f"{kind} (device has {spec.num_arrays})"
+            )
+        sim = self.sim
+        now = sim.now
+        injector = self.injector
+        flight: _Flight | None = None
+        if injector is not None:
+            flight = self.flights.get(job.job_id)
+            if flight is None:
+                flight = _Flight(dispatch=dispatch)
+                self.flights[job.job_id] = flight
+            if flight.active or flight.done:
+                raise DispatchError(f"job {job.job_id} dispatched twice")
+            flight.with_policy = False
+            flight.dispatch = dispatch
+            health = injector.health[kind]
+            if not health.alive:
+                # The policy raced a failure it has not absorbed:
+                # migrate the job instead of crashing the batch.
+                self.requeue_elsewhere(flight, f"{kind.value} is failed")
+                return
+            if health.stalled(now):
+                self.park(flight)
+                return
+            if requeued and (
+                device.running >= device.slots
+                or device.allocator.largest_free_run < arrays
+            ):
+                # A re-queued job must not crash the run on a full
+                # device -- it waits for room instead.
+                self.park(flight)
+                return
+        if device.running >= device.slots:
+            raise DispatchError(
+                f"{job.job_id}: {self.names[kind]} already runs {device.running} "
+                f"jobs (limit {device.slots}); the policy over-subscribed the "
+                "device's job slots"
+            )
+        allocation = device.allocator.allocate(arrays)
+        device.running += 1
+        record = self.records.get(job.job_id)
+        relaunch = record is not None
+        if relaunch and flight is None:
+            raise DispatchError(f"job {job.job_id} dispatched twice")
+        if relaunch:
+            record.kind = kind
+            record.arrays = arrays
+            record.dispatched_at = now
+            record.fill_done_at = 0.0
+            record.replicate_done_at = 0.0
+            record.attempts += 1
+        else:
+            record = JobRecord(
+                job_id=job.job_id, kind=kind, arrays=arrays, dispatched_at=now
+            )
+            self.records[job.job_id] = record
+        name = self.names[kind]
+        self.metrics.counter("jobs.dispatched").inc()
+        counter = device.jobs_counter
+        if counter is None:
+            counter = device.jobs_counter = self.metrics.counter(f"{name}.jobs")
+        counter.inc()
+        self.note_occupancy(device)
+        if not relaunch:
+            self.decisions.record(
+                job_id=job.job_id,
+                device=name,
+                arrays=arrays,
+                decided_at=now,
+                predicted_time=dispatch.predicted_time,
+                queue_depth=self.policy.pending(),
+            )
+        attempt = 0
+        if flight is not None:
+            if flight.pending_retry:
+                flight.pending_retry = False
+                self.metrics.counter("jobs.retried").inc()
+                runtime_counter_inc("jobs.retried")
+            flight.attempt += 1
+            flight.active = True
+            flight.allocation = allocation
+            attempt = flight.attempt
+        bytes_total = profile.fill_bytes * profile.n_iter
+        self.ledger.add(
+            _FILL_ENERGY,
+            name,
+            bytes_total * spec.fill_energy_pj_per_byte * 1e-12,
+        )
+        if injector is not None:
+            wear = injector.record_fill(kind, bytes_total)
+            if wear is not None:
+                sim.after(0.0, self.fire_fault, wear)
+
+        # One flight-table row per launch; the dispatch-overhead
+        # transition begins its fill.
+        col = self.col
+        row = col.acquire()
+        col.job[row] = job
+        col.kind[row] = kind
+        col.dispatch[row] = dispatch
+        col.profile[row] = profile
+        col.spec[row] = spec
+        col.record[row] = record
+        col.flight[row] = flight
+        col.alloc[row] = allocation
+        col.attempt[row] = attempt
+        col.fill_bytes[row] = float(bytes_total)
+        col.state[row] = PHASE_BEGIN_FILL
+        sim.after_row(self.dispatch_overhead_s, row)
+
+    def pump(self) -> None:
+        policy = self.policy
+        sim = self.sim
+        now = sim.now
+        open_loop = self.open_loop
+        if open_loop is not None:
+            # Admission before dispatch: release queued arrivals up to
+            # the backlog cap, offer them to the policy, count what it
+            # cannot place as shed.
+            released = open_loop.release(now, policy.pending())
+            if released:
+                rejected = policy.admit(released, now)
+                open_loop.on_rejected(rejected, now)
+        dispatches = policy.next_dispatches(self.view())
+        launch = self.launch
+        for dispatch in dispatches:
+            launch(dispatch)
+        pending = policy.pending()
+        self.pending_gauge.set(now, pending)
+        self.sample_queue_depths()
+        # Time-driven policies (static global schedules) want to be
+        # consulted at their next planned dispatch time.  Planned times
+        # already in the past are served by the next completion event
+        # instead (never self-schedule at `now`, which would spin).
+        wakeup = policy.next_event_time(now)
+        if wakeup is not None and wakeup > now and pending > 0:
+            sim.at(wakeup, self.pump)
+            return
+        if not dispatches and pending > 0 and self.stuck():
+            raise DispatchError(f"policy dead-locked with {pending} jobs pending")
+
+    def stuck(self) -> bool:
+        """Nothing runs, transfers, backs off, waits parked or sits out
+        a stall: no future event can free capacity for the policy."""
+        if any(device.running for device in self.devices.values()):
+            return False
+        if self.pipe.active_transfers:
+            return False
+        injector = self.injector
+        if injector is None:
+            return True
+        now = self.sim.now
+        return (
+            self.backoffs_pending == 0
+            and not any(device.parked for device in self.devices.values())
+            and not any(h.stalled(now) for h in injector.health.values())
+        )
+
+    def handle_arrival(self, arrival) -> None:
+        self.open_loop.on_arrival(arrival, self.sim.now)
+        self.pump()

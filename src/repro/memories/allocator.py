@@ -17,6 +17,7 @@ double-frees and leaks surface as errors rather than silent corruption.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 
@@ -60,6 +61,11 @@ class ScratchpadAllocator:
         (e.g. the half of the LLC kept as a normal cache is already
         excluded from ``spec.num_arrays``; this knob models *further*
         dynamic reservation and defaults to zero).
+
+    ``free_arrays``, ``largest_free_run`` and ``used_arrays`` are read
+    on every dispatch decision, so they are counters kept up to date by
+    :meth:`allocate`, :meth:`free` and :meth:`reset` rather than scans
+    of the free runs.
     """
 
     spec: MemorySpec
@@ -67,28 +73,31 @@ class ScratchpadAllocator:
     _free_runs: list[tuple[int, int]] = field(default_factory=list, repr=False)
     _live: dict[int, Allocation] = field(default_factory=dict, repr=False)
     _handles: "itertools.count[int]" = field(default_factory=itertools.count, repr=False)
+    _total: int = field(default=0, init=False, repr=False)
+    _free: int = field(default=0, init=False, repr=False)
+    _largest: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.reserved_fraction < 1.0:
             raise ValueError("reserved_fraction must be in [0, 1)")
-        usable = int(self.spec.num_arrays * (1.0 - self.reserved_fraction))
-        if usable <= 0:
+        self._total = int(self.spec.num_arrays * (1.0 - self.reserved_fraction))
+        if self._total <= 0:
             raise ValueError("reservation leaves no compute arrays")
-        self._free_runs = [(0, usable)]
+        self.reset()
 
     # ------------------------------------------------------------------
     @property
     def total_arrays(self) -> int:
         """Arrays available for compute after reservation."""
-        return int(self.spec.num_arrays * (1.0 - self.reserved_fraction))
+        return self._total
 
     @property
     def free_arrays(self) -> int:
-        return sum(length for _, length in self._free_runs)
+        return self._free
 
     @property
     def used_arrays(self) -> int:
-        return self.total_arrays - self.free_arrays
+        return self._total - self._free
 
     @property
     def live_allocations(self) -> int:
@@ -97,7 +106,7 @@ class ScratchpadAllocator:
     @property
     def largest_free_run(self) -> int:
         """Largest contiguous run -- what a single job can actually get."""
-        return max((length for _, length in self._free_runs), default=0)
+        return self._largest
 
     def utilisation(self) -> float:
         return self.used_arrays / self.total_arrays if self.total_arrays else 0.0
@@ -107,21 +116,27 @@ class ScratchpadAllocator:
         """Grant ``arrays`` contiguous compute arrays (first fit)."""
         if arrays <= 0:
             raise ValueError("must allocate at least one array")
-        for index, (start, length) in enumerate(self._free_runs):
-            if length >= arrays:
-                allocation = Allocation(
-                    handle=next(self._handles),
-                    arrays=arrays,
-                    start=start,
-                    spec=self.spec,
-                )
-                remaining = length - arrays
-                if remaining:
-                    self._free_runs[index] = (start + arrays, remaining)
-                else:
-                    del self._free_runs[index]
-                self._live[allocation.handle] = allocation
-                return allocation
+        if arrays <= self._largest:
+            runs = self._free_runs
+            for index, (start, length) in enumerate(runs):
+                if length >= arrays:
+                    break
+            allocation = Allocation(
+                handle=next(self._handles),
+                arrays=arrays,
+                start=start,
+                spec=self.spec,
+            )
+            remaining = length - arrays
+            if remaining:
+                runs[index] = (start + arrays, remaining)
+            else:
+                del runs[index]
+            self._free -= arrays
+            if length == self._largest:
+                self._largest = max((run[1] for run in runs), default=0)
+            self._live[allocation.handle] = allocation
+            return allocation
         raise AllocationError(
             f"{self.spec.name}: no contiguous run of {arrays} arrays "
             f"(free={self.free_arrays}, largest run={self.largest_free_run})"
@@ -136,18 +151,26 @@ class ScratchpadAllocator:
         live = self._live.pop(allocation.handle, None)
         if live is None:
             raise AllocationError(f"double free or foreign handle: {allocation.handle}")
-        self._free_runs.append((live.start, live.arrays))
-        self._free_runs.sort()
-        merged: list[tuple[int, int]] = []
-        for start, length in self._free_runs:
-            if merged and merged[-1][0] + merged[-1][1] == start:
-                prev_start, prev_len = merged[-1]
-                merged[-1] = (prev_start, prev_len + length)
-            else:
-                merged.append((start, length))
-        self._free_runs = merged
+        runs = self._free_runs
+        start, length = live.start, live.arrays
+        self._free += length
+        # Free runs are sorted, disjoint and never adjacent, so the
+        # returned run can only merge with its two neighbours.
+        index = bisect.bisect_left(runs, (start, length))
+        if index < len(runs) and start + length == runs[index][0]:
+            length += runs.pop(index)[1]
+        if index and runs[index - 1][0] + runs[index - 1][1] == start:
+            index -= 1
+            start = runs[index][0]
+            length += runs[index][1]
+            runs[index] = (start, length)
+        else:
+            runs.insert(index, (start, length))
+        if length > self._largest:
+            self._largest = length
 
     def reset(self) -> None:
         """Drop every live allocation (end of a batch)."""
         self._live.clear()
-        self._free_runs = [(0, self.total_arrays)]
+        self._free_runs = [(0, self._total)]
+        self._free = self._largest = self._total

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import abc
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -123,14 +124,40 @@ class TimelineArrivals(ArrivalProcess):
         return sorted(self.arrivals, key=lambda a: (a.time, a.seq))
 
 
+def _checked_entries(raw, source: str) -> list:
+    """``raw`` if it is a valid trace: a list of objects, each with a
+    ``tenant`` and a finite, non-negative numeric ``time``.  Otherwise
+    a one-line ``ValueError`` naming ``source`` and the entry index."""
+    if not isinstance(raw, list):
+        raise ValueError(f"trace {source}: expected a JSON list")
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise ValueError(f"trace {source}: entry {i} is not an object")
+        if "time" not in entry or "tenant" not in entry:
+            raise ValueError(f"trace {source}: entry {i} needs 'time' and 'tenant'")
+        time = entry["time"]
+        if (
+            isinstance(time, bool)
+            or not isinstance(time, (int, float))
+            or not math.isfinite(time)
+            or time < 0
+        ):
+            raise ValueError(
+                f"trace {source}: entry {i} 'time' must be a finite, "
+                f"non-negative number, got {time!r}"
+            )
+    return raw
+
+
 @dataclass(frozen=True)
 class TraceArrivals(ArrivalProcess):
     """Replays a recorded arrival trace (JSON list of entries).
 
-    Each entry needs ``time`` (seconds) and ``tenant``; any further
-    keys are passed to the job factory as its ``hint`` so traces can
-    pin per-arrival workload shape.  Entries are stably sorted by
-    time, so an unsorted trace is still deterministic.
+    Each entry needs ``time`` (finite, non-negative seconds) and
+    ``tenant``; any further keys are passed to the job factory as its
+    ``hint`` so traces can pin per-arrival workload shape.  Entries
+    are stably sorted by time, so an unsorted trace is still
+    deterministic.
     """
 
     path: str
@@ -140,23 +167,14 @@ class TraceArrivals(ArrivalProcess):
     def entries(self) -> list[dict]:
         if self._entries is not None:
             return [dict(e) for e in self._entries]
-        raw = json.loads(Path(self.path).read_text())
-        if not isinstance(raw, list):
-            raise ValueError(f"trace {self.path}: expected a JSON list")
-        for i, entry in enumerate(raw):
-            if "time" not in entry or "tenant" not in entry:
-                raise ValueError(
-                    f"trace {self.path}: entry {i} needs 'time' and 'tenant'"
-                )
-        return raw
+        return _checked_entries(json.loads(Path(self.path).read_text()), self.path)
 
     @classmethod
     def from_entries(cls, entries: list[dict], seed: int = 0) -> "TraceArrivals":
         """An in-memory trace (tests, programmatic workloads)."""
+        entries = _checked_entries(list(entries), "<memory>")
         return cls(
-            path="<memory>",
-            seed=seed,
-            _entries=tuple(dict(e) for e in entries),
+            path="<memory>", seed=seed, _entries=tuple(dict(e) for e in entries)
         )
 
     def generate(self, make_job: JobFactory) -> list[JobArrival]:

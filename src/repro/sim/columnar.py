@@ -2,17 +2,19 @@
 simulation hot path).
 
 Each launched job is one *row* of a :class:`FlightColumns` table: the
-in-flight state lives in parallel NumPy arrays (phase state code,
-compute start time, launch attempt, fill bytes) plus parallel object
-columns for the per-row context (job, dispatch, profile, ...).  A
-phase transition is a bare row index in the simulator's heap
-(:meth:`~repro.sim.engine.Simulator.at_row`); the engine's chunked
-drain fires every same-timestamp row through one registered handler,
-which advances the row's fill -> replicate -> compute state machine in
-place.  No per-phase closures, no ``Event`` objects, no per-transition
-heap handle -- and row entries consume sequence numbers from the same
-counter as ordinary events, so rows and events fire in one
-deterministic order.
+in-flight state lives in parallel Python lists -- numeric columns
+(phase state code, compute start time, launch attempt, fill bytes)
+and object columns for the per-row context (job, dispatch, profile,
+...).  Lists rather than NumPy arrays, because the table is read and
+written one element per event, where a list index is cheaper than
+boxing a NumPy scalar.  A phase transition is a bare row index in the
+simulator's heap (:meth:`~repro.sim.engine.Simulator.at_row`); the
+engine's chunked drain fires every same-timestamp row through one
+registered handler, which advances the row's fill -> replicate ->
+compute state machine in place.  No per-phase closures, no ``Event``
+objects, no per-transition heap handle -- and row entries consume
+sequence numbers from the same counter as ordinary events, so rows
+and events fire in one deterministic order.
 
 Rows are recycled through a free list, so the table's footprint is
 bounded by the *concurrent* in-flight population, not by the total
@@ -20,8 +22,6 @@ number of jobs simulated.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 __all__ = [
     "FlightColumns",
@@ -37,32 +37,30 @@ PHASE_FILL_DONE = 1
 PHASE_REPLICATE_DONE = 2
 PHASE_COMPUTE_DONE = 3
 
-_NUMERIC = ("state", "t0", "attempt", "fill_bytes")
+#: Numeric columns and the zero a fresh row holds.
+_NUMERIC = {"state": 0, "t0": 0.0, "attempt": 0, "fill_bytes": 0.0}
 _OBJECT = ("job", "kind", "dispatch", "profile", "spec", "record", "flight", "alloc")
 
 
 class FlightColumns:
     """Parallel columns describing every in-flight job phase row.
 
-    Numeric columns are NumPy arrays (grown by doubling); object
-    context rides in parallel Python lists.  The table itself is
-    policy-free: the dispatcher owns the transition logic and this
-    class owns the storage.
+    Every column is a Python list, grown by doubling.  The table
+    itself is policy-free: the dispatcher owns the transition logic
+    and this class owns the storage.
     """
 
-    __slots__ = _NUMERIC + _OBJECT + ("free",)
+    __slots__ = (*_NUMERIC, *_OBJECT, "free")
 
     def __init__(self, capacity: int = 64) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        self.state = np.zeros(capacity, dtype=np.int8)
-        self.t0 = np.zeros(capacity, dtype=np.float64)
-        self.attempt = np.zeros(capacity, dtype=np.int64)
-        self.fill_bytes = np.zeros(capacity, dtype=np.float64)
+        for name, zero in _NUMERIC.items():
+            setattr(self, name, [zero] * capacity)
         for name in _OBJECT:
             setattr(self, name, [None] * capacity)
         # Popping from the tail hands out low indices first, which
-        # keeps the live region of the arrays dense.
+        # keeps the live region of the columns dense.
         self.free = list(range(capacity - 1, -1, -1))
 
     @property
@@ -89,13 +87,8 @@ class FlightColumns:
 
     def _grow(self) -> None:
         old = self.capacity
-        for name in _NUMERIC:
-            column = getattr(self, name)
-            setattr(
-                self,
-                name,
-                np.concatenate([column, np.zeros(old, dtype=column.dtype)]),
-            )
+        for name, zero in _NUMERIC.items():
+            getattr(self, name).extend([zero] * old)
         for name in _OBJECT:
             getattr(self, name).extend([None] * old)
         self.free.extend(range(2 * old - 1, old - 1, -1))

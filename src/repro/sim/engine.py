@@ -125,6 +125,19 @@ class Simulator:
             raise SimulationError("a row handler is already attached")
         self._fire_row = fire
 
+    def close(self) -> None:
+        """Detach the row handler and drop every queued event unrun.
+
+        The owner of a run calls this when the run is over, normally
+        or not: the handler and queued callbacks usually point back
+        into the owner, so dropping them lets reference counting free
+        both.  A new handler may be attached afterwards.
+        """
+        self._fire_row = None
+        self._queue = []
+        self._active = 0
+        self._tombstones = 0
+
     def at_row(self, time: float, row: int) -> None:
         """Schedule row ``row`` of the attached table at ``time``.
 

@@ -17,7 +17,7 @@ channels, 1 rank, 16 chips and 16 banks (Section V-A).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 from .engine import Simulator
 from .events import EventHandle
@@ -52,19 +52,21 @@ class Transfer:
 
     nbytes: float
     remaining: float
-    on_done: Callable[[], None]
+    on_done: Callable[..., None]
     started_at: float
     last_update: float
     handle: EventHandle | None = field(default=None, repr=False)
+    #: Arguments ``on_done`` is called with.
+    args: tuple = ()
 
 
 class SharedBandwidthPipe:
     """Processor-sharing bandwidth pipe driven by a :class:`Simulator`.
 
-    ``submit`` starts a transfer and invokes ``on_done`` (via the
-    simulator) once the bytes have drained; the fixed access latency is
-    added up front.  Total bytes moved are tracked for energy
-    accounting.
+    ``submit`` starts a transfer and invokes ``on_done(*args)`` (via
+    the simulator) once the bytes have drained; the fixed access
+    latency is added up front.  Total bytes moved are tracked for
+    energy accounting.
     """
 
     def __init__(self, sim: Simulator, config: DDR4Config | None = None) -> None:
@@ -88,14 +90,17 @@ class SharedBandwidthPipe:
         return self.config.total_bandwidth_bps / len(self._active)
 
     # ------------------------------------------------------------------
-    def submit(self, nbytes: float, on_done: Callable[[], None]) -> None:
-        """Start moving ``nbytes``; ``on_done()`` fires at completion."""
+    def submit(
+        self, nbytes: float, on_done: Callable[..., None], *args: Any
+    ) -> None:
+        """Start moving ``nbytes``; ``on_done(*args)`` fires at
+        completion."""
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
         self.total_bytes += nbytes
         latency = self.config.access_latency_ns * 1e-9
         if nbytes == 0:
-            self.sim.after(latency, on_done)
+            self.sim.after(latency, on_done, *args)
             return
         transfer = Transfer(
             nbytes=nbytes,
@@ -103,6 +108,7 @@ class SharedBandwidthPipe:
             on_done=on_done,
             started_at=self.sim.now + latency,
             last_update=self.sim.now + latency,
+            args=args,
         )
         # The access latency is modelled as a delayed join of the pipe.
         self.sim.after(latency, self._join, transfer)
@@ -144,11 +150,13 @@ class SharedBandwidthPipe:
         # Floating-point drain may leave the finishing transfer with a
         # vanishing remainder; clamp it out.
         transfer.remaining = 0.0
+        # The fired handle's event holds this transfer: drop the cycle.
+        transfer.handle = None
         self._active.remove(transfer)
         self._reschedule()
         if self.on_occupancy is not None:
             self.on_occupancy(self.sim.now, len(self._active))
-        transfer.on_done()
+        transfer.on_done(*transfer.args)
 
     def energy_j(self) -> float:
         """Off-chip transfer energy consumed so far."""

@@ -395,6 +395,21 @@ class TestServeCommand:
             )
         for plan, needle in _incomplete_plans(tmp_path):
             _assert_one_line_error(capsys, ["serve", "--faults", plan], needle)
+        for name, entries, needle in (
+            ("non-object", [5], "entry 0 is not an object"),
+            (
+                "null-time",
+                [{"time": None, "tenant": "a"}, {"time": 0.1, "tenant": "a"}],
+                "entry 0 'time' must be a finite, non-negative number, got None",
+            ),
+        ):
+            trace = tmp_path / f"{name}-trace.json"
+            trace.write_text(json.dumps(entries))
+            _assert_one_line_error(
+                capsys,
+                ["serve", "--arrivals", "trace", "--trace-file", str(trace)],
+                f"trace {trace}: {needle}",
+            )
 
     def test_serve_with_fault_plan(self, capsys):
         plan = TestFaultsCommand.SMOKE_PLAN

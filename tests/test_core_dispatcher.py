@@ -10,7 +10,7 @@ from repro.core import (
     MLIMPSystem,
 )
 from repro.core.scheduler.base import Dispatch, DispatchPolicy, ResourceView
-from repro.memories import ArrayGeometry, MemoryKind, MemorySpec
+from repro.memories import ArrayGeometry, MemoryKind, MemorySpec, ScratchpadAllocator
 from repro.sim import DDR4Config, EnergyCategory, Phase
 
 
@@ -202,6 +202,19 @@ class TestErrors:
         system = make_system(spec())
         with pytest.raises(DispatchError):
             Dispatcher(system).run(StuckPolicy())
+
+    def test_undrained_ledger_rejected(self, monkeypatch):
+        """A run that ends with arrays still allocated names the device
+        and its ledger counts instead of returning."""
+        monkeypatch.setattr(ScratchpadAllocator, "free", lambda self, allocation: None)
+        system = make_system(spec())
+        policy = StaticPolicy([Dispatch(job=job(), kind=MemoryKind.SRAM, arrays=4)])
+        with pytest.raises(
+            DispatchError,
+            match=r"^sram did not drain: 0 jobs running, 1 live allocations, "
+            r"0 parked jobs$",
+        ):
+            Dispatcher(system).run(policy)
 
     def test_double_dispatch_rejected(self):
         system = make_system(spec())

@@ -147,3 +147,84 @@ def test_allocator_conservation_property(ops):
         alloc.free(allocation)
     assert alloc.free_arrays == alloc.total_arrays
     assert alloc.largest_free_run == alloc.total_arrays
+
+
+class _ReferenceRuns:
+    """The allocator's free-run bookkeeping written the plain way: a
+    first-fit scan, and an append + sort + full merge on free."""
+
+    def __init__(self, total: int) -> None:
+        self.total = total
+        self.runs = [(0, total)]
+
+    def allocate(self, arrays: int) -> int | None:
+        for index, (start, length) in enumerate(self.runs):
+            if length >= arrays:
+                if length > arrays:
+                    self.runs[index] = (start + arrays, length - arrays)
+                else:
+                    del self.runs[index]
+                return start
+        return None
+
+    def free(self, start: int, arrays: int) -> None:
+        merged: list[tuple[int, int]] = []
+        for run_start, length in sorted(self.runs + [(start, arrays)]):
+            if merged and sum(merged[-1]) == run_start:
+                merged[-1] = (merged[-1][0], merged[-1][1] + length)
+            else:
+                merged.append((run_start, length))
+        self.runs = merged
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    total=st.integers(min_value=1, max_value=64),
+    ops=st.lists(
+        st.one_of(
+            st.tuples(st.just("alloc"), st.integers(min_value=1, max_value=24)),
+            st.tuples(st.just("free"), st.integers(min_value=0, max_value=30)),
+            st.tuples(st.just("reset"), st.just(0)),
+        ),
+        max_size=60,
+    ),
+)
+def test_cached_counters_match_free_runs(total, ops):
+    """``free_arrays``, ``largest_free_run`` and ``used_arrays`` are
+    counters; after every step they must equal what the free runs
+    give, and the runs must match the plain first-fit model."""
+    alloc = ScratchpadAllocator(make_spec(total))
+    model = _ReferenceRuns(total)
+    live = []
+    for action, value in ops:
+        if action == "alloc":
+            start = model.allocate(value)
+            if start is None:
+                free = sum(length for _, length in model.runs)
+                largest = max((length for _, length in model.runs), default=0)
+                with pytest.raises(AllocationError) as raised:
+                    alloc.allocate(value)
+                assert str(raised.value) == (
+                    f"test: no contiguous run of {value} arrays "
+                    f"(free={free}, largest run={largest})"
+                )
+            else:
+                allocation = alloc.allocate(value)
+                assert allocation.start == start
+                live.append(allocation)
+        elif action == "free" and live:
+            allocation = live.pop(value % len(live))
+            alloc.free(allocation)
+            model.free(allocation.start, allocation.arrays)
+        elif action == "reset":
+            alloc.reset()
+            model = _ReferenceRuns(total)
+            live.clear()
+        runs = alloc._free_runs
+        assert runs == model.runs
+        assert alloc.free_arrays == sum(length for _, length in runs)
+        assert alloc.largest_free_run == max((length for _, length in runs), default=0)
+        assert alloc.used_arrays == alloc.total_arrays - sum(
+            length for _, length in runs
+        )
+        assert alloc.live_allocations == len(live)

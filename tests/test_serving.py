@@ -256,6 +256,27 @@ def test_trace_arrivals_validates_entries(tmp_path):
         TraceArrivals(path=str(path)).generate(lambda *a: None)
 
 
+@pytest.mark.parametrize(
+    "entries, needle",
+    [
+        ([{"time": 0.1, "tenant": "a"}, 5], "entry 1 is not an object"),
+        ([{"time": None, "tenant": "a"}], "entry 0 'time' must be a finite"),
+        ([{"time": "0.1", "tenant": "a"}], "entry 0 'time' must be a finite"),
+        ([{"time": float("nan"), "tenant": "a"}], "entry 0 'time' must be a finite"),
+        ([{"time": True, "tenant": "a"}], "entry 0 'time' must be a finite"),
+        ([{"time": -1.0, "tenant": "a"}], "entry 0 'time' must be a finite"),
+    ],
+)
+def test_trace_entries_checked_on_both_paths(tmp_path, entries, needle):
+    """A file trace and an in-memory one pass the same check."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(entries))
+    with pytest.raises(ValueError, match=needle):
+        TraceArrivals(path=str(path)).entries()
+    with pytest.raises(ValueError, match=needle):
+        TraceArrivals.from_entries(entries)
+
+
 # ======================================================================
 # Validation and report schema
 # ======================================================================
