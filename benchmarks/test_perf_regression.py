@@ -1,7 +1,8 @@
 """Perf-layer regression checks: the caches must make repeat work
 visibly cheaper, admission must size each arrival about once, adaptive
-dispatch must not re-evaluate every queued curve per call, and the
-batched event drain must not change the event order.  Byte-identity
+dispatch must not re-evaluate every queued curve per call, the global
+planning passes must not rescan their queues, and the batched event
+drain must not change the event order.  Byte-identity
 of the simulated output is pinned by the golden digests
 (``tests/golden/``).
 
@@ -20,8 +21,9 @@ from repro.core.perfmodel import (
     knee_allocation,
     knee_allocations,
 )
-from repro.core.scheduler import AdaptivePolicy, adjustments
-from repro.core.scheduler.adjustments import AdmissionPlanner
+from repro.core import GlobalScheduler, OraclePredictor
+from repro.core.scheduler import AdaptivePolicy, adjustments, globalsched
+from repro.core.scheduler.adjustments import AdmissionPlanner, PlannedJob
 from repro.harness.ablations import ablation_knee
 from repro.harness.config import full_system, gnn_system
 from repro.harness.gnn import build_workload
@@ -202,6 +204,72 @@ def test_adaptive_dispatch_evaluates_few_curves(monkeypatch):
     assert per_dispatch <= 8, (
         f"{counts['curve']} curve evaluations for {counts['dispatched']} "
         f"dispatches ({per_dispatch:.1f} per dispatch)"
+    )
+
+
+def _plan_collab_batch(monkeypatch, name: str, counts: dict):
+    """``GlobalScheduler.plan`` of one 576-job ``collab`` batch, with
+    ``counts["inside"]`` set while the ``globalsched`` module function
+    ``name`` runs.  Returns the jobs and the planned policy."""
+    function = getattr(globalsched, name)
+
+    def wrapped(*args, **kwargs):
+        counts["inside"] = True
+        try:
+            return function(*args, **kwargs)
+        finally:
+            counts["inside"] = False
+
+    monkeypatch.setattr(globalsched, name, wrapped)
+    jobs = build_workload("collab", num_batches=1, seed=0).jobs_per_batch[0]
+    return jobs, GlobalScheduler(OraclePredictor()).plan(jobs, gnn_system())
+
+
+def test_intra_queue_adjust_reads_each_time_a_few_times(monkeypatch):
+    """Algorithm 2 keeps its queue sorted across rounds; re-sorting and
+    re-summing the whole queue every round read ``est_time`` 32,280
+    times on this batch (about 56 per job).  Counts only."""
+    counts = {"inside": False, "reads": 0}
+    est_time = PlannedJob.est_time
+
+    def counted(entry):
+        if counts["inside"]:
+            counts["reads"] += 1
+        return est_time.fget(entry)
+
+    monkeypatch.setattr(PlannedJob, "est_time", property(counted))
+    jobs, _ = _plan_collab_batch(monkeypatch, "intra_queue_adjust", counts)
+    assert len(jobs) == 576
+    per_job = counts["reads"] / len(jobs)
+    assert 0 < per_job <= 4, (
+        f"{counts['reads']} est_time reads for {len(jobs)} jobs ({per_job:.1f} per job)"
+    )
+
+
+def test_static_schedule_inspects_few_entries_per_placement(monkeypatch):
+    """The static schedule finds each placement on the dispatch min
+    tree; rescanning the waiting queue after every placement read
+    every waiting entry's allocation (461.8 reads per placement on
+    this batch).  Counts reads of ``PlannedJob.arrays`` while
+    ``build_static_schedule`` runs."""
+    counts = {"inside": False, "reads": 0}
+
+    def read(entry):
+        if counts["inside"]:
+            counts["reads"] += 1
+        return entry.__dict__["arrays"]
+
+    def write(entry, value):
+        entry.__dict__["arrays"] = value
+
+    monkeypatch.setattr(PlannedJob, "arrays", property(read, write), raising=False)
+    jobs, policy = _plan_collab_batch(monkeypatch, "build_static_schedule", counts)
+    placed = policy.pending()
+    assert placed == len(jobs) == 576
+    per_placement = counts["reads"] / placed
+    assert 0 < per_placement <= 8, (
+        f"{counts['reads']} allocation reads for {placed} placements "
+        f"({per_placement:.1f} per placement)"
     )
 
 

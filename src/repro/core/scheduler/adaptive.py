@@ -55,6 +55,10 @@ class _Queue:
       entries with ``unit_arrays <= run`` sorted by ``t``, where
       ``arrays = snap_to_replica(run)`` and ``t = total_time(arrays)``:
       the entries that finish by a horizon are a prefix of the rows.
+
+    ``build_static_schedule`` plans each memory's waiting jobs on the
+    same min tree (:meth:`first_fitting`, :meth:`take`,
+    :meth:`smallest`).
     """
 
     __slots__ = ("entries", "live", "size", "head", "_levels", "_backfill")
@@ -106,6 +110,10 @@ class _Queue:
             if level[pos] > run:
                 pos += 1
         return pos
+
+    def smallest(self) -> float:
+        """The smallest queued allocation (``_GONE`` when none is queued)."""
+        return self._tree()[0][0]
 
     def backfill_rows(self, run: int) -> list[tuple[float, int, int]]:
         """The ``(t, position, arrays)`` rows for a free run of ``run``."""

@@ -15,8 +15,10 @@ smooth scale-free estimates, never on ground truth.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from operator import neg
 
 from ...memories.base import MemoryKind
 from ..job import Job
@@ -53,9 +55,9 @@ class PlannedJob:
     """One queue entry: where a job will run and with how much memory.
 
     Compared by identity (``eq=False``): queue entries are unique
-    tokens, and the balancing loops' ``list.remove`` / ``list.index``
-    calls would otherwise deep-compare jobs, profiles and estimates
-    field by field on every probe."""
+    tokens, and Algorithm 1's ``list.remove`` would otherwise
+    deep-compare jobs, profiles and estimates field by field on every
+    probe."""
 
     job: Job
     kind: MemoryKind
@@ -64,11 +66,11 @@ class PlannedJob:
 
     @property
     def est_time(self) -> float:
-        # Memoised: the balancing loops (Algorithms 1-2) evaluate this
-        # O(queue^2) times per round, and both fields it depends on are
-        # frozen.  Writing through __dict__ bypasses the frozen-dataclass
-        # __setattr__; dataclasses.replace() builds a fresh instance, so
-        # with_arrays() never inherits a stale memo.
+        # Memoised: Algorithm 1 reads this several times per entry and
+        # round, and both fields it depends on are frozen.  Writing
+        # through __dict__ bypasses the frozen-dataclass __setattr__;
+        # with_arrays() builds a fresh instance, so it never inherits a
+        # stale memo.
         cached = self.__dict__.get("_est_time")
         if cached is not None:
             return cached
@@ -77,7 +79,7 @@ class PlannedJob:
         return value
 
     def with_arrays(self, arrays: int) -> "PlannedJob":
-        return replace(self, arrays=arrays)
+        return PlannedJob(self.job, self.kind, arrays, self.estimate)
 
 
 def job_fits(job: Job, kind: MemoryKind, system: MLIMPSystem) -> bool:
@@ -268,34 +270,6 @@ class JobSizing:
         )
 
 
-def _queue_mean(queue: list[PlannedJob]) -> float:
-    if not queue:
-        return 0.0
-    return sum(entry.est_time for entry in queue) / len(queue)
-
-
-def pipe_drain_estimate(
-    queues: dict[MemoryKind, list[PlannedJob]],
-    pipe_bandwidth_bps: float,
-) -> float:
-    """Time for the shared off-chip pipe to stream every queued fill.
-
-    All non-DRAM fills share the DDR4 channels (the dispatcher's
-    processor-sharing pipe); in-DRAM jobs fill in situ and stay off
-    the pipe.  Without this term the balancer happily migrates
-    multi-GB database scans off DRAM and the pipe becomes the actual
-    bottleneck.
-    """
-    total_bytes = 0.0
-    for kind, entries in queues.items():
-        if kind is MemoryKind.DRAM:
-            continue
-        for entry in entries:
-            profile = entry.job.profile(kind)
-            total_bytes += profile.fill_bytes * profile.n_iter
-    return total_bytes / pipe_bandwidth_bps
-
-
 def queue_drain_estimate(
     queue: list[PlannedJob], kind: MemoryKind, system: MLIMPSystem
 ) -> float:
@@ -470,44 +444,100 @@ def intra_queue_adjust(
     epsilon_fraction: float = EPSILON_FRACTION,
     max_rounds: int = MAX_ROUNDS,
 ) -> dict[MemoryKind, list[PlannedJob]]:
-    """Algorithm 2: trade allocation from short jobs to the longest."""
+    """Algorithm 2: trade allocation from short jobs to the longest.
+
+    Each round orders the queue longest-first (a stable sort) and, if
+    the longest job is more than epsilon above the queue mean, moves
+    arrays to it from the shortest job above its unit allocation.  When
+    ``max_rounds`` runs out, the last trade is returned unsorted.
+    """
     adjusted: dict[MemoryKind, list[PlannedJob]] = {}
     for kind, entries in queues.items():
         queue = list(entries)
-        cap = system.arrays(kind)
-        for _ in range(max_rounds):
-            if len(queue) < 2:
-                break
-            queue.sort(key=lambda entry: entry.est_time, reverse=True)
-            longest = queue[0]
-            mean_t = _queue_mean(queue)
-            if longest.est_time - mean_t <= epsilon_fraction * max(mean_t, 1e-30):
-                break
-            # Arrays the longest job needs to reach the mean (already a
-            # whole replica multiple of its unit allocation).  If no
-            # allocation improves the longest job, stop.
-            needed = longest.estimate.invert_total_time(mean_t, cap)
-            if longest.estimate.total_time(needed) >= longest.est_time:
-                break
-            swap_cnt = needed - longest.arrays
-            # Donor: the shortest job with spare allocation above its
-            # unit minimum.
-            donors = [
-                entry
-                for entry in reversed(queue)
-                if entry is not longest and entry.arrays > entry.estimate.unit_arrays
-            ]
-            if not donors or swap_cnt <= 0:
-                break
-            donor = donors[0]
-            donor_new = donor.estimate.snap_to_replica(
-                max(donor.estimate.unit_arrays, donor.arrays - swap_cnt)
+        if len(queue) >= 2 and max_rounds > 0:
+            queue = _balance_queue(
+                queue, system.arrays(kind), epsilon_fraction, max_rounds
             )
-            released = donor.arrays - donor_new
-            longest_new = longest.estimate.snap_to_replica(longest.arrays + released)
-            if released <= 0 or longest_new <= longest.arrays:
-                break
-            queue[queue.index(donor)] = donor.with_arrays(donor_new)
-            queue[queue.index(longest)] = longest.with_arrays(longest_new)
         adjusted[kind] = queue
     return adjusted
+
+
+def _balance_queue(
+    queue: list[PlannedJob], cap: int, epsilon_fraction: float, max_rounds: int
+) -> list[PlannedJob]:
+    """Algorithm 2's rounds on one queue of two or more entries.
+
+    The queue is sorted once and kept sorted, with ``times`` holding
+    each entry's ``est_time`` in the same order, so the mean is the
+    same float the sorted queue sums to.  A trade changes two entries,
+    and the next round moves only those two to where the stable sort
+    puts them (:func:`_resort`): a round costs one sum and a few list
+    moves, not a sort with a Python key.
+    """
+    times = [entry.est_time for entry in queue]
+    order = sorted(range(len(queue)), key=times.__getitem__, reverse=True)
+    queue = [queue[i] for i in order]
+    times = [times[i] for i in order]
+    count = len(queue)
+    traded = 0  # position of the last round's donor; 0: no trade yet
+    for _ in range(max_rounds):
+        if traded:
+            _resort(queue, times, traded)
+        longest = queue[0]
+        longest_t = times[0]
+        mean_t = sum(times) / count
+        if longest_t - mean_t <= epsilon_fraction * max(mean_t, 1e-30):
+            break
+        # Arrays the longest job needs to reach the mean (already a
+        # whole replica multiple of its unit allocation).  If no
+        # allocation improves the longest job, stop.
+        estimate = longest.estimate
+        needed = estimate.invert_total_time(mean_t, cap)
+        if estimate.total_time(needed) >= longest_t:
+            break
+        swap_cnt = needed - longest.arrays
+        if swap_cnt <= 0:
+            break
+        # Donor: the shortest job with spare allocation above its unit
+        # minimum, found from the tail.
+        at = count - 1
+        while at and queue[at].arrays <= queue[at].estimate.unit_arrays:
+            at -= 1
+        if not at:
+            break
+        donor = queue[at]
+        donor_new = donor.estimate.snap_to_replica(
+            max(donor.estimate.unit_arrays, donor.arrays - swap_cnt)
+        )
+        released = donor.arrays - donor_new
+        longest_new = estimate.snap_to_replica(longest.arrays + released)
+        if released <= 0 or longest_new <= longest.arrays:
+            break
+        queue[at] = donor = donor.with_arrays(donor_new)
+        times[at] = donor.est_time
+        queue[0] = longest = longest.with_arrays(longest_new)
+        times[0] = longest.est_time
+        traded = at
+    return queue
+
+
+def _resort(queue: list[PlannedJob], times: list[float], traded: int) -> None:
+    """Restore the stable longest-first order after a trade changed the
+    entries at 0 (the longest job) and at ``traded`` (the donor).
+
+    The other entries are still sorted.  Among equal times the stable
+    sort keeps list order, so the donor follows the ``traded - 1``
+    entries that were before it, clamped into its equal-time range,
+    and the longest job, which was first, goes before all its equals.
+    """
+    donor, donor_t = queue.pop(traded), times.pop(traded)
+    longest, longest_t = queue.pop(0), times.pop(0)
+    # ``times`` is descending, so search it negated (ascending).
+    lo = bisect_left(times, -donor_t, key=neg)
+    hi = bisect_right(times, -donor_t, key=neg)
+    at = min(max(traded - 1, lo), hi)
+    queue.insert(at, donor)
+    times.insert(at, donor_t)
+    at = bisect_left(times, -longest_t, key=neg)
+    queue.insert(at, longest)
+    times.insert(at, longest_t)

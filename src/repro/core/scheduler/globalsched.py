@@ -29,7 +29,7 @@ from typing import Callable
 from ...memories.base import MemoryKind
 from ..job import Job
 from ..predictor import PerformancePredictor
-from .adaptive import AdaptiveScheduler
+from .adaptive import AdaptiveScheduler, _Queue
 from .adjustments import PlannedJob, check_sizing, drop_plans, intra_queue_adjust
 from .base import Dispatch, DispatchPolicy, MLIMPSystem, ResourceView, Scheduler
 
@@ -52,115 +52,87 @@ def build_static_schedule(
 ) -> list[ScheduledEntry]:
     """List-schedule the queues offline with estimated durations.
 
-    Jobs of every memory are placed jointly: per memory, longest-first
-    order; at every (estimated) completion event, place every job
-    whose allocation fits the free arrays and slots.  If the remainder
-    after a placement cannot host any waiting job, the placed job's
-    allocation is grown to soak it up (the III-C5 full-utilisation
-    adjustment).  Planned durations model what the runtime charges:
-    the dispatch overhead and the *shared* off-chip fill pipe
-    (approximated FIFO at nominal bandwidth; in-DRAM fills bypass it).
-    Returns planned (start, job, allocation) entries.
+    Every allocation is first capped at its device size, so the plan is
+    feasible.  Jobs of every memory are placed jointly: per memory,
+    longest-first order; at every (estimated) completion event, place
+    every job whose allocation fits the free arrays and slots.  If the
+    remainder after a placement cannot host any waiting job, the
+    placed job's allocation is grown to soak it up (the III-C5
+    full-utilisation adjustment).  Planned durations model what the
+    runtime charges: the dispatch overhead and the *shared* off-chip
+    fill pipe (approximated FIFO at nominal bandwidth; in-DRAM fills
+    bypass it).  Returns planned (start, job, allocation) entries.
+
+    Each memory's waiting jobs are a :class:`_Queue` (the adaptive
+    dispatch index): a placement is one min-tree descent, and the
+    tree's root after taking the job is the smallest allocation among
+    the other waiting jobs.  Running jobs are a heap keyed by
+    ``(estimated end, memory position, arrays)``, so the whole plan
+    costs O(B log B) for B jobs.
     """
-    waiting = {
-        kind: sorted(entries, key=lambda e: e.est_time, reverse=True)
-        for kind, entries in queues.items()
-    }
-    free_arrays = {kind: system.arrays(kind) for kind in queues}
-    free_slots = {kind: system.slots(kind) for kind in queues}
-    running: list[tuple[float, MemoryKind, int]] = []  # (est end, kind, arrays)
+    kinds = list(queues)
+    waiting: list[_Queue] = []
+    for kind in kinds:
+        cap = system.arrays(kind)
+        capped = [e if e.arrays <= cap else e.with_arrays(cap) for e in queues[kind]]
+        capped.sort(key=lambda e: e.est_time, reverse=True)
+        waiting.append(_Queue(capped))
+    free_arrays = [system.arrays(kind) for kind in kinds]
+    free_slots = [system.slots(kind) for kind in kinds]
+    running: list[tuple[float, int, int]] = []  # (est end, memory position, arrays)
     pipe_free_at = 0.0
     now = 0.0
     schedule: list[ScheduledEntry] = []
 
-    def two_smallest(queue: list[PlannedJob]) -> tuple[int | None, int, int | None]:
-        """(smallest arrays value, its multiplicity, second-smallest value).
+    def place_all(i: int) -> None:
+        """Place every job that fits memory ``i``, in queue order.
 
-        Lets the full-utilisation check below ask "smallest allocation
-        among the *other* waiting jobs" in O(1) per candidate instead
-        of rescanning the queue for every placement attempt."""
-        m1: int | None = None
-        m2: int | None = None
-        count = 0
-        for e in queue:
-            a = e.arrays
-            if m1 is None or a < m1:
-                m2 = m1
-                m1 = a
-                count = 1
-            elif a == m1:
-                count += 1
-            elif m2 is None or a < m2:
-                m2 = a
-        return m1, count, m2
-
-    def place_all(only: MemoryKind | None = None) -> None:
-        """Place every fitting job; ``only`` limits the sweep to one
-        device.  Placements never free resources, so after a
-        completion on one device no other device can newly fit a job
-        -- sweeping just the freed device is exact, not a heuristic.
+        Free arrays only shrink during a sweep, so a job that did not
+        fit stays unfit: the next placement is the first waiting job
+        that fits what is left.  Placements on one memory never free
+        resources on another, so a completion sweeps only its own.
         """
         nonlocal pipe_free_at
-        placed_any = True
-        while placed_any:
-            placed_any = False
-            for kind, queue in waiting.items():
-                if only is not None and kind is not only:
-                    continue
-                if not queue or free_slots[kind] <= 0:
-                    continue
-                m1, m1_count, m2 = two_smallest(queue)
-                if m1 is not None and m1 > free_arrays[kind]:
-                    continue  # even the smallest waiting job cannot fit
-                for entry in list(queue):
-                    if free_slots[kind] <= 0:
-                        break  # slots only shrink within a sweep
-                    if entry.arrays > free_arrays[kind]:
-                        continue
-                    arrays = entry.arrays
-                    if m1_count > 1:
-                        min_other = m1
-                    elif entry.arrays == m1:
-                        min_other = m2
-                    else:
-                        min_other = m1
-                    if min_other is None or free_arrays[kind] - arrays < min_other:
-                        ceiling = entry.estimate.max_useful_arrays or free_arrays[kind]
-                        arrays = entry.estimate.snap_to_replica(
-                            min(free_arrays[kind], max(arrays, ceiling))
-                        )
-                    queue.remove(entry)
-                    m1, m1_count, m2 = two_smallest(queue)
-                    profile = entry.job.profile(kind)
-                    fill_bytes = profile.fill_bytes * profile.n_iter
-                    start = now
-                    end = start + dispatch_overhead_s + entry.estimate.total_time(arrays)
-                    if kind is not MemoryKind.DRAM and fill_bytes > 0:
-                        # FIFO approximation of the shared pipe: the
-                        # fill waits behind earlier fills.
-                        fill_time = fill_bytes / pipe_bandwidth_bps
-                        fill_start = max(start + dispatch_overhead_s, pipe_free_at)
-                        pipe_free_at = fill_start + fill_time
-                        end += max(0.0, fill_start - (start + dispatch_overhead_s))
-                    schedule.append(
-                        ScheduledEntry(planned_start=start, entry=entry.with_arrays(arrays))
-                    )
-                    running.append((end, kind, arrays))
-                    free_arrays[kind] -= arrays
-                    free_slots[kind] -= 1
-                    placed_any = True
+        kind = kinds[i]
+        queue = waiting[i]
+        while free_slots[i] > 0 and queue.size:
+            pos = queue.first_fitting(free_arrays[i])
+            if pos is None:
+                break
+            entry = queue.take(pos)
+            free = free_arrays[i]
+            arrays = entry.arrays
+            if free - arrays < queue.smallest():
+                ceiling = entry.estimate.max_useful_arrays or free
+                arrays = entry.estimate.snap_to_replica(min(free, max(arrays, ceiling)))
+            profile = entry.job.profile(kind)
+            fill_bytes = profile.fill_bytes * profile.n_iter
+            start = now
+            end = start + dispatch_overhead_s + entry.estimate.total_time(arrays)
+            if kind is not MemoryKind.DRAM and fill_bytes > 0:
+                # FIFO approximation of the shared pipe: the fill waits
+                # behind earlier fills.
+                fill_time = fill_bytes / pipe_bandwidth_bps
+                fill_start = max(start + dispatch_overhead_s, pipe_free_at)
+                pipe_free_at = fill_start + fill_time
+                end += max(0.0, fill_start - (start + dispatch_overhead_s))
+            schedule.append(
+                ScheduledEntry(planned_start=start, entry=entry.with_arrays(arrays))
+            )
+            heapq.heappush(running, (end, i, arrays))
+            free_arrays[i] = free - arrays
+            free_slots[i] -= 1
 
-    place_all()
-    while any(waiting.values()):
+    for i in range(len(kinds)):
+        place_all(i)
+    while any(queue.size for queue in waiting):
         if not running:  # nothing fits an empty device: impossible
-            stuck = {k.value: len(q) for k, q in waiting.items() if q}
+            stuck = {k.value: q.size for k, q in zip(kinds, waiting) if q.size}
             raise ValueError(f"static schedule stuck with jobs pending: {stuck}")
-        running.sort()
-        end, kind, arrays = running.pop(0)
-        now = end
-        free_arrays[kind] += arrays
-        free_slots[kind] += 1
-        place_all(only=kind)
+        now, i, arrays = heapq.heappop(running)
+        free_arrays[i] += arrays
+        free_slots[i] += 1
+        place_all(i)
     schedule.sort(key=lambda s: s.planned_start)
     return schedule
 
@@ -295,14 +267,10 @@ class GlobalPolicy(DispatchPolicy):
             place(job, None)
         if self._intra_queue:
             queues = intra_queue_adjust(queues, subset)
-        capped = {
-            k: [e.with_arrays(min(e.arrays, subset.arrays(k))) for e in entries]
-            for k, entries in queues.items()
-        }
         self._load(
             [
                 ScheduledEntry(planned_start=now + s.planned_start, entry=s.entry)
-                for s in build_static_schedule(capped, subset)
+                for s in build_static_schedule(queues, subset)
             ]
         )
         drop_plans(self._plans, unplaced)
@@ -384,16 +352,8 @@ class GlobalScheduler(Scheduler):
         queues, plans = base.build_plans(jobs, system)
         if self.intra_queue:
             queues = intra_queue_adjust(queues, system)
-        # The static plan must be feasible: cap every allocation at the
-        # device size.
-        capped: dict[MemoryKind, list[PlannedJob]] = {}
-        for kind, entries in queues.items():
-            cap = system.arrays(kind)
-            capped[kind] = [
-                entry.with_arrays(min(entry.arrays, cap)) for entry in entries
-            ]
         return GlobalPolicy(
-            build_static_schedule(capped, system),
+            build_static_schedule(queues, system),
             plans=plans,
             system=system,
             intra_queue=self.intra_queue,

@@ -31,6 +31,7 @@ from repro.core.scheduler.adjustments import (
     queue_drain_estimate,
 )
 from repro.core.scheduler.base import Dispatch, ResourceView
+from repro.harness.config import full_system
 from repro.memories import ArrayGeometry, MemoryKind, MemorySpec
 
 
@@ -219,6 +220,33 @@ class TestSchedulersEndToEnd:
         result = Dispatcher(system).run(scheduler.plan(jobs, system))
         assert len(result.records) == len(jobs)
         assert result.makespan > 0
+
+    def test_global_plan_with_end_tie_across_memories(self):
+        """Identical jobs on two memories finish at the same estimated
+        instant; the static schedule orders the tie by memory position
+        (comparing the ``MemoryKind``s raised ``TypeError``)."""
+        kinds = [MemoryKind.SRAM, MemoryKind.DRAM]
+        jobs = [
+            Job(
+                job_id=f"{kind.value}-{i}",
+                kernel="app",
+                profiles={
+                    kind: JobPerfProfile(
+                        unit_arrays=4,
+                        t_load=1e-6,
+                        t_replica_unit=0.0,
+                        t_compute_unit=5e-6,
+                    )
+                },
+            )
+            for kind in kinds
+            for i in range(9)
+        ]
+        tied = full_system().subset(kinds)
+        policy = GlobalScheduler(OraclePredictor()).plan(jobs, tied)
+        result = Dispatcher(tied).run(policy)
+        assert set(result.records) == {job.job_id for job in jobs}
+        assert {r.kind for r in result.records.values()} == set(kinds)
 
     def test_empty_batch(self, system):
         policy = LJFScheduler(OraclePredictor()).plan([], system)

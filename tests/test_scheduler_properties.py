@@ -1,6 +1,7 @@
 """Property-based scheduler invariants over random job batches."""
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -445,3 +446,295 @@ def test_plan_lanes_match_schedule_scan(data, n_jobs):
         assert policy._scheduled() == schedule
         assert policy.pending() == len(schedule)
         assert policy.queue_depths() == Counter(s.entry.kind.value for s in schedule)
+
+
+def reference_intra_queue_adjust(queues, system, epsilon_fraction=0.05, max_rounds=64):
+    """Algorithm 2 as a full re-sort per round: the specification the
+    kept-sorted ``intra_queue_adjust`` must reproduce exactly, down to
+    leaving the last trade unsorted when ``max_rounds`` runs out."""
+    adjusted = {}
+    for kind, entries in queues.items():
+        queue = list(entries)
+        cap = system.arrays(kind)
+        for _ in range(max_rounds):
+            if len(queue) < 2:
+                break
+            queue.sort(key=lambda entry: entry.est_time, reverse=True)
+            longest = queue[0]
+            mean_t = sum(entry.est_time for entry in queue) / len(queue)
+            if longest.est_time - mean_t <= epsilon_fraction * max(mean_t, 1e-30):
+                break
+            needed = longest.estimate.invert_total_time(mean_t, cap)
+            if longest.estimate.total_time(needed) >= longest.est_time:
+                break
+            swap_cnt = needed - longest.arrays
+            donors = [
+                entry
+                for entry in reversed(queue)
+                if entry is not longest and entry.arrays > entry.estimate.unit_arrays
+            ]
+            if not donors or swap_cnt <= 0:
+                break
+            donor = donors[0]
+            donor_new = donor.estimate.snap_to_replica(
+                max(donor.estimate.unit_arrays, donor.arrays - swap_cnt)
+            )
+            released = donor.arrays - donor_new
+            longest_new = longest.estimate.snap_to_replica(longest.arrays + released)
+            if released <= 0 or longest_new <= longest.arrays:
+                break
+            queue[queue.index(donor)] = donor.with_arrays(donor_new)
+            queue[queue.index(longest)] = longest.with_arrays(longest_new)
+        adjusted[kind] = queue
+    return adjusted
+
+
+def reference_static_schedule(
+    queues, system, dispatch_overhead_s=2e-6, pipe_bandwidth_bps=76.8e9
+):
+    """List scheduling by rescanning the waiting queues: the
+    specification ``build_static_schedule`` must reproduce.  Every
+    sweep walks a copy of the queue, and the smallest other waiting
+    allocation is recomputed for every placement.  The queues come in
+    capped at the device size; running jobs are ordered by ``(end,
+    memory position, arrays)``."""
+    kinds = list(queues)
+    waiting = {
+        kind: sorted(entries, key=lambda e: e.est_time, reverse=True)
+        for kind, entries in queues.items()
+    }
+    free_arrays = {kind: system.arrays(kind) for kind in queues}
+    free_slots = {kind: system.slots(kind) for kind in queues}
+    running = []
+    pipe_free_at = 0.0
+    now = 0.0
+    schedule = []
+
+    def place_all(only=None):
+        nonlocal pipe_free_at
+        placed_any = True
+        while placed_any:
+            placed_any = False
+            for kind, queue in waiting.items():
+                if only is not None and kind is not only:
+                    continue
+                for entry in list(queue):
+                    if free_slots[kind] <= 0:
+                        break
+                    if entry.arrays > free_arrays[kind]:
+                        continue
+                    arrays = entry.arrays
+                    others = [e.arrays for e in queue if e is not entry]
+                    if not others or free_arrays[kind] - arrays < min(others):
+                        ceiling = entry.estimate.max_useful_arrays or free_arrays[kind]
+                        arrays = entry.estimate.snap_to_replica(
+                            min(free_arrays[kind], max(arrays, ceiling))
+                        )
+                    queue.remove(entry)
+                    profile = entry.job.profile(kind)
+                    fill_bytes = profile.fill_bytes * profile.n_iter
+                    start = now
+                    end = start + dispatch_overhead_s + entry.estimate.total_time(arrays)
+                    if kind is not MemoryKind.DRAM and fill_bytes > 0:
+                        fill_time = fill_bytes / pipe_bandwidth_bps
+                        fill_start = max(start + dispatch_overhead_s, pipe_free_at)
+                        pipe_free_at = fill_start + fill_time
+                        end += max(0.0, fill_start - (start + dispatch_overhead_s))
+                    schedule.append(
+                        ScheduledEntry(planned_start=start, entry=entry.with_arrays(arrays))
+                    )
+                    running.append((end, kinds.index(kind), arrays))
+                    free_arrays[kind] -= arrays
+                    free_slots[kind] -= 1
+                    placed_any = True
+
+    place_all()
+    while any(waiting.values()):
+        assert running, "reference schedule stuck"
+        running.sort()
+        end, position, arrays = running.pop(0)
+        kind = kinds[position]
+        now = end
+        free_arrays[kind] += arrays
+        free_slots[kind] += 1
+        place_all(only=kind)
+    schedule.sort(key=lambda s: s.planned_start)
+    return schedule
+
+
+#: Curves for the planning-pass models: shared, so queues hold ties in
+#: ``est_time`` and in planned end times across memories.  The first
+#: is flat (no gain past its unit allocation); it and every curve of
+#: ``CURVES`` at its unit allocation take the same time, so a donor
+#: shrunk to its unit ties entries queued before it.
+PLAN_CURVES = [
+    ScaleFreeEstimate(
+        unit_arrays=2,
+        t_load=1e-6,
+        t_replica_unit=0.0,
+        t_compute_unit=2e-5,
+        beta=0.5,
+        max_useful_arrays=2,
+    ),
+    *CURVES,
+    ScaleFreeEstimate(
+        unit_arrays=2,
+        t_load=1e-6,
+        t_replica_unit=0.0,
+        t_compute_unit=1e-4,
+        beta=1.0,
+    ),
+    ScaleFreeEstimate(
+        unit_arrays=4,
+        t_load=2e-6,
+        t_replica_unit=1e-7,
+        t_compute_unit=4e-4,
+        beta=0.8,
+        max_useful_arrays=16,
+    ),
+]
+
+#: Jobs whose fills are none, small or pipe-bound.
+PLAN_JOBS = [
+    Job(
+        job_id=f"p{i}",
+        kernel="app",
+        profiles={
+            kind: JobPerfProfile(
+                unit_arrays=1,
+                t_load=1e-6,
+                t_replica_unit=0.0,
+                t_compute_unit=1e-5,
+                fill_bytes=(0.0, 0.0, 4e3, 2e5)[i % 4],
+            )
+            for kind in KINDS
+        },
+    )
+    for i in range(40)
+]
+
+
+@st.composite
+def planned_queues(draw, max_jobs: int, max_multiple: int) -> dict:
+    """Queues per memory of entries on the shared curves; a multiple
+    of 1 is an entry at its unit allocation (never a donor)."""
+    drawn = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(KINDS),
+                st.sampled_from(PLAN_CURVES),
+                st.integers(min_value=1, max_value=max_multiple),
+            ),
+            max_size=max_jobs,
+        )
+    )
+    queues = {kind: [] for kind in KINDS}
+    for job, (kind, estimate, multiple) in zip(PLAN_JOBS, drawn):
+        queues[kind].append(
+            PlannedJob(
+                job=job,
+                kind=kind,
+                arrays=estimate.unit_arrays * multiple,
+                estimate=estimate,
+            )
+        )
+    return queues
+
+
+def drawn_system(draw) -> MLIMPSystem:
+    specs = {}
+    for kind in KINDS:
+        spec = small_spec(kind, draw(st.sampled_from([4, 8, 12, 24, 48])))
+        slots = draw(st.integers(min_value=1, max_value=4))
+        specs[kind] = replace(spec, max_outstanding_jobs=slots)
+    return MLIMPSystem(specs=specs)
+
+
+def entry_rows(queue, originals):
+    """Each entry as (original object or None, job, arrays)."""
+    return [
+        (entry if entry in originals else None, entry.job.job_id, entry.arrays)
+        for entry in queue
+    ]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    data=st.data(),
+    max_rounds=st.sampled_from([1, 2, 3, 64]),
+)
+def test_intra_queue_adjust_matches_full_resort(data, max_rounds):
+    """Algorithm 2 on a kept-sorted queue moves exactly the entries the
+    per-round full re-sort moves: same trades, same order among tied
+    times, and the last trade left unsorted when the rounds run out."""
+    queues = data.draw(planned_queues(max_jobs=24, max_multiple=6))
+    system = drawn_system(data.draw)
+    originals = {entry for queue in queues.values() for entry in queue}
+    expected = reference_intra_queue_adjust(queues, system, max_rounds=max_rounds)
+    got = intra_queue_adjust(queues, system, max_rounds=max_rounds)
+    assert list(got) == list(expected)
+    for kind in expected:
+        assert entry_rows(got[kind], originals) == entry_rows(expected[kind], originals)
+
+
+def test_intra_queue_donor_keeps_its_place_among_ties():
+    """A donor shrunk to a time it shares with an entry queued before
+    it stays behind that entry, as the full re-sort keeps it."""
+    kind = KINDS[1]
+    flat, big = PLAN_CURVES[0], PLAN_CURVES[-1]
+    queue = [
+        PlannedJob(job=job, kind=kind, arrays=arrays, estimate=estimate)
+        for job, (estimate, arrays) in zip(
+            PLAN_JOBS, ((CURVES[0], 5), (flat, 10), (big, 8))
+        )
+    ]
+    originals = set(queue)
+    expected = reference_intra_queue_adjust({kind: queue}, SYSTEM)[kind]
+    got = intra_queue_adjust({kind: queue}, SYSTEM)[kind]
+    # The shrunk donor ties the flat-curve entry.
+    assert expected[1].est_time == expected[2].est_time
+    assert entry_rows(got, originals) == entry_rows(expected, originals)
+
+
+def schedule_rows(schedule):
+    return [
+        (s.planned_start, s.entry.job.job_id, s.entry.kind, s.entry.arrays)
+        for s in schedule
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_static_schedule_matches_queue_rescan(data):
+    """The indexed list schedule places exactly what rescanning the
+    waiting queues places, at the same planned starts, with the same
+    grown allocations and the same order of tied completions, after
+    capping every allocation at its device size."""
+    queues = data.draw(planned_queues(max_jobs=30, max_multiple=12))
+    system = drawn_system(data.draw)
+    capped = {
+        kind: [e.with_arrays(min(e.arrays, system.arrays(kind))) for e in entries]
+        for kind, entries in queues.items()
+    }
+    assert schedule_rows(build_static_schedule(queues, system)) == schedule_rows(
+        reference_static_schedule(capped, system)
+    )
+
+
+def test_static_schedule_orders_tied_ends_by_memory():
+    """Jobs on both memories end at the same planned instant with
+    different allocations: the first memory's completion is handled
+    first, whatever the allocations."""
+    flat = PLAN_CURVES[0]
+    no_fill = [job for job in PLAN_JOBS if job.profile(KINDS[0]).fill_bytes == 0]
+    queues = {
+        kind: [
+            PlannedJob(job=job, kind=kind, arrays=arrays, estimate=flat)
+            for job in jobs
+        ]
+        for kind, arrays, jobs in ((KINDS[0], 4, no_fill[:4]), (KINDS[1], 2, no_fill[4:8]))
+    }
+    got = schedule_rows(build_static_schedule(queues, SYSTEM))
+    assert got == schedule_rows(reference_static_schedule(queues, SYSTEM))
+    later = [row for row in got if row[0] > 0.0]
+    assert [row[2] for row in later] == [KINDS[0], KINDS[1]]
