@@ -524,10 +524,7 @@ class _Run:
         if best_kind is None:
             self.fail_job(flight, f"{reason}; no surviving device fits")
             return
-        arrays = min(
-            max(system.fair_share(best_kind), job.profile(best_kind).unit_arrays),
-            system.arrays(best_kind),
-        )
+        arrays = system.fair_allocation(best_kind, job.profile(best_kind).unit_arrays)
         flight.dispatch = Dispatch(job=job, kind=best_kind, arrays=arrays)
         self.count_requeued(source)
         self.park(flight)

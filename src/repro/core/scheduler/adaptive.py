@@ -16,15 +16,21 @@ remainders (III-C5).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
-from typing import Callable
 
 from ...memories.base import MemoryKind
 from ..job import Job
 from ..predictor import PerformancePredictor
-from .adjustments import JobSizing, PlannedJob, drop_plans, inter_queue_adjust
-from .base import Dispatch, DispatchPolicy, MLIMPSystem, ResourceView, Scheduler
+from .adjustments import (
+    JobSizing,
+    PlannedJob,
+    PlanTable,
+    TablePolicy,
+    inter_queue_adjust,
+    no_options,
+)
+from .base import Dispatch, MLIMPSystem, ResourceView, Scheduler
 
 __all__ = ["AdaptiveScheduler", "AdaptivePolicy"]
 
@@ -155,37 +161,30 @@ class _Queue:
         return self.entries[pos]
 
 
-class AdaptivePolicy(DispatchPolicy):
-    """Greedy largest-first dispatch with remainder backfill."""
+class AdaptivePolicy(TablePolicy):
+    """Greedy largest-first dispatch with remainder backfill.
+
+    ``queues`` holds the planned entries of the table's live memories
+    (a memory missing from it starts with an empty queue)."""
 
     def __init__(
         self,
+        table: PlanTable,
         queues: dict[MemoryKind, list[PlannedJob]],
         backfill: bool = True,
-        plans: dict[str, dict[MemoryKind, PlannedJob]] | None = None,
-        system: MLIMPSystem | None = None,
-        planner: Callable[[Job], dict[MemoryKind, PlannedJob]] | None = None,
     ) -> None:
+        super().__init__(table)
         # Largest estimated time first within each queue: a plain list
         # until dispatch first reads it (see _indexed).
         self._queues: dict[MemoryKind, list[PlannedJob] | _Queue] = {
-            kind: sorted(entries, key=lambda e: e.est_time, reverse=True)
-            for kind, entries in queues.items()
+            kind: sorted(queues.get(kind, ()), key=lambda e: e.est_time, reverse=True)
+            for kind in table.live
         }
         self._backfill = backfill
         # Estimated completion times of in-flight jobs, per memory.
         self._inflight: dict[MemoryKind, dict[str, float]] = {
-            kind: {} for kind in queues
+            kind: {} for kind in self._queues
         }
-        # Per-job plans on every supported memory + the system: what
-        # the graceful-degradation hooks re-plan with (optional -- the
-        # hooks fall back to base-class behaviour without them).
-        self._plans = plans
-        self._system = system
-        # Knee-sizes a newly arrived job on every memory it fits;
-        # enables online admission (repro.serving).
-        self._planner = planner
-        self._derate: dict[MemoryKind, float] = {}
 
     def pending(self) -> int:
         return sum(map(len, self._queues.values()))
@@ -195,10 +194,7 @@ class AdaptivePolicy(DispatchPolicy):
 
     def notify_completion(self, job: Job, kind: MemoryKind, now: float) -> None:
         self._inflight.get(kind, {}).pop(job.job_id, None)
-        drop_plans(self._plans, [job])
-
-    def notify_failed(self, job: Job, now: float) -> None:
-        drop_plans(self._plans, [job])
+        super().notify_completion(job, kind, now)
 
     def _queued(self) -> dict[MemoryKind, list[PlannedJob]]:
         """The live queues as plain lists, for a pass that rebuilds them."""
@@ -212,42 +208,23 @@ class AdaptivePolicy(DispatchPolicy):
         return queue
 
     # -- graceful degradation (repro.faults) ---------------------------
-    def _scaled_time(self, entry: PlannedJob, kind: MemoryKind) -> float:
-        return entry.est_time / self._derate.get(kind, 1.0)
-
-    def _best_placement(self, job_id: str) -> PlannedJob | None:
-        """The job's fastest (derate-scaled) option on a live queue."""
-        options = [
-            (self._scaled_time(entry, kind), kind.value, entry)
-            for kind, entry in self._plans.get(job_id, {}).items()
-            if kind in self._queues
-        ]
-        if not options:
-            return None
-        return min(options)[2]
-
     def device_lost(
         self, kind: MemoryKind, jobs: list[Job], now: float
     ) -> list[Job]:
-        if self._plans is None or kind not in self._queues:
+        if kind not in self._queues:
             return list(jobs)
+        self.table.lose(kind)
         orphans = self._queues.pop(kind)
         self._inflight.pop(kind, None)
         queues = self._queued()
         unplaced: list[Job] = []
-        for entry in orphans:
-            best = self._best_placement(entry.job.job_id)
-            if best is None:
-                unplaced.append(entry.job)
-            else:
-                queues[best.kind].append(best)
-        for job in jobs:
-            best = self._best_placement(job.job_id)
+        for job in [entry.job for entry in orphans] + jobs:
+            best = self.table.best(job.job_id)
             if best is None:
                 unplaced.append(job)
             else:
                 queues[best.kind].append(best)
-        drop_plans(self._plans, unplaced)
+        self.table.drop(unplaced)
         # Re-run Algorithm 1 over the survivors so the degraded system
         # is balanced, not merely feasible.
         self._rebalance(queues)
@@ -256,13 +233,10 @@ class AdaptivePolicy(DispatchPolicy):
     def _rebalance(self, queues: dict[MemoryKind, list[PlannedJob]]) -> None:
         """Algorithm 1 over the queued jobs ``queues`` (the live
         queues), then restore longest-first dispatch order."""
-        if self._system is not None and queues and self._plans is not None:
-            # Algorithm 1 only reads the options of queued jobs on live
-            # queues, so the plan table goes in unfiltered.
-            alive = [k for k in self._system.kinds if k in queues]
-            queues = inter_queue_adjust(
-                queues, self._plans, self._system.subset(alive)
-            )
+        if queues:
+            # Algorithm 1 only reads the options of queued jobs, so the
+            # plan table goes in unfiltered.
+            queues = inter_queue_adjust(queues, self.table.plans, self.table.system)
         self._queues = {
             k: sorted(entries, key=lambda e: e.est_time, reverse=True)
             for k, entries in queues.items()
@@ -280,25 +254,13 @@ class AdaptivePolicy(DispatchPolicy):
         """
         if not jobs:
             return []  # admit contract: an empty batch is a pure no-op
-        if self._planner is None:
-            return list(jobs)
         unplaced: list[Job] = []
         queues: dict[MemoryKind, list[PlannedJob]] | None = None
         for job in jobs:
-            options = {
-                kind: entry
-                for kind, entry in self._planner(job).items()
-                if kind in self._queues
-            }
-            if not options:
+            if not self.table.admit(job):
                 unplaced.append(job)
                 continue
-            if self._plans is not None:
-                self._plans[job.job_id] = options
-            best = min(
-                options.items(),
-                key=lambda kv: (self._scaled_time(kv[1], kv[0]), kv[0].value),
-            )[1]
+            best = self.table.best(job.job_id)
             if queues is None:
                 queues = self._queued()
             queues[best.kind].append(best)
@@ -307,18 +269,16 @@ class AdaptivePolicy(DispatchPolicy):
         return unplaced
 
     def device_derated(self, kind: MemoryKind, factor: float, now: float) -> None:
-        self._derate[kind] = factor
-        if self._plans is None:
-            return
+        self.table.derate(kind, factor)
         # Re-pick every queued job's best memory under the new scaling
         # (an inter-queue migration pass with derated estimates).
-        queued = [e for queue in self._queues.values() for e in queue]
         queues: dict[MemoryKind, list[PlannedJob]] = {k: [] for k in self._queues}
-        for entry in queued:
-            best = self._best_placement(entry.job.job_id) or entry
-            queues[best.kind].append(best)
+        for queue in self._queues.values():
+            for entry in queue:
+                best = self.table.best(entry.job.job_id) or entry
+                queues[best.kind].append(best)
         self._queues = {
-            k: sorted(entries, key=lambda e: self._scaled_time(e, k), reverse=True)
+            k: sorted(entries, key=self.table.scaled, reverse=True)
             for k, entries in queues.items()
         }
 
@@ -343,7 +303,7 @@ class AdaptivePolicy(DispatchPolicy):
                     if pos is None:
                         break
                     entry = queue.take(pos)
-                    est_time = self._scaled_time(entry, kind)
+                    est_time = self.table.scaled(entry)
                     dispatches.append(
                         Dispatch(
                             job=entry.job,
@@ -370,7 +330,7 @@ class AdaptivePolicy(DispatchPolicy):
                 if not inflight:
                     continue  # nothing to hide behind; pass 1 covers idle devices
                 horizon = min(inflight.values())
-                derate = self._derate.get(kind, 1.0)
+                derate = self.table.factor(kind)
                 queue = self._indexed(kind)
                 live = queue.live
                 chosen = None
@@ -410,44 +370,34 @@ class AdaptiveScheduler(JobSizing, Scheduler):
     name: str = "adaptive"
 
     def build_plans(
-        self, jobs: list[Job], system: MLIMPSystem
-    ) -> tuple[
-        dict[MemoryKind, list[PlannedJob]],
-        dict[str, dict[MemoryKind, PlannedJob]],
-    ]:
-        """Knee-size every job and queue it on its best memory, then
-        apply Algorithm 1 (shared with the global scheduler).
-
-        Returns ``(queues, plans)``: the balanced per-memory queues
-        plus every job's sized plan on every memory it fits -- the
-        lookup table the graceful-degradation hooks re-place jobs from.
+        self, jobs: list[Job], table: PlanTable
+    ) -> dict[MemoryKind, list[PlannedJob]]:
+        """Knee-size every job into ``table`` and queue it on its best
+        memory, then apply Algorithm 1 (shared with the global
+        scheduler).  Returns the balanced per-memory queues; the table
+        keeps every job's sized plan on every memory it fits -- what
+        arrivals and the graceful-degradation hooks re-place jobs from.
         """
+        system = table.system
         queues: dict[MemoryKind, list[PlannedJob]] = {k: [] for k in system.kinds}
-        plans: dict[str, dict[MemoryKind, PlannedJob]] = {}
         for job, options in zip(jobs, self.plan_many(jobs, system)):
-            if not options:
+            if not table.record(job, options):
                 raise ValueError(f"job {job.job_id} fits no memory in the system")
-            plans[job.job_id] = options
-            best = min(options.values(), key=lambda entry: entry.est_time)
+            best = table.best(job.job_id)
             queues[best.kind].append(best)
         if self.inter_queue:
-            queues = inter_queue_adjust(queues, plans, system)
-        return queues, plans
+            queues = inter_queue_adjust(queues, table.plans, system)
+        return queues
 
     def build_queues(
         self, jobs: list[Job], system: MLIMPSystem
     ) -> dict[MemoryKind, list[PlannedJob]]:
         """The balanced queues alone (see :meth:`build_plans`)."""
-        return self.build_plans(jobs, system)[0]
+        return self.build_plans(jobs, PlanTable(system, no_options))
 
     def plan(
         self, jobs: list[Job], system: MLIMPSystem, upcoming: Sequence[Job] = ()
     ) -> AdaptivePolicy:
-        queues, plans = self.build_plans(jobs, system)
-        return AdaptivePolicy(
-            queues,
-            backfill=self.backfill,
-            plans=plans,
-            system=system,
-            planner=self.admission_planner(system, upcoming),
-        )
+        table = self.plan_table(system, upcoming)
+        queues = self.build_plans(jobs, table)
+        return AdaptivePolicy(table, queues, backfill=self.backfill)

@@ -19,17 +19,21 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import neg
+from typing import Callable
 
 from ...memories.base import MemoryKind
 from ..job import Job
 from ..perfmodel import ScaleFreeEstimate, knee_allocations, min_time_allocation
 from ..predictor import PerformancePredictor
-from .base import MLIMPSystem
+from .base import DispatchPolicy, MLIMPSystem
 
 __all__ = [
     "PlannedJob",
     "plan_job",
     "plan_jobs",
+    "PlanTable",
+    "TablePolicy",
+    "no_options",
     "AdmissionPlanner",
     "JobSizing",
     "check_sizing",
@@ -88,17 +92,6 @@ def job_fits(job: Job, kind: MemoryKind, system: MLIMPSystem) -> bool:
         kind in job.profiles
         and job.profile(kind).unit_arrays <= system.arrays(kind)
     )
-
-
-def drop_plans(
-    plans: dict[str, dict[MemoryKind, PlannedJob]] | None, jobs: list[Job]
-) -> None:
-    """Forget the plans of jobs that left a policy (finished, failed
-    or handed back unplaced), so a policy's plan table holds exactly
-    its queued and in-flight jobs."""
-    if plans is not None:
-        for job in jobs:
-            plans.pop(job.job_id, None)
 
 
 def check_sizing(sizing: str, allocation_cap_fraction: float) -> None:
@@ -233,6 +226,103 @@ class AdmissionPlanner:
         return tables[0]
 
 
+def no_options(job: Job) -> dict[MemoryKind, PlannedJob]:
+    """The planner of a table that sizes nothing: every arrival, and
+    every job without recorded options, is handed back."""
+    return {}
+
+
+class PlanTable:
+    """Where a policy's jobs may run: each queued or in-flight job's
+    sized options, the live memories and a derate factor per memory.
+
+    Every dispatch policy picks memories through one table.  ``planner``
+    sizes an arriving job on every memory it fits (:meth:`admit`); only
+    options on live memories are kept.  :meth:`best` is the placement
+    rule: the live option with the smallest derate-scaled estimate,
+    ties broken on the memory name.  A policy drops a job's options
+    when the job leaves it (finished, failed or handed back unplaced),
+    so the table holds exactly its queued and in-flight jobs.  A table
+    built with :func:`no_options` and nothing recorded hands every job
+    back.
+    """
+
+    def __init__(
+        self, system: MLIMPSystem, planner: Callable[[Job], dict[MemoryKind, PlannedJob]]
+    ) -> None:
+        #: The live subsystem Algorithms 1 and 2 run on (``None`` once
+        #: every memory is lost), and its memories in system order.
+        self.system: MLIMPSystem | None = system
+        self.live: list[MemoryKind] = system.kinds
+        self.plans: dict[str, dict[MemoryKind, PlannedJob]] = {}
+        self._planner = planner
+        self._derate: dict[MemoryKind, float] = {}
+
+    def admit(self, job: Job) -> dict[MemoryKind, PlannedJob]:
+        """Size an arriving job and record its live options (see
+        :meth:`record`)."""
+        return self.record(job, self._planner(job))
+
+    def record(
+        self, job: Job, options: dict[MemoryKind, PlannedJob]
+    ) -> dict[MemoryKind, PlannedJob]:
+        """Keep the options on live memories; empty (and nothing kept)
+        when no live memory fits the job."""
+        live = {kind: entry for kind, entry in options.items() if kind in self.live}
+        if live:
+            self.plans[job.job_id] = live
+        return live
+
+    def best(self, job_id: str) -> PlannedJob | None:
+        """The job's live option with the smallest ``(scaled time,
+        memory name)``, or ``None`` if it has none."""
+        options = self.plans.get(job_id)
+        if not options:
+            return None
+        return min(options.values(), key=lambda e: (self.scaled(e), e.kind.value))
+
+    def factor(self, kind: MemoryKind) -> float:
+        """``kind``'s throughput as a fraction of nominal."""
+        return self._derate.get(kind, 1.0)
+
+    def scaled(self, entry: PlannedJob) -> float:
+        """The entry's estimated time on its derated memory."""
+        return entry.est_time / self._derate.get(entry.kind, 1.0)
+
+    def drop(self, jobs: Sequence[Job]) -> None:
+        """Forget the options of jobs that left the policy."""
+        for job in jobs:
+            self.plans.pop(job.job_id, None)
+
+    def lose(self, kind: MemoryKind) -> None:
+        """``kind`` failed: drop it from the live memories and every
+        job's options on it."""
+        if kind not in self.live:
+            return
+        self.live = [k for k in self.live if k is not kind]
+        self.system = self.system.subset(self.live) if self.live else None
+        for options in self.plans.values():
+            options.pop(kind, None)
+
+    def derate(self, kind: MemoryKind, factor: float) -> None:
+        """``kind`` now runs at ``factor`` of nominal throughput."""
+        self._derate[kind] = factor
+
+
+class TablePolicy(DispatchPolicy):
+    """A dispatch policy that places jobs from a :class:`PlanTable`:
+    a job that finishes or fails leaves the table."""
+
+    def __init__(self, table: PlanTable) -> None:
+        self.table = table
+
+    def notify_completion(self, job: Job, kind: MemoryKind, now: float) -> None:
+        self.table.drop([job])
+
+    def notify_failed(self, job: Job, now: float) -> None:
+        self.table.drop([job])
+
+
 class JobSizing:
     """Planning surface of the schedulers that size jobs with
     :func:`plan_jobs` (adaptive, EWT): a mixin over their
@@ -261,12 +351,20 @@ class JobSizing:
             jobs, self.predictor, system, self.allocation_cap_fraction, self.sizing
         )
 
-    def admission_planner(
+    def plan_table(
         self, system: MLIMPSystem, upcoming: Sequence[Job] = ()
-    ) -> AdmissionPlanner:
-        """The planner a policy's ``admit`` hook sizes arrivals with."""
-        return AdmissionPlanner(
-            self.predictor, system, upcoming, self.allocation_cap_fraction, self.sizing
+    ) -> PlanTable:
+        """An empty plan table whose planner sizes arrivals with an
+        :class:`AdmissionPlanner` over ``upcoming``."""
+        return PlanTable(
+            system,
+            AdmissionPlanner(
+                self.predictor,
+                system,
+                upcoming,
+                self.allocation_cap_fraction,
+                self.sizing,
+            ),
         )
 
 

@@ -51,6 +51,12 @@ class MLIMPSystem:
         the LJF baseline (paper III-C2)."""
         return max(1, self.arrays(kind) // self.slots(kind))
 
+    def fair_allocation(self, kind: MemoryKind, unit_arrays: int) -> int:
+        """The fair share floored at one replica (``unit_arrays``) and
+        capped at the device size: the fixed allocation of LJF,
+        Johnson's rule and the dispatcher's fallback re-queue."""
+        return min(max(self.fair_share(kind), unit_arrays), self.arrays(kind))
+
     def subset(self, kinds) -> "MLIMPSystem":
         """System restricted to some memory layers (Fig. 12's device
         mixtures)."""

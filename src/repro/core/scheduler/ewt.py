@@ -32,13 +32,18 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable
 
 from ...memories.base import MemoryKind
 from ..job import Job
 from ..predictor import PerformancePredictor
-from .adjustments import JobSizing, PlannedJob, drop_plans, queue_drain_estimate
-from .base import Dispatch, DispatchPolicy, MLIMPSystem, ResourceView, Scheduler
+from .adjustments import (
+    JobSizing,
+    PlannedJob,
+    PlanTable,
+    TablePolicy,
+    queue_drain_estimate,
+)
+from .base import Dispatch, MLIMPSystem, ResourceView, Scheduler
 
 __all__ = ["EWTScheduler", "EWTPolicy"]
 
@@ -51,50 +56,31 @@ class _Waiting:
     arrived: float
 
 
-class EWTPolicy(DispatchPolicy):
+class EWTPolicy(TablePolicy):
     """Fit-skip greedy dispatch in descending expected-wait order."""
 
-    def __init__(
-        self,
-        queues: dict[MemoryKind, list[_Waiting]],
-        plans: dict[str, dict[MemoryKind, PlannedJob]] | None = None,
-        system: MLIMPSystem | None = None,
-        planner: Callable[[Job], dict[MemoryKind, PlannedJob]] | None = None,
-    ) -> None:
+    def __init__(self, table: PlanTable) -> None:
+        super().__init__(table)
         self._queues: dict[MemoryKind, list[_Waiting]] = {
-            kind: list(entries) for kind, entries in queues.items()
+            kind: [] for kind in table.live
         }
-        self._plans = plans
-        self._system = system
-        self._planner = planner
-        self._derate: dict[MemoryKind, float] = {}
 
     # ------------------------------------------------------------------
-    def _scaled_time(self, entry: PlannedJob, kind: MemoryKind) -> float:
-        return entry.est_time / self._derate.get(kind, 1.0)
-
-    def _score(self, waiting: _Waiting, kind: MemoryKind, now: float) -> float:
-        return (now - waiting.arrived) + self._scaled_time(waiting.entry, kind)
+    def _score(self, waiting: _Waiting, now: float) -> float:
+        return (now - waiting.arrived) + self.table.scaled(waiting.entry)
 
     def _place(self, options: dict[MemoryKind, PlannedJob], arrived: float) -> None:
         """Queue a job where (drain + own runtime) is smallest, both
         derate-scaled; ties break on the kind name for determinism."""
+        table = self.table
 
-        def drain(kind: MemoryKind) -> float:
-            if self._system is None:
-                return 0.0  # standalone policy: score on runtime alone
-            return queue_drain_estimate(
-                [w.entry for w in self._queues[kind]], kind, self._system
+        def cost(kind: MemoryKind, entry: PlannedJob) -> tuple[float, str]:
+            drain = queue_drain_estimate(
+                [w.entry for w in self._queues[kind]], kind, table.system
             )
+            return drain / table.factor(kind) + table.scaled(entry), kind.value
 
-        kind, entry = min(
-            options.items(),
-            key=lambda kv: (
-                drain(kv[0]) / self._derate.get(kv[0], 1.0)
-                + self._scaled_time(kv[1], kv[0]),
-                kv[0].value,
-            ),
-        )
+        kind, entry = min(options.items(), key=lambda kv: cost(*kv))
         self._queues[kind].append(_Waiting(entry=entry, arrived=arrived))
 
     # ------------------------------------------------------------------
@@ -104,12 +90,6 @@ class EWTPolicy(DispatchPolicy):
     def queue_depths(self) -> dict[str, int]:
         return {kind.value: len(entries) for kind, entries in self._queues.items()}
 
-    def notify_completion(self, job: Job, kind: MemoryKind, now: float) -> None:
-        drop_plans(self._plans, [job])
-
-    def notify_failed(self, job: Job, now: float) -> None:
-        drop_plans(self._plans, [job])
-
     def next_dispatches(self, view: ResourceView) -> list[Dispatch]:
         dispatches: list[Dispatch] = []
         free_slots = dict(view.free_slots)
@@ -117,7 +97,7 @@ class EWTPolicy(DispatchPolicy):
         for kind, queue in self._queues.items():
             ranked = sorted(
                 queue,
-                key=lambda w: (-self._score(w, kind, view.now), w.entry.job.job_id),
+                key=lambda w: (-self._score(w, view.now), w.entry.job.job_id),
             )
             taken: list[_Waiting] = []
             for waiting in ranked:
@@ -131,7 +111,7 @@ class EWTPolicy(DispatchPolicy):
                         job=entry.job,
                         kind=kind,
                         arrays=entry.arrays,
-                        predicted_time=self._scaled_time(entry, kind),
+                        predicted_time=self.table.scaled(entry),
                     )
                 )
                 free_slots[kind] -= 1
@@ -150,21 +130,13 @@ class EWTPolicy(DispatchPolicy):
         """
         if not jobs:
             return []
-        if self._planner is None:
-            return list(jobs)
         unplaced: list[Job] = []
         for job in jobs:
-            options = {
-                kind: entry
-                for kind, entry in self._planner(job).items()
-                if kind in self._queues
-            }
-            if not options:
+            options = self.table.admit(job)
+            if options:
+                self._place(options, arrived=now)
+            else:
                 unplaced.append(job)
-                continue
-            if self._plans is not None:
-                self._plans[job.job_id] = options
-            self._place(options, arrived=now)
         return unplaced
 
     # -- graceful degradation (repro.faults) ---------------------------
@@ -177,31 +149,28 @@ class EWTPolicy(DispatchPolicy):
         accumulated wait moves with them -- while interrupted victims
         re-enter at ``now`` (their wait clock restarts with the retry).
         """
-        if self._plans is None or kind not in self._queues:
+        if kind not in self._queues:
             return list(jobs)
+        self.table.lose(kind)
         orphans = self._queues.pop(kind)
         unplaced: list[Job] = []
         arrivals = [(w.entry.job, w.arrived) for w in orphans] + [
             (job, now) for job in jobs
         ]
         for job, arrived in arrivals:
-            options = {
-                k: e
-                for k, e in self._plans.get(job.job_id, {}).items()
-                if k in self._queues
-            }
-            if not options:
-                unplaced.append(job)
-            else:
+            options = self.table.plans.get(job.job_id)
+            if options:
                 self._place(options, arrived=arrived)
-        drop_plans(self._plans, unplaced)
+            else:
+                unplaced.append(job)
+        self.table.drop(unplaced)
         return unplaced
 
     def device_derated(self, kind: MemoryKind, factor: float, now: float) -> None:
         # Scores and placement read the derate lazily; nothing to
         # migrate eagerly (a derated device drains slower, so new
         # placements steer away from it on their own).
-        self._derate[kind] = factor
+        self.table.derate(kind, factor)
 
 
 @dataclass
@@ -216,18 +185,14 @@ class EWTScheduler(JobSizing, Scheduler):
     def plan(
         self, jobs: list[Job], system: MLIMPSystem, upcoming: Sequence[Job] = ()
     ) -> EWTPolicy:
-        policy = EWTPolicy(
-            queues={kind: [] for kind in system.kinds},
-            plans={},
-            system=system,
-            planner=self.admission_planner(system, upcoming),
-        )
+        table = self.plan_table(system, upcoming)
+        policy = EWTPolicy(table)
         # Closed batch: everything "arrived" at time zero, so the EWT
         # score is pure estimated time and placement is incremental
         # drain-balancing in input order (deterministic).
         for job, options in zip(jobs, self.plan_many(jobs, system)):
+            options = table.record(job, options)
             if not options:
                 raise ValueError(f"job {job.job_id} fits no memory in the system")
-            policy._plans[job.job_id] = options
             policy._place(options, arrived=0.0)
         return policy

@@ -55,7 +55,7 @@ from ...sim.mainmem import DDR4Config
 from ..job import Job
 from ..perfmodel import estimate_from_profile
 from ..predictor import PerformancePredictor
-from .adjustments import PlannedJob
+from .adjustments import PlannedJob, PlanTable, no_options
 from .base import MLIMPSystem, Scheduler
 from .globalsched import GlobalPolicy, ScheduledEntry
 
@@ -144,9 +144,11 @@ class ExactSolution:
     assignments: dict[str, dict]
     nodes: int = 0
 
-    def policy(self) -> GlobalPolicy:
-        """The schedule as a dispatchable policy (plan replay)."""
-        return GlobalPolicy(list(self.schedule))
+    def policy(self, system: MLIMPSystem) -> GlobalPolicy:
+        """The schedule as a dispatchable policy on ``system`` (plan
+        replay).  It sizes no arrival and has no plans to re-place a
+        job from, so it hands every such job back."""
+        return GlobalPolicy(PlanTable(system, no_options), list(self.schedule))
 
 
 class _Budget:
@@ -566,4 +568,4 @@ class ExactScheduler(Scheduler):
             brute_force=self.brute_force,
             node_budget=self.node_budget,
         )
-        return solution.policy()
+        return solution.policy(system)

@@ -24,14 +24,19 @@ import heapq
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable
 
 from ...memories.base import MemoryKind
 from ..job import Job
 from ..predictor import PerformancePredictor
 from .adaptive import AdaptiveScheduler, _Queue
-from .adjustments import PlannedJob, check_sizing, drop_plans, intra_queue_adjust
-from .base import Dispatch, DispatchPolicy, MLIMPSystem, ResourceView, Scheduler
+from .adjustments import (
+    PlannedJob,
+    PlanTable,
+    TablePolicy,
+    check_sizing,
+    intra_queue_adjust,
+)
+from .base import Dispatch, MLIMPSystem, ResourceView, Scheduler
 
 __all__ = ["GlobalScheduler", "GlobalPolicy", "ScheduledEntry", "build_static_schedule"]
 
@@ -137,7 +142,7 @@ def build_static_schedule(
     return schedule
 
 
-class GlobalPolicy(DispatchPolicy):
+class GlobalPolicy(TablePolicy):
     """Executes the precomputed schedule, strictly as planned.
 
     A job launches no earlier than its planned start, in plan order
@@ -149,23 +154,13 @@ class GlobalPolicy(DispatchPolicy):
 
     def __init__(
         self,
+        table: PlanTable,
         schedule: list[ScheduledEntry],
-        plans: dict[str, dict[MemoryKind, PlannedJob]] | None = None,
-        system: MLIMPSystem | None = None,
         intra_queue: bool = True,
-        planner: Callable[[Job], dict[MemoryKind, PlannedJob]] | None = None,
     ) -> None:
+        super().__init__(table)
         self._load(schedule)
-        # Re-planning context for the graceful-degradation hooks
-        # (optional: without it the hooks fall back to the base class).
-        self._plans = plans
-        self._system = system
         self._intra_queue = intra_queue
-        # Knee-sizes a newly arrived job on every memory it fits;
-        # enables online admission (repro.serving).
-        self._planner = planner
-        self._lost: set[MemoryKind] = set()
-        self._derate: dict[MemoryKind, float] = {}
 
     def _load(self, schedule: list[ScheduledEntry]) -> None:
         """Split the time-ordered ``schedule`` into one lane per memory,
@@ -186,12 +181,6 @@ class GlobalPolicy(DispatchPolicy):
 
     def queue_depths(self) -> dict[str, int]:
         return {kind.value: len(lane) for kind, lane in self._lanes.items() if lane}
-
-    def notify_completion(self, job: Job, kind: MemoryKind, now: float) -> None:
-        drop_plans(self._plans, [job])
-
-    def notify_failed(self, job: Job, now: float) -> None:
-        drop_plans(self._plans, [job])
 
     def next_event_time(self, now: float) -> float | None:
         heads = [lane[0][1].planned_start for lane in self._lanes.values() if lane]
@@ -220,7 +209,7 @@ class GlobalPolicy(DispatchPolicy):
                     job=entry.job,
                     kind=kind,
                     arrays=entry.arrays,
-                    predicted_time=entry.est_time / self._derate.get(kind, 1.0),
+                    predicted_time=self.table.scaled(entry),
                 )
                 launched.append((position, dispatch))
                 slots -= 1
@@ -236,44 +225,29 @@ class GlobalPolicy(DispatchPolicy):
         a device loss, or newly arrived open-system jobs) are re-queued
         on each job's best surviving plan, Algorithm 2 re-balances the
         queues, and a fresh schedule is list-scheduled from ``now``.
-        Returns the jobs that fit no surviving device.
+        Returns the jobs that fit no surviving device (once every
+        device is lost, that is all of them and the schedule is empty).
         """
-        alive = [k for k in self._system.kinds if k not in self._lost]
-        if not alive:
-            self._load([])
-            return list(new_jobs)
-        subset = self._system.subset(alive)
-        queues: dict[MemoryKind, list[PlannedJob]] = {k: [] for k in alive}
+        table = self.table
+        queues: dict[MemoryKind, list[PlannedJob]] = {k: [] for k in table.live}
         unplaced: list[Job] = []
-
-        def place(job: Job, current: PlannedJob | None) -> None:
-            if current is not None and current.kind in queues:
-                queues[current.kind].append(current)
-                return
-            options = [
-                (entry.est_time / self._derate.get(k, 1.0), k.value, entry)
-                for k, entry in self._plans.get(job.job_id, {}).items()
-                if k in queues
-            ]
-            if not options:
+        waiting = [(s.entry.job, s.entry) for s in self._scheduled()]
+        for job, entry in waiting + [(job, None) for job in new_jobs]:
+            if entry is None or entry.kind not in queues:
+                entry = table.best(job.job_id)
+            if entry is None:
                 unplaced.append(job)
-                return
-            best = min(options)[2]
-            queues[best.kind].append(best)
-
-        for scheduled in self._scheduled():
-            place(scheduled.entry.job, scheduled.entry)
-        for job in new_jobs:
-            place(job, None)
+            else:
+                queues[entry.kind].append(entry)
         if self._intra_queue:
-            queues = intra_queue_adjust(queues, subset)
+            queues = intra_queue_adjust(queues, table.system)
         self._load(
             [
                 ScheduledEntry(planned_start=now + s.planned_start, entry=s.entry)
-                for s in build_static_schedule(queues, subset)
+                for s in build_static_schedule(queues, table.system)
             ]
         )
-        drop_plans(self._plans, unplaced)
+        table.drop(unplaced)
         return unplaced
 
     # -- online admission (repro.serving) ------------------------------
@@ -290,17 +264,10 @@ class GlobalPolicy(DispatchPolicy):
         """
         if not jobs:
             return []  # admit contract: an empty batch is a pure no-op
-        if self._planner is None or self._plans is None or self._system is None:
-            return list(jobs)
         placeable: list[Job] = []
         unplaced: list[Job] = []
         for job in jobs:
-            options = self._planner(job)
-            if not options:
-                unplaced.append(job)
-                continue
-            self._plans[job.job_id] = options
-            placeable.append(job)
+            (placeable if self.table.admit(job) else unplaced).append(job)
         if placeable:
             unplaced.extend(self._replan(placeable, now))
         return unplaced
@@ -311,9 +278,7 @@ class GlobalPolicy(DispatchPolicy):
     ) -> list[Job]:
         """Re-plan the remaining schedule over the surviving devices
         (see :meth:`_replan`)."""
-        if self._plans is None or self._system is None:
-            return list(jobs)
-        self._lost.add(kind)
+        self.table.lose(kind)
         return self._replan(jobs, now)
 
     def device_derated(self, kind: MemoryKind, factor: float, now: float) -> None:
@@ -326,7 +291,7 @@ class GlobalPolicy(DispatchPolicy):
         stays correct -- launches simply wait for the planned
         resources to actually free up.
         """
-        self._derate[kind] = factor
+        self.table.derate(kind, factor)
 
 
 @dataclass
@@ -349,13 +314,10 @@ class GlobalScheduler(Scheduler):
             predictor=self.predictor,
             allocation_cap_fraction=self.allocation_cap_fraction,
         )
-        queues, plans = base.build_plans(jobs, system)
+        table = base.plan_table(system, upcoming)
+        queues = base.build_plans(jobs, table)
         if self.intra_queue:
             queues = intra_queue_adjust(queues, system)
         return GlobalPolicy(
-            build_static_schedule(queues, system),
-            plans=plans,
-            system=system,
-            intra_queue=self.intra_queue,
-            planner=base.admission_planner(system, upcoming),
+            table, build_static_schedule(queues, system), intra_queue=self.intra_queue
         )

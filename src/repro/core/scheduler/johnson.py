@@ -131,8 +131,7 @@ class JohnsonScheduler(Scheduler):
             estimate = self.predictor.estimate(job, kind)
             if estimate.unit_arrays > system.arrays(kind):
                 raise ValueError(f"job {job.job_id} does not fit {kind}")
-            arrays = max(system.fair_share(kind), estimate.unit_arrays)
-            arrays = min(arrays, system.arrays(kind))
+            arrays = system.fair_allocation(kind, estimate.unit_arrays)
             allocations.append(arrays)
             est_times.append(estimate.total_time(arrays))
             stage_times.append(

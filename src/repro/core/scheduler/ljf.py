@@ -15,48 +15,29 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 from ...memories.base import MemoryKind
 from ..job import Job
 from ..predictor import PerformancePredictor
-from .base import Dispatch, DispatchPolicy, MLIMPSystem, ResourceView, Scheduler
+from .adjustments import PlannedJob, PlanTable, TablePolicy
+from .base import Dispatch, MLIMPSystem, ResourceView, Scheduler
 
 __all__ = ["LJFScheduler", "LJFPolicy"]
 
 
-@dataclass
-class _QueuedJob:
-    job: Job
-    best_kind: MemoryKind
-    best_time: float
-    arrays: int
-
-
-class LJFPolicy(DispatchPolicy):
+class LJFPolicy(TablePolicy):
     """Single FIFO queue with strict head-of-line dispatch.
 
-    ``candidates`` (one sized :class:`_QueuedJob` per memory a job
-    fits, per job) powers the graceful-degradation hooks: when a
-    device is lost or derated the queue re-points each affected job to
-    its best surviving option.  Without candidates (legacy
-    construction) the hooks degrade to the base-class no-ops.
+    The queue holds one fair-share sized :class:`PlannedJob` per job,
+    on the job's best memory in ``table``; when a device is lost or
+    derated the queue re-points each affected job to its best
+    surviving option.
     """
 
-    def __init__(
-        self,
-        queue: list[_QueuedJob],
-        candidates: dict[str, list[_QueuedJob]] | None = None,
-        planner: Callable[[Job], list[_QueuedJob]] | None = None,
-    ) -> None:
+    def __init__(self, table: PlanTable, queue: list[PlannedJob]) -> None:
+        super().__init__(table)
         self._queue = deque(queue)
-        self._candidates = candidates
-        # Sizes a newly arrived job on every memory it fits (the plan
-        # loop as a closure); enables online admission (repro.serving).
-        self._planner = planner
-        self._lost: set[MemoryKind] = set()
-        self._derate: dict[MemoryKind, float] = {}
 
     def pending(self) -> int:
         return len(self._queue)
@@ -64,16 +45,13 @@ class LJFPolicy(DispatchPolicy):
     def queue_depths(self) -> dict[str, int]:
         return {"shared": len(self._queue)}
 
-    def _effective_time(self, entry: _QueuedJob) -> float:
-        return entry.best_time / self._derate.get(entry.best_kind, 1.0)
-
     def next_dispatches(self, view: ResourceView) -> list[Dispatch]:
         dispatches: list[Dispatch] = []
         free_slots = dict(view.free_slots)
         free_run = dict(view.largest_free_run)
         while self._queue:
             head = self._queue[0]
-            kind = head.best_kind
+            kind = head.kind
             if free_slots.get(kind, 0) <= 0 or free_run.get(kind, 0) < head.arrays:
                 break  # naive head-of-line blocking
             self._queue.popleft()
@@ -82,7 +60,7 @@ class LJFPolicy(DispatchPolicy):
                     job=head.job,
                     kind=kind,
                     arrays=head.arrays,
-                    predicted_time=self._effective_time(head),
+                    predicted_time=self.table.scaled(head),
                 )
             )
             free_slots[kind] -= 1
@@ -100,76 +78,45 @@ class LJFPolicy(DispatchPolicy):
         """
         if not jobs:
             return []  # admit contract: an empty batch is a pure no-op
-        if self._planner is None:
-            return list(jobs)
         unplaced: list[Job] = []
         for job in jobs:
-            options = [
-                entry
-                for entry in self._planner(job)
-                if entry.best_kind not in self._lost
-            ]
-            if not options:
+            if self.table.admit(job):
+                self._queue.append(self.table.best(job.job_id))
+            else:
                 unplaced.append(job)
-                continue
-            if self._candidates is not None:
-                self._candidates[job.job_id] = options
-            self._queue.append(min(options, key=self._effective_time))
         self._resort()
         return unplaced
 
     # -- graceful degradation (repro.faults) ---------------------------
-    def _best_candidate(self, job: Job) -> _QueuedJob | None:
-        if self._candidates is None:
-            return None
-        options = [
-            entry
-            for entry in self._candidates.get(job.job_id, [])
-            if entry.best_kind not in self._lost
-        ]
-        if not options:
-            return None
-        return min(options, key=self._effective_time)
-
     def _resort(self) -> None:
         self._queue = deque(
-            sorted(self._queue, key=self._effective_time, reverse=True)
+            sorted(self._queue, key=self.table.scaled, reverse=True)
         )
 
     def device_lost(
         self, kind: MemoryKind, jobs: list[Job], now: float
     ) -> list[Job]:
-        if self._candidates is None:
-            return list(jobs)
-        self._lost.add(kind)
+        self.table.lose(kind)
         unplaced: list[Job] = []
-        rebuilt: list[_QueuedJob] = []
-        for entry in self._queue:
-            if entry.best_kind is not kind:
-                rebuilt.append(entry)
-                continue
-            alt = self._best_candidate(entry.job)
-            if alt is None:
-                unplaced.append(entry.job)
-            else:
-                rebuilt.append(alt)
-        for job in jobs:
-            alt = self._best_candidate(job)
-            if alt is None:
+        rebuilt: list[PlannedJob] = []
+        waiting = [(entry.job, entry) for entry in self._queue]
+        for job, entry in waiting + [(job, None) for job in jobs]:
+            if entry is None or entry.kind is kind:
+                entry = self.table.best(job.job_id)
+            if entry is None:
                 unplaced.append(job)
             else:
-                rebuilt.append(alt)
+                rebuilt.append(entry)
+        self.table.drop(unplaced)
         self._queue = rebuilt
         self._resort()
         return unplaced
 
     def device_derated(self, kind: MemoryKind, factor: float, now: float) -> None:
-        self._derate[kind] = factor
-        if self._candidates is None:
-            return
+        self.table.derate(kind, factor)
         # Re-pick each queued job's best memory under the new scaling.
         self._queue = [
-            self._best_candidate(entry.job) or entry for entry in self._queue
+            self.table.best(entry.job.job_id) or entry for entry in self._queue
         ]
         self._resort()
 
@@ -183,42 +130,31 @@ class LJFScheduler(Scheduler):
 
     def fair_share_options(
         self, job: Job, system: MLIMPSystem
-    ) -> list[_QueuedJob]:
-        """One fixed fair-share sized :class:`_QueuedJob` per memory
+    ) -> dict[MemoryKind, PlannedJob]:
+        """One fixed fair-share sized :class:`PlannedJob` per memory
         the job fits (the III-C2 ``a_unit = max_size / P`` sizing)."""
-        options: list[_QueuedJob] = []
+        options: dict[MemoryKind, PlannedJob] = {}
         for kind in system.kinds:
             if kind not in job.profiles:
                 continue
             estimate = self.predictor.estimate(job, kind)
             if estimate.unit_arrays > system.arrays(kind):
                 continue  # one replica does not even fit this device
-            arrays = max(system.fair_share(kind), estimate.unit_arrays)
-            arrays = min(arrays, system.arrays(kind))
-            options.append(
-                _QueuedJob(
-                    job=job,
-                    best_kind=kind,
-                    best_time=estimate.total_time(arrays),
-                    arrays=arrays,
-                )
+            arrays = system.fair_allocation(kind, estimate.unit_arrays)
+            options[kind] = PlannedJob(
+                job=job, kind=kind, arrays=arrays, estimate=estimate
             )
         return options
 
     def plan(
         self, jobs: list[Job], system: MLIMPSystem, upcoming: Sequence[Job] = ()
     ) -> LJFPolicy:
-        planner = lambda job: self.fair_share_options(job, system)  # noqa: E731
-        if not jobs:
-            return LJFPolicy([], candidates={}, planner=planner)
-        entries: list[_QueuedJob] = []
-        candidates: dict[str, list[_QueuedJob]] = {}
+        table = PlanTable(system, lambda job: self.fair_share_options(job, system))
+        queue: list[PlannedJob] = []
         for job in jobs:
-            options = self.fair_share_options(job, system)
-            if not options:
+            if not table.admit(job):
                 raise ValueError(f"job {job.job_id} fits no memory in the system")
-            candidates[job.job_id] = options
-            entries.append(min(options, key=lambda entry: entry.best_time))
+            queue.append(table.best(job.job_id))
         # Longest (shortest-execution-time metric) first.
-        entries.sort(key=lambda entry: entry.best_time, reverse=True)
-        return LJFPolicy(entries, candidates=candidates, planner=planner)
+        queue.sort(key=lambda entry: entry.est_time, reverse=True)
+        return LJFPolicy(table, queue)

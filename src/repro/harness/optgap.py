@@ -134,7 +134,7 @@ def run_instance(seed: int) -> dict:
     jobs, system = generate_instance(seed)
     solution: ExactSolution = solve_exact(jobs, system)
     replayed = Dispatcher(system).run(
-        solution.policy(), label=f"optgap-exact-{seed}"
+        solution.policy(system), label=f"optgap-exact-{seed}"
     )
     row = {
         "seed": seed,

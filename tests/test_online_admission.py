@@ -1,10 +1,10 @@
 """Online admission: plan tables stay backlog-sized, Algorithm 1 only
 ranks the queued jobs.
 
-* **Plan-table pruning** -- the adaptive, global and EWT policies drop
-  a job's plans when it completes, fails or is handed back unplaced,
-  so after every ``admit`` in a seeded serve the table's keys are
-  exactly the queued and in-flight job ids.  A seeded device loss
+* **Plan-table pruning** -- the LJF, adaptive, global and EWT policies
+  drop a job's plans when it completes, fails or is handed back
+  unplaced, so after every ``admit`` in a seeded serve the table's keys
+  are exactly the queued and in-flight job ids.  A seeded device loss
   shows that in-flight victims still find their plans and re-place on
   the survivors; with SRAM-only jobs in the stream, the jobs the loss
   strands leave no plans behind.
@@ -23,7 +23,7 @@ import pytest
 
 from repro.core import Job, JobPerfProfile, MLIMPSystem
 from repro.core.perfmodel import ScaleFreeEstimate
-from repro.core.scheduler import AdaptivePolicy, EWTPolicy, GlobalPolicy
+from repro.core.scheduler import AdaptivePolicy, EWTPolicy, GlobalPolicy, LJFPolicy
 from repro.core.scheduler.adjustments import PlannedJob, inter_queue_adjust
 from repro.faults import FaultPlan
 from repro.faults.plan import FaultEvent, FaultKind, RetryPolicy
@@ -34,11 +34,17 @@ from repro.serving.workload import OpenWorkload
 
 
 def _queued_ids(policy) -> set[str]:
+    if isinstance(policy, LJFPolicy):
+        return {e.job.job_id for e in policy._queue}
     if isinstance(policy, GlobalPolicy):
         return {s.entry.job.job_id for s in policy._scheduled()}
     if isinstance(policy, EWTPolicy):
         return {w.entry.job.job_id for q in policy._queues.values() for w in q}
     return {e.job.job_id for q in policy._queues.values() for e in q}
+
+
+def _plans(policy) -> dict:
+    return policy.table.plans
 
 
 class _Watch:
@@ -78,18 +84,18 @@ class _Watch:
             if jobs:
                 watch.admits += 1
                 expected = _queued_ids(policy) | watch.inflight
-                assert set(policy._plans) == expected
+                assert set(_plans(policy)) == expected
             return unplaced
 
         def wrapped_lost(policy, kind, jobs, now):
             victims = [job.job_id for job in jobs]
             # Victims are still in flight, so their plans survive.
-            assert set(victims) <= set(policy._plans)
+            assert set(victims) <= set(_plans(policy))
             unplaced = device_lost(policy, kind, jobs, now)
             watch.lost_calls.append((victims, [job.job_id for job in unplaced]))
             # Handed back to the dispatcher's fallback: no longer ours.
             watch.inflight.difference_update(job.job_id for job in unplaced)
-            assert set(policy._plans) == _queued_ids(policy) | watch.inflight
+            assert set(_plans(policy)) == _queued_ids(policy) | watch.inflight
             return unplaced
 
         monkeypatch.setattr(cls, "next_dispatches", wrapped_next)
@@ -99,7 +105,12 @@ class _Watch:
         monkeypatch.setattr(cls, "device_lost", wrapped_lost)
 
 
-_POLICIES = {"adaptive": AdaptivePolicy, "global": GlobalPolicy, "ewt": EWTPolicy}
+_POLICIES = {
+    "ljf": LJFPolicy,
+    "adaptive": AdaptivePolicy,
+    "global": GlobalPolicy,
+    "ewt": EWTPolicy,
+}
 
 
 class _SramOnlyEvery(OpenWorkload):
@@ -147,7 +158,7 @@ def test_plan_table_is_queued_plus_inflight_after_every_admit(
     assert served.report.completed > 0
     # Drained: every completed job's plans are gone.
     assert not watch.inflight
-    assert [policy._plans for policy in watch.policies] == [{}]
+    assert [_plans(policy) for policy in watch.policies] == [{}]
 
 
 @pytest.mark.parametrize("scheduler", sorted(_POLICIES))
@@ -180,7 +191,7 @@ def test_device_loss_strands_sram_only_jobs_without_leaking_plans(
     assert served.result.failed_jobs
     assert sum(t.shed_unplaced for t in served.report.tenants.values()) > 0
     assert not watch.inflight
-    assert [policy._plans for policy in watch.policies] == [{}]
+    assert [_plans(policy) for policy in watch.policies] == [{}]
 
 
 @pytest.mark.parametrize("scheduler", sorted(_POLICIES))
@@ -199,7 +210,7 @@ def test_stall_failures_drop_plans(monkeypatch, scheduler):
     # them without a completion, and their plans still go.
     assert served.result.failed_jobs
     assert not watch.inflight
-    assert [policy._plans for policy in watch.policies] == [{}]
+    assert [_plans(policy) for policy in watch.policies] == [{}]
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,12 @@ from repro.core import (
 )
 from repro.core.scheduler import AdaptivePolicy, GlobalPolicy
 from repro.core.scheduler.globalsched import ScheduledEntry, build_static_schedule
-from repro.core.scheduler.adjustments import PlannedJob, intra_queue_adjust
+from repro.core.scheduler.adjustments import (
+    PlannedJob,
+    PlanTable,
+    intra_queue_adjust,
+    no_options,
+)
 from repro.memories import ArrayGeometry, MemoryKind, MemorySpec
 
 
@@ -261,13 +266,10 @@ def test_indexed_adaptive_dispatch_matches_queue_scan(data, n_jobs, backfill):
     for job_id in initial:
         kind = data.draw(st.sampled_from(KINDS))
         queues[kind].append(options[job_id][kind])
-    policy = AdaptivePolicy(
-        queues,
-        backfill=backfill,
-        plans={job_id: dict(options[job_id]) for job_id in initial},
-        system=SYSTEM,
-        planner=lambda job: dict(options[job.job_id]),
-    )
+    table = PlanTable(SYSTEM, lambda job: dict(options[job.job_id]))
+    for job_id in initial:
+        table.admit(jobs[job_id])
+    policy = AdaptivePolicy(table, queues, backfill=backfill)
     now = 0.0
     steps = data.draw(st.lists(
         st.sampled_from(
@@ -291,7 +293,11 @@ def test_indexed_adaptive_dispatch_matches_queue_scan(data, n_jobs, backfill):
             expected_queues = {k: list(q) for k, q in policy._queues.items()}
             expected_inflight = {k: dict(v) for k, v in policy._inflight.items()}
             expected = reference_dispatches(
-                expected_queues, expected_inflight, dict(policy._derate), view, backfill
+                expected_queues,
+                expected_inflight,
+                {k: policy.table.factor(k) for k in KINDS},
+                view,
+                backfill,
             )
             got = [
                 (d.job.job_id, d.kind, d.arrays, d.predicted_time)
@@ -335,7 +341,9 @@ def test_first_fit_after_out_of_order_launches():
         )
         for i, (arrays, t) in enumerate(((8, 1e-3), (2, 2e-5), (2, 1e-5)))
     ]
-    policy = AdaptivePolicy({kind: entries}, backfill=False)
+    policy = AdaptivePolicy(
+        PlanTable(SYSTEM.subset([kind]), no_options), {kind: entries}, backfill=False
+    )
 
     def launch(slots, run):
         view = ResourceView(
@@ -367,7 +375,9 @@ def test_derated_backfill_matches_queue_scan():
         )
         for i, (arrays, t) in enumerate(((8, 1e-3), (4, 1e-5)))
     ]
-    policy = AdaptivePolicy({kind: entries})
+    policy = AdaptivePolicy(
+        PlanTable(SYSTEM.subset([kind]), no_options), {kind: entries}
+    )
     policy.device_derated(kind, 0.5, 0.0)
     view = ResourceView(
         now=0.0,
@@ -423,7 +433,7 @@ def test_plan_lanes_match_schedule_scan(data, n_jobs):
         start = data.draw(st.sampled_from([0.0, 1e-6, 2e-6, 5e-6]))
         schedule.append(ScheduledEntry(planned_start=start, entry=entry))
     schedule.sort(key=lambda s: s.planned_start)
-    policy = GlobalPolicy(schedule)
+    policy = GlobalPolicy(PlanTable(SYSTEM, no_options), schedule)
     now = 0.0
     for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
         expected_next = schedule[0].planned_start if schedule else None
