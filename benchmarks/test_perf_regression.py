@@ -1,6 +1,7 @@
 """Perf-layer regression checks: the caches must make repeat work
 visibly cheaper, admission must size each arrival about once, adaptive
-dispatch must not re-evaluate every queued curve per call, the global
+and EWT dispatch must not re-evaluate every queued curve or scaled
+time per call, the global
 planning passes must not rescan their queues, and the batched event
 drain must not change the event order.  Byte-identity
 of the simulated output is pinned by the golden digests
@@ -22,8 +23,8 @@ from repro.core.perfmodel import (
     knee_allocations,
 )
 from repro.core import GlobalScheduler, OraclePredictor
-from repro.core.scheduler import AdaptivePolicy, adjustments, globalsched
-from repro.core.scheduler.adjustments import AdmissionPlanner, PlannedJob
+from repro.core.scheduler import AdaptivePolicy, EWTPolicy, adjustments, globalsched
+from repro.core.scheduler.adjustments import AdmissionPlanner, PlannedJob, PlanTable
 from repro.harness.ablations import ablation_knee
 from repro.harness.config import full_system, gnn_system
 from repro.harness.gnn import build_workload
@@ -204,6 +205,47 @@ def test_adaptive_dispatch_evaluates_few_curves(monkeypatch):
     assert per_dispatch <= 8, (
         f"{counts['curve']} curve evaluations for {counts['dispatched']} "
         f"dispatches ({per_dispatch:.1f} per dispatch)"
+    )
+
+
+def test_ewt_dispatch_scales_each_launch_once(monkeypatch):
+    """EWT keeps each memory's queue in expected-wait order, so a
+    dispatch reads the derate-scaled time of what it launches and of
+    nothing else (ranking every queued job per call read it once per
+    queued entry on every call).  Counts only: an overloaded EWT serve
+    with a backlog of up to 32 jobs."""
+    counts = {"scaled": 0, "dispatched": 0, "calls": 0}
+    inside: list = []
+    dispatch = EWTPolicy.next_dispatches
+    scaled = PlanTable.scaled
+
+    def counted_dispatch(policy, view):
+        inside.append(policy)
+        try:
+            launched = dispatch(policy, view)
+        finally:
+            inside.pop()
+        counts["calls"] += 1
+        counts["dispatched"] += len(launched)
+        return launched
+
+    def counted_scaled(table, entry):
+        if inside:
+            counts["scaled"] += 1
+        return scaled(table, entry)
+
+    monkeypatch.setattr(EWTPolicy, "next_dispatches", counted_dispatch)
+    monkeypatch.setattr(PlanTable, "scaled", counted_scaled)
+    arrivals = PoissonArrivals(
+        rate=1e6, horizon=1e-3, seed=13, tenants=("a", "b", "c")
+    )
+    served = ServingRuntime(gnn_system(), scheduler="ewt", max_backlog=32).serve(
+        arrivals, tenants=[Tenant(n) for n in "abc"], slo_s=1e-4
+    )
+    assert served.report.completed > 100
+    assert counts["calls"] > counts["dispatched"] / 4
+    assert counts["scaled"] <= counts["dispatched"], (
+        f"{counts['scaled']} scaled-time reads for {counts['dispatched']} launches"
     )
 
 

@@ -44,7 +44,7 @@ from ..sim.columnar import (
 from ..sim.energy import EnergyCategory, EnergyLedger
 from ..sim.engine import Simulator
 from ..sim.mainmem import DDR4Config, SharedBandwidthPipe
-from ..sim.trace import ExecutionTrace, Phase, StreamingTrace
+from ..sim.trace import ExecutionTrace, Phase
 from .job import Job
 from .scheduler.base import Dispatch, DispatchPolicy, MLIMPSystem, ResourceView
 
@@ -214,17 +214,9 @@ class Dispatcher:
         faults: FaultPlan | None = None,
         open_loop: "OpenLoop | None" = None,
         predictor: object | None = None,
-        trace: "ExecutionTrace | StreamingTrace | None" = None,
     ) -> DispatchResult:
-        """Execute one batch under ``policy``.
-
-        ``trace`` overrides the run's trace store.  Pass a
-        :class:`~repro.sim.trace.StreamingTrace` for open-ended runs:
-        phase rows stream to its sink instead of accumulating, so
-        memory stays flat however many jobs arrive (the result's
-        row-level analytics are then unavailable -- see the class
-        docs).  By default the run fills a columnar
-        :class:`~repro.sim.trace.ExecutionTrace`.
+        """Execute one batch under ``policy``; the run's phase rows fill
+        a columnar :class:`~repro.sim.trace.ExecutionTrace`.
 
         With a non-empty ``faults`` plan the run degrades gracefully:
         stalled devices abort their in-flight jobs and retry them with
@@ -253,7 +245,7 @@ class Dispatcher:
         without the hook are ignored here (they only shape estimates
         inside the policy).
         """
-        run = _Run(self, policy, label, faults, open_loop, predictor, trace)
+        run = _Run(self, policy, label, faults, open_loop, predictor)
         try:
             return run.execute()
         finally:
@@ -278,7 +270,6 @@ class _Run:
         faults: FaultPlan | None,
         open_loop: "OpenLoop | None",
         predictor: object | None,
-        trace: "ExecutionTrace | StreamingTrace | None",
     ) -> None:
         system = dispatcher.system
         self.system = system
@@ -291,7 +282,7 @@ class _Run:
         self.predictor_hook = getattr(predictor, "on_completion", None)
         self.sim = sim = Simulator()
         self.pipe = SharedBandwidthPipe(sim, dispatcher.ddr4)
-        self.trace = trace if trace is not None else ExecutionTrace()
+        self.trace = ExecutionTrace()
         self.ledger = EnergyLedger()
         self.records: dict[str, JobRecord] = {}
 
@@ -387,7 +378,9 @@ class _Run:
 
     def check_drained(self) -> None:
         """Every device ledger must be back at zero once the queue
-        drains: no job running, no array allocated, no job parked."""
+        drains: no job running, no array allocated, no job parked; and
+        every job a policy's ``device_lost`` took back was dispatched
+        again or failed."""
         for kind, device in self.devices.items():
             running = device.running
             live = device.allocator.live_allocations
@@ -397,6 +390,14 @@ class _Run:
                     f"{self.names[kind]} did not drain: {running} jobs running, "
                     f"{live} live allocations, {parked} parked jobs"
                 )
+        stranded = sum(
+            1 for f in self.flights.values() if f.with_policy and not f.done
+        )
+        if stranded:
+            raise DispatchError(
+                f"{stranded} jobs the policy took back in device_lost "
+                "never came back"
+            )
 
     def close(self) -> None:
         """Break the references the engine and the pipe hold back into

@@ -16,19 +16,23 @@ smooth scale-free estimates, never on ground truth.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from itertools import compress
 from operator import neg
-from typing import Callable
+from typing import Any
 
 from ...memories.base import MemoryKind
 from ..job import Job
 from ..perfmodel import ScaleFreeEstimate, knee_allocations, min_time_allocation
 from ..predictor import PerformancePredictor
-from .base import DispatchPolicy, MLIMPSystem
+from .base import Dispatch, DispatchPolicy, MLIMPSystem, ResourceView
 
 __all__ = [
     "PlannedJob",
+    "PlanQueue",
+    "longest_first",
+    "first_fit_launches",
     "plan_job",
     "plan_jobs",
     "PlanTable",
@@ -84,6 +88,194 @@ class PlannedJob:
 
     def with_arrays(self, arrays: int) -> "PlannedJob":
         return PlannedJob(self.job, self.kind, arrays, self.estimate)
+
+
+def longest_first(entry: PlannedJob) -> float:
+    """Queue key of the longest-estimate-first order."""
+    return -entry.est_time
+
+
+#: Tree value of a launched position: larger than any free run.
+_GONE = float("inf")
+
+
+class PlanQueue:
+    """A queue of :class:`PlannedJob` entries in stable ascending
+    ``key`` order, with the two exact indexes dispatch answers from.
+
+    :meth:`insert` puts an entry where a stable re-sort with it appended
+    would.  A launch (:meth:`take`) only marks its position gone, so
+    queue order is position order.  An insert drops both indexes and,
+    once launched positions are at least as many as queued ones,
+    compacts them away.  Each index is built on first use:
+
+    * ``_levels`` -- a min tree over the entries' ``arrays`` (root
+      first, leaves last, launched leaves at ``_GONE``): the leftmost
+      queued entry that fits a free run, or none if the root says even
+      the smallest queued allocation does not fit.  A ``head`` (first
+      queued position) that fits is that entry too, so short queues
+      rarely build the tree.
+    * ``_backfill[run]`` -- ``(t, position, arrays)`` rows of the
+      entries with ``unit_arrays <= run`` sorted by ``t``, where
+      ``arrays = snap_to_replica(run)`` and ``t = total_time(arrays)``:
+      the entries that finish by a horizon are a prefix of the rows.
+
+    A key must not change while its entry is queued: a policy whose
+    keys change (a derate) builds a new queue.
+    """
+
+    __slots__ = (
+        "key", "entries", "keys", "live", "size", "head", "_levels", "_backfill"
+    )
+
+    def __init__(
+        self, key: Callable[[PlannedJob], Any], entries: Iterable[PlannedJob] = ()
+    ) -> None:
+        self.key = key
+        self.entries = sorted(entries, key=key)
+        self.keys: list | None = None  # built by the first insert
+        self.live = [True] * len(self.entries)
+        self.size = len(self.entries)
+        self.head = 0
+        self._levels: list[list[float]] | None = None
+        self._backfill: dict[int, list[tuple[float, int, int]]] = {}
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self):
+        """The queued entries, in queue order."""
+        return compress(self.entries, self.live)
+
+    def insert(self, entry: PlannedJob) -> None:
+        """Queue ``entry`` after every queued entry whose key is not
+        larger than its own."""
+        launched = len(self.entries) - self.size
+        if self.keys is None or launched and launched >= self.size:
+            # A queued entry's key does not change, so compacting can
+            # compute the keys again instead of carrying them along.
+            self.entries = list(compress(self.entries, self.live))
+            self.keys = list(map(self.key, self.entries))
+            self.live = [True] * self.size
+            self.head = 0
+        key = self.key(entry)
+        pos = bisect_right(self.keys, key)
+        self.entries.insert(pos, entry)
+        self.keys.insert(pos, key)
+        self.live.insert(pos, True)
+        self.size += 1
+        if pos <= self.head:
+            self.head = pos
+        self._levels = None
+        self._backfill = {}
+
+    def _tree(self) -> list[list[float]]:
+        levels = self._levels
+        if levels is None:
+            level = [
+                e.arrays if live else _GONE for e, live in zip(self.entries, self.live)
+            ]
+            width = 1
+            while width < len(level):
+                width *= 2
+            level += [_GONE] * (width - len(level))
+            levels = [level]
+            while len(level) > 1:
+                level = list(map(min, level[::2], level[1::2]))
+                levels.append(level)
+            levels.reverse()
+            self._levels = levels
+        return levels
+
+    def first_fitting(self, run: int) -> int | None:
+        """Position of the first queued entry with ``arrays <= run``
+        (the queue must not be empty)."""
+        if self.entries[self.head].arrays <= run:
+            return self.head  # a head that fits needs no tree
+        levels = self._tree()
+        if levels[0][0] > run:
+            return None
+        pos = 0
+        for level in levels[1:]:
+            pos *= 2
+            if level[pos] > run:
+                pos += 1
+        return pos
+
+    def smallest(self) -> float:
+        """The smallest queued allocation (``_GONE`` when none is queued)."""
+        return self._tree()[0][0]
+
+    def backfill_rows(self, run: int) -> list[tuple[float, int, int]]:
+        """The ``(t, position, arrays)`` rows for a free run of ``run``."""
+        rows = self._backfill.get(run)
+        if rows is None:
+            rows = []
+            for pos, entry in enumerate(self.entries):
+                estimate = entry.estimate
+                if self.live[pos] and estimate.unit_arrays <= run:
+                    arrays = estimate.snap_to_replica(run)
+                    rows.append((estimate.total_time(arrays), pos, arrays))
+            rows.sort()
+            self._backfill[run] = rows
+        return rows
+
+    def take(self, pos: int) -> PlannedJob:
+        """Remove the entry at ``pos`` from the queue and return it."""
+        live = self.live
+        live[pos] = False
+        self.size -= 1
+        if pos == self.head:
+            head = pos + 1
+            while head < len(live) and not live[head]:
+                head += 1
+            self.head = head
+        levels = self._levels
+        if levels is not None:
+            depth = len(levels) - 1
+            levels[depth][pos] = _GONE
+            node = pos
+            while depth:
+                below = levels[depth]
+                value = min(below[node & ~1], below[node | 1])
+                depth -= 1
+                node >>= 1
+                if levels[depth][node] == value:
+                    break  # unchanged here, so unchanged above
+                levels[depth][node] = value
+        return self.entries[pos]
+
+
+def first_fit_launches(
+    queue: PlanQueue,
+    kind: MemoryKind,
+    view: ResourceView,
+    scaled: Callable[[PlannedJob], float],
+    dispatches: list[Dispatch],
+) -> tuple[int, int]:
+    """Greedy first fit on ``kind``: while a slot is free, launch the
+    first queued entry that fits what the earlier launches left of the
+    largest free run (free arrays only shrink, so a passed-over entry
+    stays unfit).  Appends the launches; returns the slots and run
+    left."""
+    slots = view.free_slots.get(kind, 0)
+    run = view.largest_free_run.get(kind, 0)
+    while slots > 0 and queue.size:
+        pos = queue.first_fitting(run)
+        if pos is None:
+            break
+        entry = queue.take(pos)
+        dispatches.append(
+            Dispatch(
+                job=entry.job,
+                kind=kind,
+                arrays=entry.arrays,
+                predicted_time=scaled(entry),
+            )
+        )
+        slots -= 1
+        run -= entry.arrays
+    return slots, run
 
 
 def job_fits(job: Job, kind: MemoryKind, system: MLIMPSystem) -> bool:

@@ -28,13 +28,15 @@ from dataclasses import dataclass
 from ...memories.base import MemoryKind
 from ..job import Job
 from ..predictor import PerformancePredictor
-from .adaptive import AdaptiveScheduler, _Queue
+from .adaptive import AdaptiveScheduler
 from .adjustments import (
     PlannedJob,
+    PlanQueue,
     PlanTable,
     TablePolicy,
     check_sizing,
     intra_queue_adjust,
+    longest_first,
 )
 from .base import Dispatch, MLIMPSystem, ResourceView, Scheduler
 
@@ -68,7 +70,7 @@ def build_static_schedule(
     fill pipe (approximated FIFO at nominal bandwidth; in-DRAM fills
     bypass it).  Returns planned (start, job, allocation) entries.
 
-    Each memory's waiting jobs are a :class:`_Queue` (the adaptive
+    Each memory's waiting jobs are a :class:`PlanQueue` (the adaptive
     dispatch index): a placement is one min-tree descent, and the
     tree's root after taking the job is the smallest allocation among
     the other waiting jobs.  Running jobs are a heap keyed by
@@ -76,12 +78,11 @@ def build_static_schedule(
     costs O(B log B) for B jobs.
     """
     kinds = list(queues)
-    waiting: list[_Queue] = []
+    waiting: list[PlanQueue] = []
     for kind in kinds:
         cap = system.arrays(kind)
         capped = [e if e.arrays <= cap else e.with_arrays(cap) for e in queues[kind]]
-        capped.sort(key=lambda e: e.est_time, reverse=True)
-        waiting.append(_Queue(capped))
+        waiting.append(PlanQueue(longest_first, capped))
     free_arrays = [system.arrays(kind) for kind in kinds]
     free_slots = [system.slots(kind) for kind in kinds]
     running: list[tuple[float, int, int]] = []  # (est end, memory position, arrays)

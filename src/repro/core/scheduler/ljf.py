@@ -13,21 +13,21 @@ shows.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ...memories.base import MemoryKind
 from ..job import Job
 from ..predictor import PerformancePredictor
-from .adjustments import PlannedJob, PlanTable, TablePolicy
+from .adjustments import PlannedJob, PlanQueue, PlanTable, TablePolicy
 from .base import Dispatch, MLIMPSystem, ResourceView, Scheduler
 
 __all__ = ["LJFScheduler", "LJFPolicy"]
 
 
 class LJFPolicy(TablePolicy):
-    """Single FIFO queue with strict head-of-line dispatch.
+    """Single queue, longest derate-scaled estimate first, with strict
+    head-of-line dispatch.
 
     The queue holds one fair-share sized :class:`PlannedJob` per job,
     on the job's best memory in ``table``; when a device is lost or
@@ -37,7 +37,9 @@ class LJFPolicy(TablePolicy):
 
     def __init__(self, table: PlanTable, queue: list[PlannedJob]) -> None:
         super().__init__(table)
-        self._queue = deque(queue)
+        scaled = table.scaled
+        self._key = lambda entry: -scaled(entry)  # longest scaled time first
+        self._queue = PlanQueue(self._key, queue)
 
     def pending(self) -> int:
         return len(self._queue)
@@ -49,12 +51,13 @@ class LJFPolicy(TablePolicy):
         dispatches: list[Dispatch] = []
         free_slots = dict(view.free_slots)
         free_run = dict(view.largest_free_run)
-        while self._queue:
-            head = self._queue[0]
+        queue = self._queue
+        while queue.size:
+            head = queue.entries[queue.head]
             kind = head.kind
             if free_slots.get(kind, 0) <= 0 or free_run.get(kind, 0) < head.arrays:
                 break  # naive head-of-line blocking
-            self._queue.popleft()
+            queue.take(queue.head)
             dispatches.append(
                 Dispatch(
                     job=head.job,
@@ -72,27 +75,19 @@ class LJFPolicy(TablePolicy):
         """Arrival-awareness: size each arrival on every surviving
         memory and insert it into the single queue in LJF order.
 
-        The naive baseline stays naive under open arrivals: the queue
-        is re-sorted longest-first over the *waiting* jobs only, and
+        The naive baseline stays naive under open arrivals: an arrival
+        goes behind every waiting job at least as long as it, and
         head-of-line blocking still applies at dispatch time.
         """
-        if not jobs:
-            return []  # admit contract: an empty batch is a pure no-op
         unplaced: list[Job] = []
         for job in jobs:
             if self.table.admit(job):
-                self._queue.append(self.table.best(job.job_id))
+                self._queue.insert(self.table.best(job.job_id))
             else:
                 unplaced.append(job)
-        self._resort()
         return unplaced
 
     # -- graceful degradation (repro.faults) ---------------------------
-    def _resort(self) -> None:
-        self._queue = deque(
-            sorted(self._queue, key=self.table.scaled, reverse=True)
-        )
-
     def device_lost(
         self, kind: MemoryKind, jobs: list[Job], now: float
     ) -> list[Job]:
@@ -108,17 +103,16 @@ class LJFPolicy(TablePolicy):
             else:
                 rebuilt.append(entry)
         self.table.drop(unplaced)
-        self._queue = rebuilt
-        self._resort()
+        self._queue = PlanQueue(self._key, rebuilt)
         return unplaced
 
     def device_derated(self, kind: MemoryKind, factor: float, now: float) -> None:
         self.table.derate(kind, factor)
         # Re-pick each queued job's best memory under the new scaling.
-        self._queue = [
-            self.table.best(entry.job.job_id) or entry for entry in self._queue
-        ]
-        self._resort()
+        self._queue = PlanQueue(
+            self._key,
+            [self.table.best(entry.job.job_id) or entry for entry in self._queue],
+        )
 
 
 @dataclass
@@ -155,6 +149,4 @@ class LJFScheduler(Scheduler):
             if not table.admit(job):
                 raise ValueError(f"job {job.job_id} fits no memory in the system")
             queue.append(table.best(job.job_id))
-        # Longest (shortest-execution-time metric) first.
-        queue.sort(key=lambda entry: entry.est_time, reverse=True)
         return LJFPolicy(table, queue)

@@ -5,7 +5,7 @@ from .energy import EnergyCategory, EnergyLedger
 from .engine import SimulationError, Simulator
 from .events import Event, EventHandle, JobArrival
 from .mainmem import DDR4Config, SharedBandwidthPipe, Transfer
-from .trace import ExecutionTrace, Phase, StreamingTrace, TraceRecord
+from .trace import ExecutionTrace, Phase, TraceRecord
 
 __all__ = [
     "EnergyCategory",
@@ -21,6 +21,5 @@ __all__ = [
     "ExecutionTrace",
     "FlightColumns",
     "Phase",
-    "StreamingTrace",
     "TraceRecord",
 ]

@@ -25,8 +25,8 @@ The hot loop is written for throughput:
   index and the transition logic lives in one handler, so the
   dispatcher's phase chain needs no per-phase closure or
   :class:`Event` object at all.  Row entries share the ``seq`` counter
-  with ordinary events, which makes the interleaving of the columnar
-  and object-based dispatch paths identical by construction.
+  with ordinary events, so rows and callback events due at the same
+  time fire in the order they were scheduled.
 """
 
 from __future__ import annotations
@@ -141,11 +141,10 @@ class Simulator:
     def at_row(self, time: float, row: int) -> None:
         """Schedule row ``row`` of the attached table at ``time``.
 
-        Row entries are not cancellable (stale transitions are expected
-        to no-op inside the handler, exactly like the object path's
-        ``live()`` guard) and carry no :class:`Event`; they consume a
-        ``seq`` like any event, so ordering against callback events is
-        the same as if :meth:`at` had been used.
+        Row entries are not cancellable (the handler must turn a stale
+        transition into a no-op) and carry no :class:`Event`; they
+        consume a ``seq`` like any event, so ordering against callback
+        events is the same as if :meth:`at` had been used.
         """
         if time < self._now:
             raise SimulationError(f"cannot schedule at {time} < now {self._now}")

@@ -11,10 +11,7 @@ Storage is columnar (struct-of-arrays): parallel append-only columns
 -- job id, device, phase, start, end, arrays -- instead of a list of
 Python objects.  :class:`TraceRecord` objects are materialised lazily,
 only when a caller actually asks for :attr:`ExecutionTrace.records`;
-the analytics run directly over the numeric columns with NumPy.  For
-open-ended runs (1M+ jobs) a :class:`StreamingTrace` keeps memory flat:
-each row is forwarded to a sink (e.g. a JSONL writer) and only O(1)
-aggregates are retained in memory.
+the analytics run directly over the numeric columns with NumPy.
 """
 
 from __future__ import annotations
@@ -23,11 +20,10 @@ import enum
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-__all__ = ["Phase", "TraceRecord", "ExecutionTrace", "StreamingTrace"]
+__all__ = ["Phase", "TraceRecord", "ExecutionTrace"]
 
 
 class Phase(enum.Enum):
@@ -241,80 +237,3 @@ class ExecutionTrace:
         ):
             out[device][phase.value] += end - start
         return {device: dict(phases) for device, phases in out.items()}
-
-
-class StreamingTrace:
-    """Trace sink for open-ended runs: rows stream out, memory stays flat.
-
-    Implements the same :meth:`record` / :meth:`add` append interface
-    as :class:`ExecutionTrace`, but keeps no per-row state: each row is
-    forwarded to ``sink`` (a callable receiving ``(job_id, device,
-    phase_value, start, end, arrays)`` tuples -- e.g. a JSONL writer or
-    a downsampling aggregator) and only O(1) running aggregates stay in
-    memory, so a 1M-job serving run does not hold 3M+ trace rows.
-
-    Supported analytics are the aggregate subset: :attr:`makespan`,
-    :meth:`devices`, :meth:`phase_time` and
-    :meth:`per_device_phase_breakdown`.  Row-level queries
-    (:attr:`records`, ``busy_time``...) need the full trace and raise
-    :class:`TypeError`.
-    """
-
-    __slots__ = ("sink", "rows", "_makespan", "_phase_seconds", "_by_device")
-
-    def __init__(self, sink: Callable[[tuple], None] | None = None) -> None:
-        self.sink = sink
-        self.rows = 0
-        self._makespan = 0.0
-        self._phase_seconds: dict[Phase, float] = {}
-        self._by_device: dict[str, dict[str, float]] = {}
-
-    def record(
-        self,
-        job_id: str,
-        device: str,
-        phase: Phase,
-        start: float,
-        end: float,
-        arrays: int = 0,
-    ) -> None:
-        if end < start:
-            raise ValueError("trace record ends before it starts")
-        self.rows += 1
-        if end > self._makespan:
-            self._makespan = end
-        duration = end - start
-        self._phase_seconds[phase] = self._phase_seconds.get(phase, 0.0) + duration
-        per_phase = self._by_device.setdefault(device, {})
-        per_phase[phase.value] = per_phase.get(phase.value, 0.0) + duration
-        if self.sink is not None:
-            self.sink((job_id, device, phase.value, start, end, arrays))
-
-    def add(self, record: TraceRecord) -> None:
-        self.record(
-            record.job_id,
-            record.device,
-            record.phase,
-            record.start,
-            record.end,
-            record.arrays,
-        )
-
-    @property
-    def makespan(self) -> float:
-        return self._makespan
-
-    def devices(self) -> list[str]:
-        return sorted(self._by_device)
-
-    def phase_time(self, phase: Phase) -> float:
-        return self._phase_seconds.get(phase, 0.0)
-
-    def per_device_phase_breakdown(self) -> dict[str, dict[str, float]]:
-        return {device: dict(phases) for device, phases in self._by_device.items()}
-
-    @property
-    def records(self):
-        raise TypeError(
-            "StreamingTrace keeps no rows; attach a sink to capture them"
-        )

@@ -55,6 +55,22 @@ class TestLinkChecker:
         assert any("no/such/guide.md" in f for f in failures)
         assert any("core/nosuch.py" in f for f in failures)
 
+    def test_checker_resolves_symbols_and_lines(self, tmp_path):
+        """A ``::symbol`` must be defined in the file and a ``:line``
+        must be within it; the file existing is not enough."""
+        check_links = _load_check_links()
+        doc = tmp_path / "pointers.md"
+        doc.write_text(
+            "`core/dispatcher.py::Dispatcher.run` and "
+            "`core/scheduler/adjustments.py::PlanTable` resolve;\n"
+            "`core/dispatcher.py::no_such_function`, "
+            "`core/dispatcher.py::Dispatcher.no_such_method` and "
+            "`core/dispatcher.py:999999` do not.\n"
+        )
+        failures = check_links.check_file(doc)
+        assert len(failures) == 3
+        assert all(f.startswith("pointers.md:2: broken reference") for f in failures)
+
     def test_checker_skips_code_blocks_and_placeholders(self, tmp_path):
         check_links = _load_check_links()
         doc = tmp_path / "ok.md"

@@ -11,7 +11,9 @@ import json
 import pytest
 
 from repro.core import Dispatcher, DispatchError, Job, JobPerfProfile, MLIMPSystem
+from repro.core.predictor import OraclePredictor
 from repro.core.runtime import MLIMPRuntime
+from repro.core.scheduler import AdaptivePolicy, AdaptiveScheduler
 from repro.core.scheduler.base import Dispatch, DispatchPolicy, ResourceView
 from repro.faults import (
     DeviceHealth,
@@ -22,8 +24,10 @@ from repro.faults import (
     RetryPolicy,
 )
 from repro.memories import ArrayGeometry, MemoryKind, MemorySpec
+from repro.harness.config import gnn_system
 from repro.memories.endurance import WearTracker
 from repro.obs import build_report, result_payload
+from tests.prophelpers import make_jobs
 
 
 def spec(kind=MemoryKind.SRAM, arrays=32, slots=2) -> MemorySpec:
@@ -388,6 +392,30 @@ class TestDispatcherDegradation:
         )
         with pytest.raises(DispatchError):
             Dispatcher(system).run(policy)
+
+    def test_jobs_the_policy_took_back_and_dropped_fail_the_run(self, monkeypatch):
+        """A ``device_lost`` that keeps the in-flight victims (returns
+        none unplaced) but never queues them strands them: the run must
+        raise, not end with their stale records counted as finished."""
+        absorb = AdaptivePolicy.device_lost
+
+        def forgetful(self, kind, jobs, now):
+            absorb(self, kind, [], now)  # re-places its own queue only
+            return []
+
+        monkeypatch.setattr(AdaptivePolicy, "device_lost", forgetful)
+        system = gnn_system()
+        policy = AdaptiveScheduler(OraclePredictor()).plan(make_jobs(3), system)
+        plan = FaultPlan(
+            events=(
+                FaultEvent(kind=FaultKind.FAIL, device=MemoryKind.RERAM, time=20e-6),
+            )
+        )
+        with pytest.raises(
+            DispatchError,
+            match=r"^5 jobs the policy took back in device_lost never came back$",
+        ):
+            Dispatcher(system).run(policy, faults=plan)
 
 
 class TestWearBridge:

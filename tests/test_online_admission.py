@@ -38,8 +38,7 @@ def _queued_ids(policy) -> set[str]:
         return {e.job.job_id for e in policy._queue}
     if isinstance(policy, GlobalPolicy):
         return {s.entry.job.job_id for s in policy._scheduled()}
-    if isinstance(policy, EWTPolicy):
-        return {w.entry.job.job_id for q in policy._queues.values() for w in q}
+    # Adaptive and EWT: one queue of planned entries per memory.
     return {e.job.job_id for q in policy._queues.values() for e in q}
 
 

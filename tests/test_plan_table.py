@@ -83,9 +83,7 @@ def _queued_kinds(policy) -> dict[str, MemoryKind]:
         entries = list(policy._queue)
     elif isinstance(policy, GlobalPolicy):
         entries = [s.entry for s in policy._scheduled()]
-    elif isinstance(policy, EWTPolicy):
-        entries = [w.entry for q in policy._queues.values() for w in q]
-    else:
+    else:  # adaptive and EWT: one queue of planned entries per memory
         entries = [e for q in policy._queues.values() for e in q]
     return {e.job.job_id: e.kind for e in entries}
 

@@ -21,10 +21,11 @@ from repro.core import (
     ScaleFreeEstimate,
     oracle_makespan,
 )
-from repro.core.scheduler import AdaptivePolicy, GlobalPolicy
+from repro.core.scheduler import AdaptivePolicy, EWTPolicy, GlobalPolicy
 from repro.core.scheduler.globalsched import ScheduledEntry, build_static_schedule
 from repro.core.scheduler.adjustments import (
     PlannedJob,
+    PlanQueue,
     PlanTable,
     intra_queue_adjust,
     no_options,
@@ -324,6 +325,124 @@ def test_indexed_adaptive_dispatch_matches_queue_scan(data, n_jobs, backfill):
                 policy.notify_completion(jobs[job_id], kind, now)
             else:
                 policy.notify_failed(jobs[job_id], now)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n_initial=st.integers(min_value=0, max_value=12))
+def test_plan_queue_matches_stable_resort(data, n_initial):
+    """Random inserts, launches (first fits and arbitrary positions) and
+    the compactions inserts trigger, with tied keys: the queue holds
+    exactly what a list stably re-sorted after every operation holds, in
+    the same order, and its head, first fit and smallest allocation are
+    that list's."""
+    kind = KINDS[0]
+    rank: dict[str, int] = {}
+
+    def key(entry: PlannedJob) -> int:
+        return rank[entry.job.job_id]
+
+    def planned(i: int) -> PlannedJob:
+        job = job_from_seed(i, 0)
+        rank[job.job_id] = data.draw(st.integers(0, 3), label="key")
+        arrays = data.draw(st.integers(1, 8), label="arrays")
+        return PlannedJob(job=job, kind=kind, arrays=arrays, estimate=CURVES[0])
+
+    model = [planned(i) for i in range(n_initial)]
+    queue = PlanQueue(key, model)
+    model = sorted(model, key=key)
+    made = n_initial
+    steps = data.draw(st.lists(st.sampled_from(["insert", "fit", "take"]), max_size=40))
+    for step in steps:
+        if step == "insert":
+            entry = planned(made)
+            made += 1
+            queue.insert(entry)
+            model = sorted(model + [entry], key=key)
+            launched = len(queue.entries) - len(queue)
+            assert launched < len(queue)  # compacted before it could reach it
+        elif step == "fit" and model:
+            run = data.draw(st.integers(0, 9), label="run")
+            pos = queue.first_fitting(run)
+            fits = [e for e in model if e.arrays <= run]
+            assert (pos is None) == (not fits)
+            if fits:
+                assert queue.take(pos) is fits[0]
+                model.remove(fits[0])
+        elif step == "take" and model:
+            entry = data.draw(st.sampled_from(model), label="taken")
+            assert queue.take(queue.entries.index(entry)) is entry
+            model.remove(entry)
+        assert list(queue) == model
+        assert len(queue) == len(model)
+        assert queue.smallest() == min((e.arrays for e in model), default=float("inf"))
+        if model:
+            assert queue.entries[queue.head] is model[0]
+
+
+def _ewt_key(policy: EWTPolicy, entry: PlannedJob) -> tuple[float, str]:
+    job_id = entry.job.job_id
+    return policy._arrived[job_id] - policy.table.scaled(entry), job_id
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n_jobs=st.integers(min_value=1, max_value=16))
+def test_ewt_kept_order_is_a_fresh_sort(data, n_jobs):
+    """Over random admits, dispatches, derates, device losses and
+    completions, each EWT queue stays in the order a fresh sort by
+    ``(arrived - scaled time, job id)`` gives, and every dispatch is the
+    fit-skip scan of that order."""
+    jobs = {f"h{i}": job_from_seed(i, 0) for i in range(n_jobs)}
+    options = {job_id: data.draw(planned_options(job)) for job_id, job in jobs.items()}
+    waiting = list(jobs)
+    policy = EWTPolicy(PlanTable(SYSTEM, lambda job: dict(options[job.job_id])))
+    inflight: list[tuple[MemoryKind, str]] = []
+    now = 0.0
+    steps = data.draw(st.lists(
+        st.sampled_from(["admit"] * 3 + ["dispatch"] * 3 + ["derate", "lost", "complete"]),
+        min_size=1,
+        max_size=24,
+    ))
+    for step in steps:
+        now += data.draw(st.sampled_from([0.0, 1e-6, 1e-5]))
+        if step == "admit" and waiting:
+            count = data.draw(st.integers(1, min(3, len(waiting))))
+            batch, waiting = waiting[:count], waiting[count:]
+            assert policy.admit([jobs[j] for j in batch], now) == []
+        elif step == "dispatch":
+            slots = {k: data.draw(st.integers(0, 3)) for k in KINDS}
+            run = {k: data.draw(st.integers(0, SYSTEM.arrays(k))) for k in KINDS}
+            expected = []
+            for kind, queue in policy._queues.items():
+                left, free = slots[kind], run[kind]
+                for entry in sorted(queue, key=lambda e: _ewt_key(policy, e)):
+                    if left <= 0:
+                        break
+                    if entry.arrays <= free:
+                        expected.append((entry.job.job_id, kind, entry.arrays))
+                        left -= 1
+                        free -= entry.arrays
+            view = ResourceView(
+                now=now, free_slots=slots, free_arrays=run, largest_free_run=run
+            )
+            got = policy.next_dispatches(view)
+            assert [(d.job.job_id, d.kind, d.arrays) for d in got] == expected
+            inflight += [(d.kind, d.job.job_id) for d in got]
+        elif step == "derate":
+            kind = data.draw(st.sampled_from(KINDS))
+            policy.device_derated(kind, data.draw(st.sampled_from([0.5, 0.8])), now)
+        elif step == "lost" and len(policy._queues) > 1:
+            kind = data.draw(st.sampled_from(sorted(policy._queues, key=str)))
+            victims = [jobs[j] for k, j in inflight if k is kind]
+            inflight = [(k, j) for k, j in inflight if k is not kind]
+            assert policy.device_lost(kind, victims, now) == []
+        elif step == "complete" and inflight:
+            kind, job_id = inflight.pop(data.draw(st.integers(0, len(inflight) - 1)))
+            policy.notify_completion(jobs[job_id], kind, now)
+        queued = [e for queue in policy._queues.values() for e in queue]
+        assert sorted(policy._arrived) == sorted(e.job.job_id for e in queued)
+        for queue in policy._queues.values():
+            kept = list(queue)
+            assert kept == sorted(kept, key=lambda e: _ewt_key(policy, e))
 
 
 def test_first_fit_after_out_of_order_launches():

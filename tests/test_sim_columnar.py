@@ -1,9 +1,8 @@
-"""Unit tests for the columnar flight table and streaming trace."""
+"""Unit tests for the columnar flight table."""
 
 import pytest
 
-from repro.sim import FlightColumns, Phase, StreamingTrace, Simulator
-from repro.sim.trace import TraceRecord
+from repro.sim import FlightColumns, Simulator
 
 
 class TestFlightColumns:
@@ -74,68 +73,3 @@ class TestRowScheduling:
             sim.at_row(0.5, 1)
         with pytest.raises(SimulationError):
             sim.after_row(-0.1, 1)
-
-
-class TestStreamingTrace:
-    def _fill(self, trace):
-        trace.record("j0", "DRAM", Phase.FILL, 0.0, 1.0, arrays=2)
-        trace.record("j0", "DRAM", Phase.COMPUTE, 1.0, 4.0)
-        trace.record("j1", "RRAM", Phase.COMPUTE, 0.5, 2.0)
-
-    def test_aggregates_match_full_trace(self):
-        from repro.sim import ExecutionTrace
-
-        streaming, full = StreamingTrace(), ExecutionTrace()
-        self._fill(streaming)
-        self._fill(full)
-        assert streaming.makespan == full.makespan
-        assert streaming.devices() == full.devices()
-        assert streaming.phase_time(Phase.COMPUTE) == full.phase_time(
-            Phase.COMPUTE
-        )
-        assert (
-            streaming.per_device_phase_breakdown()
-            == full.per_device_phase_breakdown()
-        )
-        assert streaming.rows == 3
-
-    def test_sink_receives_every_row(self):
-        rows = []
-        trace = StreamingTrace(sink=rows.append)
-        self._fill(trace)
-        assert rows == [
-            ("j0", "DRAM", "fill", 0.0, 1.0, 2),
-            ("j0", "DRAM", "compute", 1.0, 4.0, 0),
-            ("j1", "RRAM", "compute", 0.5, 2.0, 0),
-        ]
-
-    def test_add_accepts_trace_records(self):
-        trace = StreamingTrace()
-        trace.add(TraceRecord("j", "DRAM", Phase.FILL, 0.0, 2.0))
-        assert trace.makespan == 2.0
-
-    def test_row_level_queries_raise(self):
-        trace = StreamingTrace()
-        with pytest.raises(TypeError):
-            trace.records
-
-    def test_rejects_backwards_interval(self):
-        trace = StreamingTrace()
-        with pytest.raises(ValueError):
-            trace.record("j", "DRAM", Phase.FILL, 1.0, 0.5)
-
-    def test_memory_stays_flat(self):
-        """No per-row state: a large run's footprint is O(devices)."""
-        trace = StreamingTrace()
-        for i in range(10_000):
-            trace.record(f"j{i}", "DRAM", Phase.COMPUTE, float(i), i + 0.5)
-        assert trace.rows == 10_000
-        # Only aggregates retained -- nothing sized by row count.
-        assert set(trace.__slots__) == {
-            "sink",
-            "rows",
-            "_makespan",
-            "_phase_seconds",
-            "_by_device",
-        }
-        assert len(trace._by_device) == 1

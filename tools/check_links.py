@@ -12,7 +12,10 @@ documentation files:
   The docs deliberately refer to sources by short paths
   (``core/dispatcher.py``, ``harness/serving.py``), so each candidate
   is resolved against a small set of roots (repo root, ``src/``,
-  ``src/repro/``, ``src/repro/core/``, ``docs/``).
+  ``src/repro/``, ``src/repro/core/``, ``docs/``).  A ``::name``
+  suffix (dotted for a class member, ``Class.method``) must name a
+  ``def``, ``class`` or assignment at that level of the file, and a
+  ``:N`` suffix must be a line within the file.
 
 Exit status is the number of broken references (0 = all good), and
 every failure is printed as ``file:line: broken reference 'target'``.
@@ -22,6 +25,7 @@ directly with ``python tools/check_links.py``.
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -57,10 +61,13 @@ def _candidate_paths(token: str) -> list[Path]:
     return [REPO_ROOT / root / token for root in SEARCH_ROOTS]
 
 
-def _normalise_backtick(token: str) -> str | None:
-    """Reduce a backtick span to a checkable relative path, or None."""
-    token = token.split("::")[0]  # `mod.py::func`
-    token = re.sub(r":\d+$", "", token)  # `mod.py:162`
+def _split_backtick(token: str) -> tuple[str, str | None, int | None] | None:
+    """Split a backtick span into ``(relative path, symbol, line)``, or
+    None when it is not a checkable file reference."""
+    token, _, symbol = token.partition("::")  # `mod.py::func`
+    line = re.search(r":(\d+)$", token)  # `mod.py:162`
+    if line:
+        token = token[: line.start()]
     if token.startswith(("/", "http://", "https://")):
         return None
     if NON_PATH_CHARS.search(token):
@@ -69,7 +76,34 @@ def _normalise_backtick(token: str) -> str | None:
         return None
     if not token.endswith(PATH_SUFFIXES):
         return None
-    return token
+    return token, symbol or None, int(line.group(1)) if line else None
+
+
+def _defined_names(node: ast.stmt) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def _has_symbol(path: Path, symbol: str) -> bool:
+    """``symbol`` (``name`` or ``Class.member``) is defined in ``path``."""
+    body = ast.parse(path.read_text()).body
+    for part in symbol.split("."):
+        node = next((n for n in body if part in _defined_names(n)), None)
+        if node is None:
+            return False
+        body = getattr(node, "body", [])
+    return True
+
+
+def _resolves(path: Path, symbol: str | None, line: int | None) -> bool:
+    if symbol is not None and (path.suffix != ".py" or not _has_symbol(path, symbol)):
+        return False
+    return line is None or 1 <= line <= len(path.read_text().splitlines())
 
 
 def check_file(doc: Path) -> list[str]:
@@ -95,10 +129,12 @@ def check_file(doc: Path) -> list[str]:
         if in_code_block:
             continue  # code blocks hold example commands, not claims
         for match in BACKTICK_SPAN.finditer(line):
-            token = _normalise_backtick(match.group(1))
-            if token is None:
+            reference = _split_backtick(match.group(1))
+            if reference is None:
                 continue
-            if not any(p.exists() for p in _candidate_paths(token)):
+            token, symbol, target_line = reference
+            path = next((p for p in _candidate_paths(token) if p.exists()), None)
+            if path is None or not _resolves(path, symbol, target_line):
                 failures.append(
                     f"{rel}:{lineno}: broken reference '{match.group(1)}'"
                 )
