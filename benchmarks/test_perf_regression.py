@@ -22,8 +22,14 @@ from repro.core.perfmodel import (
     knee_allocation,
     knee_allocations,
 )
-from repro.core import GlobalScheduler, OraclePredictor
-from repro.core.scheduler import AdaptivePolicy, EWTPolicy, adjustments, globalsched
+from repro.core import EWTScheduler, GlobalScheduler, OraclePredictor
+from repro.core.scheduler import (
+    AdaptivePolicy,
+    EWTPolicy,
+    adaptive,
+    adjustments,
+    globalsched,
+)
 from repro.core.scheduler.adjustments import AdmissionPlanner, PlannedJob, PlanTable
 from repro.harness.ablations import ablation_knee
 from repro.harness.config import full_system, gnn_system
@@ -249,6 +255,127 @@ def test_ewt_dispatch_scales_each_launch_once(monkeypatch):
     )
 
 
+def test_admission_writes_rankings_per_arrival_and_migration(monkeypatch):
+    """The adaptive policy keeps Algorithm 1's rankings across
+    arrivals: an admitted job writes one row per other live memory,
+    and each migration one more per memory, instead of every call
+    re-ranking the whole backlog.  Counts only: a predictive
+    ``gnn_system`` serve, per ``admit`` call."""
+    counts = {"writes": 0, "migrations": 0}
+    calls: list[tuple[int, int, int, int]] = []
+    insort, remove = adjustments.insort, adjustments.PlanQueue.remove
+    admit = AdaptivePolicy.admit
+
+    def counted_insort(*args, **kwargs):
+        counts["writes"] += 1
+        return insort(*args, **kwargs)
+
+    def counted_remove(queue, entry):
+        counts["migrations"] += 1
+        return remove(queue, entry)
+
+    def counted_admit(policy, jobs, now):
+        before = dict(counts)
+        unplaced = admit(policy, jobs, now)
+        calls.append((
+            len(jobs) - len(unplaced),
+            len(policy._queues),
+            counts["writes"] - before["writes"],
+            counts["migrations"] - before["migrations"],
+        ))
+        return unplaced
+
+    monkeypatch.setattr(adjustments, "insort", counted_insort)
+    monkeypatch.setattr(adjustments.PlanQueue, "remove", counted_remove)
+    monkeypatch.setattr(AdaptivePolicy, "admit", counted_admit)
+    tenants = [Tenant(f"tenant-{i}", queue_limit=32) for i in range(3)]
+    arrivals = PoissonArrivals(
+        rate=2e6, horizon=2.5e-4, seed=3, tenants=tuple(t.name for t in tenants)
+    )
+    ServingRuntime(gnn_system(), max_backlog=16).serve(
+        arrivals, tenants=tenants, slo_s=1e-4, admission="predictive"
+    )
+    assert len(calls) > 100
+    assert sum(migrated for *_, migrated in calls) > 0
+    for admitted, live, writes, migrated in calls:
+        assert writes <= admitted * live * (1 + migrated), (
+            f"{writes} ranking rows written for {admitted} admitted jobs "
+            f"and {migrated} migrations on {live} memories"
+        )
+
+
+def test_closed_batch_balance_reads_one_ranking_head_per_target(monkeypatch):
+    """Algorithm 1 on a closed batch takes each target's candidate from
+    the head of one ``(target, source)`` ranking; walking one ranking
+    per target past every job queued elsewhere made 894,037 lookups in
+    41 calls.  Counts only: the Fig. 10 sizing sweep on one ``collab``
+    batch, where every round inspects at most one row per memory."""
+    counts = {"inside": False, "rows": 0, "migrations": 0, "calls": 0}
+    cheapest, remove = adjustments.QueueBalance._cheapest, adjustments.PlanQueue.remove
+    inter_queue_adjust = adaptive.inter_queue_adjust
+
+    def counted_cheapest(balance, target, source):
+        row = cheapest(balance, target, source)
+        if counts["inside"] and row is not None:
+            counts["rows"] += 1
+        return row
+
+    def counted_remove(queue, entry):
+        if counts["inside"]:
+            counts["migrations"] += 1
+        return remove(queue, entry)
+
+    def counted_adjust(queues, *args, **kwargs):
+        counts["inside"] = True
+        counts["calls"] += 1
+        try:
+            return inter_queue_adjust(queues, *args, **kwargs)
+        finally:
+            counts["inside"] = False
+
+    monkeypatch.setattr(adjustments.QueueBalance, "_cheapest", counted_cheapest)
+    monkeypatch.setattr(adjustments.PlanQueue, "remove", counted_remove)
+    monkeypatch.setattr(adaptive, "inter_queue_adjust", counted_adjust)
+    ablation_knee("collab", workload=build_workload("collab", num_batches=1, seed=0))
+    memories = len(gnn_system().kinds)
+    # Every round migrates one job or ends its call.
+    rounds = counts["migrations"] + counts["calls"]
+    assert counts["migrations"] > 100
+    assert 0 < counts["rows"] <= memories * rounds, (
+        f"{counts['rows']} ranking rows inspected in at most {rounds} rounds"
+    )
+
+
+def test_ewt_placement_sums_kept_columns(monkeypatch):
+    """EWT placement sums each candidate queue's drain from its kept
+    columns; re-summing ``list(queue)`` per placement made planning one
+    576-job ``collab`` batch quadratic in Python (0.125 s against
+    0.020 s for adaptive).  Counts only: ``_place`` iterates no queue
+    entries."""
+    counts = {"inside": False, "iterated": 0, "placed": 0}
+    place, iterate = EWTPolicy._place, adjustments.PlanQueue.__iter__
+
+    def counted_place(policy, arrivals):
+        counts["inside"] = True
+        counts["placed"] += len(arrivals)
+        try:
+            return place(policy, arrivals)
+        finally:
+            counts["inside"] = False
+
+    def counted_iter(queue):
+        if counts["inside"]:
+            counts["iterated"] += 1
+        return iterate(queue)
+
+    monkeypatch.setattr(EWTPolicy, "_place", counted_place)
+    monkeypatch.setattr(adjustments.PlanQueue, "__iter__", counted_iter)
+    jobs = build_workload("collab", num_batches=1, seed=0).jobs_per_batch[0]
+    policy = EWTScheduler(OraclePredictor()).plan(jobs, gnn_system())
+    assert policy.pending() == counts["placed"] == 576
+    assert counts["iterated"] == 0
+
+
 def _plan_collab_batch(monkeypatch, name: str, counts: dict):
     """``GlobalScheduler.plan`` of one 576-job ``collab`` batch, with
     ``counts["inside"]`` set while the ``globalsched`` module function
@@ -270,21 +397,33 @@ def _plan_collab_batch(monkeypatch, name: str, counts: dict):
 def test_intra_queue_adjust_reads_each_time_a_few_times(monkeypatch):
     """Algorithm 2 keeps its queue sorted across rounds; re-sorting and
     re-summing the whole queue every round read ``est_time`` 32,280
-    times on this batch (about 56 per job).  Counts only."""
+    times on this batch (about 56 per job).  ``est_time`` is a field,
+    so the count is what produces one: ``total_time`` calls plus
+    ``PlannedJob`` constructions.  Counts only."""
     counts = {"inside": False, "reads": 0}
-    est_time = PlannedJob.est_time
+    init = PlannedJob.__init__
 
-    def counted(entry):
+    def counted_init(entry, *args, **kwargs):
         if counts["inside"]:
             counts["reads"] += 1
-        return est_time.fget(entry)
+        init(entry, *args, **kwargs)
 
-    monkeypatch.setattr(PlannedJob, "est_time", property(counted))
+    def counting(method):
+        def wrapper(estimate, arrays):
+            if counts["inside"]:
+                counts["reads"] += 1
+            return method(estimate, arrays)
+
+        return wrapper
+
+    monkeypatch.setattr(PlannedJob, "__init__", counted_init)
+    for cls in (ProfileEstimate, ScaleFreeEstimate):
+        monkeypatch.setattr(cls, "total_time", counting(cls.total_time))
     jobs, _ = _plan_collab_batch(monkeypatch, "intra_queue_adjust", counts)
     assert len(jobs) == 576
     per_job = counts["reads"] / len(jobs)
     assert 0 < per_job <= 4, (
-        f"{counts['reads']} est_time reads for {len(jobs)} jobs ({per_job:.1f} per job)"
+        f"{counts['reads']} time evaluations for {len(jobs)} jobs ({per_job:.1f} per job)"
     )
 
 
@@ -295,16 +434,14 @@ def test_static_schedule_inspects_few_entries_per_placement(monkeypatch):
     this batch).  Counts reads of ``PlannedJob.arrays`` while
     ``build_static_schedule`` runs."""
     counts = {"inside": False, "reads": 0}
+    slot = PlannedJob.arrays
 
     def read(entry):
         if counts["inside"]:
             counts["reads"] += 1
-        return entry.__dict__["arrays"]
+        return slot.__get__(entry)
 
-    def write(entry, value):
-        entry.__dict__["arrays"] = value
-
-    monkeypatch.setattr(PlannedJob, "arrays", property(read, write), raising=False)
+    monkeypatch.setattr(PlannedJob, "arrays", property(read, slot.__set__))
     jobs, policy = _plan_collab_batch(monkeypatch, "build_static_schedule", counts)
     placed = policy.pending()
     assert placed == len(jobs) == 576

@@ -35,20 +35,23 @@ vectorised NumPy batch (``total_time_batch``) per search::
 Serving traffic rarely repeats a knee search (every arrival is a new
 curve), so the cost of a miss matters too, and a lone miss is almost
 all NumPy per-call overhead on a ~40-point grid.  Searches therefore
-run in *cohorts*: :func:`knee_allocations` looks every (curve, cap)
+run in *cohorts*: :func:`knee_points` looks every (curve, cap)
 pair up in the knee cache and runs all the misses as one segmented
 pass over a flat array -- per-curve min and span by
 ``np.minimum/maximum.reduceat``, the grids' stencils applied across
 segments, one ``np.arctan`` and a segmented first-index argmax -- so
 a planner sizing many jobs pays the per-call overhead once
-(:func:`knee_allocation` is the one-curve cohort).  Everything that
-depends on the grid alone is built once per grid and cached next to
-it in the ``perfmodel.grid`` cache: the normalised allocation axis
-and the three-point ``np.gradient`` stencil over it (interior
-coefficients plus the two one-sided end spacings,
+(:func:`knee_allocation` is the one-curve cohort), and each answer
+comes with the curve's time at the knee, which the planner hands to
+its queue entry instead of evaluating ``total_time`` again.
+Everything that depends on the grid alone is built once per grid and
+cached next to it in the ``perfmodel.grid`` cache: the normalised
+allocation axis and the three-point ``np.gradient`` stencil over it
+(interior coefficients plus the two one-sided end spacings,
 :func:`_knee_stencil`), and, for the oracle's
 :class:`ProfileEstimate` curves, the time-free *replica shape*
-(``replicas - 1``, ``waves``, ``effective ** delta``) per
+(``replicas - 1``, ``waves``, ``effective ** delta``, the last
+also by the scalar power ``total_time`` uses) per
 ``(waves_unit, overhead_delta)``, so a whole cohort of profile curves
 evaluates in a few array operations.  Each answer is bit-identical
 to a one-curve ``np.gradient`` / ``np.argmax`` search.
@@ -76,6 +79,7 @@ __all__ = [
     "allocation_grid",
     "knee_allocation",
     "knee_allocations",
+    "knee_points",
     "min_time_allocation",
     "fit_beta",
     "DEFAULT_BETA",
@@ -542,15 +546,32 @@ def _knee_stencil(grid: np.ndarray) -> tuple:
     return coeffs, float(dx[0]), float(dx[-1])
 
 
+#: The rows of a :func:`_profile_shape` that give a curve's
+#: ``total_time`` bit for bit (the knee search reads the first three).
+_EXACT_ROWS = [0, 1, 3]
+
+
 def _profile_shape(profile: JobPerfProfile, entry: _GridEntry) -> np.ndarray:
     """``profile.replica_shape`` over a cached grid, as one read-only
-    ``(3, len(grid))`` array.  Cached in the grid cache under the grid
-    key plus the two shape fields, so every curve of the same shape
-    evaluates from it with a handful of array operations."""
+    ``(4, len(grid))`` array: ``replicas - 1``, ``waves``, the overhead
+    factor ``effective ** delta`` as NumPy's vectorised power computes
+    it (what the knee search has always read), and the same factor from
+    the scalar power ``total_time`` uses -- a SIMD build of NumPy's
+    power can differ from it in the last bit, so :data:`_EXACT_ROWS` are
+    the ones :func:`_profile_times` turns into ``total_time`` exactly.
+    Cached in the grid cache under the grid key plus the two shape
+    fields, so every curve of the same shape evaluates from it with a
+    handful of array operations."""
     key = entry.key + (profile.waves_unit, profile.overhead_delta)
     shape = _GRID_CACHE.get(key)
     if shape is _MISSING:
-        shape = np.array(profile.replica_shape(entry.grid), dtype=float)
+        replicas_less_one, waves, overhead = profile.replica_shape(entry.grid)
+        delta = profile.overhead_delta
+        effective = np.ceil(profile.waves_unit / waves).tolist()
+        shape = np.array(
+            (replicas_less_one, waves, overhead, [e**delta for e in effective]),
+            dtype=float,
+        )
         shape.setflags(write=False)
         _GRID_CACHE.put(key, shape)
     return shape
@@ -593,7 +614,15 @@ def knee_allocation(estimate, max_arrays: int) -> int:
 
 
 def knee_allocations(estimates, caps) -> list[int]:
-    """:func:`knee_allocation` of each ``(estimate, cap)`` pair.
+    """:func:`knee_allocation` of each ``(estimate, cap)`` pair (see
+    :func:`knee_points`)."""
+    return [knee for knee, _ in knee_points(estimates, caps)]
+
+
+def knee_points(estimates, caps) -> list[tuple[int, float | None]]:
+    """The knee allocation of each ``(estimate, cap)`` pair, with the
+    curve's ``total_time`` there (``None`` for a one-point grid, which
+    has no search and so no time to hand back).
 
     Searches already in the knee cache are lookups; the misses run as
     one segmented NumPy pass (:func:`_knee_pass`) instead of one small
@@ -625,8 +654,9 @@ def knee_allocations(estimates, caps) -> list[int]:
     return knees
 
 
-def _knee_pass(estimates, caps) -> list[int]:
-    """The knee search of many curves over one flat array.
+def _knee_pass(estimates, caps) -> list[tuple[int, float | None]]:
+    """The knee search of many curves over one flat array; returns
+    :func:`knee_points` rows.
 
     Each curve's times over its grid form one segment of the flat
     array.  Both axes are normalised per segment (so the angle is
@@ -635,9 +665,14 @@ def _knee_pass(estimates, caps) -> list[int]:
     whole cohort.  Every step is elementwise on the same values in
     the same order as a one-curve search, so each answer is
     bit-identical to ``np.gradient`` / ``np.argmax`` on that curve
-    alone.
+    alone.  A profile curve's guard and handed-back time come from its
+    shape's exact rows at the unit and the knee, which are its
+    ``total_time`` bit for bit (:func:`_profile_times` keeps the ground
+    truth's operation order); a scale-free curve's batch times can
+    differ from its scalar ones in the last bit, so it evaluates
+    ``total_time`` at the unit and the knee.
     """
-    knees = [0] * len(estimates)
+    knees: list = [None] * len(estimates)
     # (result slot, estimate, grid entry); profile curves first, so
     # their times come from one flat evaluation over cached shapes.
     profiles: list = []
@@ -645,7 +680,7 @@ def _knee_pass(estimates, caps) -> list[int]:
     for i, (estimate, cap) in enumerate(zip(estimates, caps)):
         entry = _grid_entry(estimate, cap)
         if entry.coeffs is None:
-            knees[i] = int(entry.grid[0])
+            knees[i] = (int(entry.grid[0]), None)
         elif isinstance(estimate, ProfileEstimate):
             profiles.append((i, estimate, entry))
         else:
@@ -668,7 +703,9 @@ def _knee_pass(estimates, caps) -> list[int]:
         shapes = np.concatenate(
             [_profile_shape(est.profile, entry) for _, est, entry in profiles], axis=1
         )
-        parts.append(_profile_times(params[segment[: shapes.shape[1]]].T, shapes))
+        parts.append(
+            _profile_times(params[segment[: shapes.shape[1]]].T, shapes[:3])
+        )
     parts.extend(est.total_time_batch(entry.grid) for _, est, entry in others)
     times = np.concatenate(parts)
 
@@ -695,17 +732,32 @@ def _knee_pass(estimates, caps) -> list[int]:
     peak = np.maximum.reduceat(dtheta, starts)[segment]
     at_peak = np.flatnonzero((dtheta == peak) | np.isnan(dtheta))
     first = at_peak[np.searchsorted(at_peak, starts)]
+    # A flat curve stays at its unit allocation.
+    chosen = np.where(flat, starts, first)
+    if profiles:
+        # The profile curves' exact times at their unit and knee.
+        count = len(profiles)
+        at = np.concatenate([starts[:count], chosen[:count]])
+        exact = _profile_times(
+            params[segment[at]].T, shapes[:, at][_EXACT_ROWS]
+        ).tolist()
+        unit_times, knee_times = exact[:count], exact[count:]
 
-    for (i, estimate, entry), start, knee_at, is_flat in zip(
-        curves, starts, first.tolist(), flat.tolist()
+    for n, ((i, estimate, entry), start, knee_at) in enumerate(
+        zip(curves, starts, chosen.tolist())
     ):
         unit = int(entry.grid[0])
-        knee = unit if is_flat else int(entry.grid[knee_at - start])
+        knee = int(entry.grid[knee_at - start])
+        if n < len(profiles):
+            unit_t, knee_t = unit_times[n], knee_times[n]
+        else:
+            unit_t = estimate.total_time(unit)
+            knee_t = unit_t if knee == unit else estimate.total_time(knee)
         # Guard: never pick an allocation that is *worse* than the unit
         # allocation (possible when replication cost dominates).
-        if knee != unit and estimate.total_time(knee) > estimate.total_time(unit):
-            knee = unit
-        knees[i] = knee
+        if knee_t > unit_t:
+            knee, knee_t = unit, unit_t
+        knees[i] = (knee, knee_t)
     return knees
 
 

@@ -26,6 +26,7 @@ from .adjustments import (
     PlannedJob,
     PlanQueue,
     PlanTable,
+    QueueBalance,
     TablePolicy,
     first_fit_launches,
     inter_queue_adjust,
@@ -41,7 +42,10 @@ class AdaptivePolicy(TablePolicy):
     """Greedy largest-first dispatch with remainder backfill.
 
     ``queues`` holds the planned entries of the table's live memories
-    (a memory missing from it starts with an empty queue)."""
+    (a memory missing from it starts with an empty queue).  The queues
+    and Algorithm 1's rankings live in one :class:`QueueBalance` for
+    the whole run: arrivals and migrations insert, launches remove,
+    and only a device loss or derate builds a new one."""
 
     def __init__(
         self,
@@ -50,14 +54,19 @@ class AdaptivePolicy(TablePolicy):
         backfill: bool = True,
     ) -> None:
         super().__init__(table)
-        self._queues = {
-            kind: PlanQueue(longest_first, queues.get(kind, ())) for kind in table.live
-        }
+        self._keep(
+            {kind: PlanQueue(longest_first, queues.get(kind, ())) for kind in table.live}
+        )
         self._backfill = backfill
         # Estimated completion times of in-flight jobs, per memory.
         self._inflight: dict[MemoryKind, dict[str, float]] = {
             kind: {} for kind in self._queues
         }
+
+    def _keep(self, queues: dict[MemoryKind, PlanQueue]) -> None:
+        """Balance ``queues`` from now on (ranked from the table)."""
+        self._queues = queues
+        self._balance = QueueBalance(queues, self.table.plans, self.table.system)
 
     def pending(self) -> int:
         return sum(map(len, self._queues.values()))
@@ -70,25 +79,19 @@ class AdaptivePolicy(TablePolicy):
         super().notify_completion(job, kind, now)
 
     def _requeue(self, jobs: list[Job]) -> list[Job]:
-        """Queue each job on its table ``best`` memory and re-run
-        Algorithm 1 over every queue; returns (and drops) the jobs with
-        no live option."""
-        queues = {kind: list(queue) for kind, queue in self._queues.items()}
+        """Queue each job on its table ``best`` memory and run Algorithm
+        1 over every queue; returns (and drops) the jobs with no live
+        option."""
+        arrivals: dict[MemoryKind, list[PlannedJob]] = {}
         unplaced: list[Job] = []
         for job in jobs:
             best = self.table.best(job.job_id)
             if best is None:
                 unplaced.append(job)
             else:
-                queues[best.kind].append(best)
+                arrivals.setdefault(best.kind, []).append(best)
         self.table.drop(unplaced)
-        if queues:
-            # Algorithm 1 only reads the options of queued jobs, so the
-            # plan table goes in unfiltered.
-            queues = inter_queue_adjust(queues, self.table.plans, self.table.system)
-        self._queues = {
-            kind: PlanQueue(longest_first, entries) for kind, entries in queues.items()
-        }
+        self._balance.balance(arrivals)
         return unplaced
 
     # -- graceful degradation (repro.faults) ---------------------------
@@ -103,13 +106,14 @@ class AdaptivePolicy(TablePolicy):
         self.table.lose(kind)
         orphans = self._queues.pop(kind)
         self._inflight.pop(kind, None)
+        self._keep(self._queues)
         return self._requeue([entry.job for entry in orphans] + jobs)
 
     # -- online admission (repro.serving) ------------------------------
     def admit(self, jobs: list[Job], now: float) -> list[Job]:
         """Arrival-awareness: knee-size each arrival on every live
         memory, queue it where it is estimated fastest (derate-aware),
-        and re-run the inter-queue adjustment (Algorithm 1) so the
+        and run the inter-queue adjustment (Algorithm 1) so the
         open-system queues stay balanced as load shifts.
 
         Returns the jobs that fit no surviving memory (the serving
@@ -133,9 +137,9 @@ class AdaptivePolicy(TablePolicy):
             for entry in queue:
                 best = self.table.best(entry.job.job_id) or entry
                 queues[best.kind].append(best)
-        self._queues = {
-            kind: PlanQueue(longest_first, entries) for kind, entries in queues.items()
-        }
+        self._keep(
+            {kind: PlanQueue(longest_first, entries) for kind, entries in queues.items()}
+        )
 
     # ------------------------------------------------------------------
     def next_dispatches(self, view: ResourceView) -> list[Dispatch]:
@@ -148,12 +152,15 @@ class AdaptivePolicy(TablePolicy):
         # allocation -- each launch is the first queued entry that fits
         # what the earlier launches left.
         scaled = self.table.scaled
+        unrank = self._balance.unrank
         for kind, queue in self._queues.items():
             first = len(dispatches)
             left[kind] = first_fit_launches(queue, kind, view, scaled, dispatches)
             inflight = self._inflight[kind]
             for dispatch in dispatches[first:]:
-                inflight[dispatch.job.job_id] = now + dispatch.predicted_time
+                job_id = dispatch.job.job_id
+                inflight[job_id] = now + dispatch.predicted_time
+                unrank(job_id, kind)
 
         # Pass 2: backfill remainders with jobs that finish before the
         # current in-flight work: the first queued entry (lowest
@@ -192,6 +199,7 @@ class AdaptivePolicy(TablePolicy):
                     )
                 )
                 inflight[entry.job.job_id] = now + est_time
+                unrank(entry.job.job_id, kind)
         return dispatches
 
 

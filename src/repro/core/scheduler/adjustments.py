@@ -15,16 +15,15 @@ smooth scale-free estimates, never on ground truth.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from operator import neg
 from typing import Any
 
 from ...memories.base import MemoryKind
 from ..job import Job
-from ..perfmodel import ScaleFreeEstimate, knee_allocations, min_time_allocation
+from ..perfmodel import ScaleFreeEstimate, knee_points, min_time_allocation
 from ..predictor import PerformancePredictor
 from .base import Dispatch, DispatchPolicy, MLIMPSystem, ResourceView
 
@@ -58,33 +57,38 @@ SIZINGS = ("knee", "min", "unit")
 LOOKAHEAD_JOBS = 64
 
 
-@dataclass(frozen=True, eq=False)
 class PlannedJob:
     """One queue entry: where a job will run and with how much memory.
 
-    Compared by identity (``eq=False``): queue entries are unique
-    tokens, and Algorithm 1's ``list.remove`` would otherwise
-    deep-compare jobs, profiles and estimates field by field on every
-    probe."""
+    ``est_time`` is ``estimate.total_time(arrays)``, a field set at
+    construction: the sizer that chose ``arrays`` may hand in the time
+    it already computed (bit-identical to ``total_time``), otherwise it
+    is evaluated here.  Entries are treated as immutable --
+    :meth:`with_arrays` builds a new one -- and compared by identity:
+    queue entries are unique tokens."""
 
-    job: Job
-    kind: MemoryKind
-    arrays: int
-    estimate: ScaleFreeEstimate
+    __slots__ = ("job", "kind", "arrays", "estimate", "est_time")
 
-    @property
-    def est_time(self) -> float:
-        # Memoised: Algorithm 1 reads this several times per entry and
-        # round, and both fields it depends on are frozen.  Writing
-        # through __dict__ bypasses the frozen-dataclass __setattr__;
-        # with_arrays() builds a fresh instance, so it never inherits a
-        # stale memo.
-        cached = self.__dict__.get("_est_time")
-        if cached is not None:
-            return cached
-        value = self.estimate.total_time(self.arrays)
-        self.__dict__["_est_time"] = value
-        return value
+    def __init__(
+        self,
+        job: Job,
+        kind: MemoryKind,
+        arrays: int,
+        estimate: ScaleFreeEstimate,
+        est_time: float | None = None,
+    ) -> None:
+        self.job = job
+        self.kind = kind
+        self.arrays = arrays
+        self.estimate = estimate
+        self.est_time = estimate.total_time(arrays) if est_time is None else est_time
+
+    def __repr__(self) -> str:
+        job_id = getattr(self.job, "job_id", None)
+        return (
+            f"PlannedJob(job={job_id!r}, kind={self.kind}, arrays={self.arrays}, "
+            f"est_time={self.est_time!r})"
+        )
 
     def with_arrays(self, arrays: int) -> "PlannedJob":
         return PlannedJob(self.job, self.kind, arrays, self.estimate)
@@ -99,15 +103,27 @@ def longest_first(entry: PlannedJob) -> float:
 _GONE = float("inf")
 
 
+def fill_bytes(entry: PlannedJob) -> float:
+    """Bytes the entry's fills move over its whole run."""
+    profile = entry.job.profile(entry.kind)
+    return profile.fill_bytes * profile.n_iter
+
+
 class PlanQueue:
     """A queue of :class:`PlannedJob` entries in stable ascending
-    ``key`` order, with the two exact indexes dispatch answers from.
+    ``key`` order, with the columns Algorithm 1 and EWT placement sum
+    and the two exact indexes dispatch answers from.
 
     :meth:`insert` puts an entry where a stable re-sort with it appended
     would.  A launch (:meth:`take`) only marks its position gone, so
     queue order is position order.  An insert drops both indexes and,
     once launched positions are at least as many as queued ones,
-    compacts them away.  Each index is built on first use:
+    compacts them away.  Aligned with ``entries`` (launched positions
+    included, ``live`` tells them apart) are the ``keys`` and three
+    columns: ``times`` (``est_time``), ``work`` (``est_time * arrays``)
+    and ``fills`` (:func:`fill_bytes`), so a queue's totals are one
+    builtin ``sum`` over ``compress(column, live)``, in queue order.
+    Each index is built on first use:
 
     * ``_levels`` -- a min tree over the entries' ``arrays`` (root
       first, leaves last, launched leaves at ``_GONE``): the leftmost
@@ -125,7 +141,8 @@ class PlanQueue:
     """
 
     __slots__ = (
-        "key", "entries", "keys", "live", "size", "head", "_levels", "_backfill"
+        "key", "entries", "keys", "times", "work", "fills", "live", "size", "head",
+        "_levels", "_backfill",
     )
 
     def __init__(
@@ -133,9 +150,21 @@ class PlanQueue:
     ) -> None:
         self.key = key
         self.entries = sorted(entries, key=key)
-        self.keys: list | None = None  # built by the first insert
-        self.live = [True] * len(self.entries)
         self.size = len(self.entries)
+        self.live = [True] * self.size
+        self._compact()
+
+    def _compact(self) -> None:
+        """Drop the launched positions and rebuild the keys, the columns
+        and the head; both indexes go.  A queued entry's key and columns
+        do not change, so they are computed again rather than carried
+        along."""
+        entries = self.entries = list(compress(self.entries, self.live))
+        self.keys = list(map(self.key, entries))
+        self.times = [entry.est_time for entry in entries]
+        self.work = [entry.est_time * entry.arrays for entry in entries]
+        self.fills = list(map(fill_bytes, entries))
+        self.live = [True] * self.size
         self.head = 0
         self._levels: list[list[float]] | None = None
         self._backfill: dict[int, list[tuple[float, int, int]]] = {}
@@ -151,23 +180,30 @@ class PlanQueue:
         """Queue ``entry`` after every queued entry whose key is not
         larger than its own."""
         launched = len(self.entries) - self.size
-        if self.keys is None or launched and launched >= self.size:
-            # A queued entry's key does not change, so compacting can
-            # compute the keys again instead of carrying them along.
-            self.entries = list(compress(self.entries, self.live))
-            self.keys = list(map(self.key, self.entries))
-            self.live = [True] * self.size
-            self.head = 0
+        if launched and launched >= self.size:
+            self._compact()
         key = self.key(entry)
         pos = bisect_right(self.keys, key)
+        est_time = entry.est_time
         self.entries.insert(pos, entry)
         self.keys.insert(pos, key)
+        self.times.insert(pos, est_time)
+        self.work.insert(pos, est_time * entry.arrays)
+        self.fills.insert(pos, fill_bytes(entry))
         self.live.insert(pos, True)
         self.size += 1
         if pos <= self.head:
             self.head = pos
         self._levels = None
         self._backfill = {}
+
+    def remove(self, entry: PlannedJob) -> None:
+        """Take the queued ``entry`` (by identity) out of the queue."""
+        pos = bisect_left(self.keys, self.key(entry))
+        entries, live = self.entries, self.live
+        while entries[pos] is not entry or not live[pos]:
+            pos += 1
+        self.take(pos)
 
     def _tree(self) -> list[list[float]]:
         levels = self._levels
@@ -312,7 +348,8 @@ def plan_jobs(
     Each allocation is capped at ``allocation_cap_fraction`` of the
     device.  ``sizing`` selects the heuristic: ``"knee"`` (the paper's
     III-C3 choice; every pair's search runs in one
-    :func:`~repro.core.perfmodel.knee_allocations` cohort), ``"min"``
+    :func:`~repro.core.perfmodel.knee_points` cohort, which also hands
+    each entry its time), ``"min"``
     (strict t(x, m) minimiser -- over-provisions), or ``"unit"`` (no
     replication; the ablation baseline for the replication study).
     """
@@ -328,20 +365,19 @@ def plan_jobs(
             cap = max(estimate.unit_arrays, int(device * allocation_cap_fraction))
             pairs.append((index, kind, estimate))
             caps.append(min(cap, device))
+    # (arrays, est_time or None to evaluate it) per pair.
     if sizing == "knee":
-        sizes = knee_allocations([estimate for _, _, estimate in pairs], caps)
+        sized = knee_points([estimate for _, _, estimate in pairs], caps)
     elif sizing == "min":
-        sizes = [
-            min_time_allocation(estimate, cap)
+        sized = [
+            (min_time_allocation(estimate, cap), None)
             for (_, _, estimate), cap in zip(pairs, caps)
         ]
     else:
-        sizes = [estimate.unit_arrays for _, _, estimate in pairs]
+        sized = [(estimate.unit_arrays, None) for _, _, estimate in pairs]
     tables: list[dict[MemoryKind, PlannedJob]] = [{} for _ in jobs]
-    for (index, kind, estimate), arrays in zip(pairs, sizes):
-        tables[index][kind] = PlannedJob(
-            job=jobs[index], kind=kind, arrays=arrays, estimate=estimate
-        )
+    for (index, kind, estimate), (arrays, est_time) in zip(pairs, sized):
+        tables[index][kind] = PlannedJob(jobs[index], kind, arrays, estimate, est_time)
     return tables
 
 
@@ -560,9 +596,7 @@ class JobSizing:
         )
 
 
-def queue_drain_estimate(
-    queue: list[PlannedJob], kind: MemoryKind, system: MLIMPSystem
-) -> float:
+def queue_drain_estimate(queue: PlanQueue, kind: MemoryKind, system: MLIMPSystem) -> float:
     """Estimated time for ``kind`` to drain its queue.
 
     The device is limited both by job slots and by array-seconds, so
@@ -572,20 +606,220 @@ def queue_drain_estimate(
     drain time for same-length queues but under-weights a queue
     holding many more jobs; balancing drain times is what actually
     equalises "the execution time between queues" (Fig. 8 middle).
+    Both sums run over the queue's kept columns, in queue order.
     """
     if not queue:
         return 0.0
-    slot_seconds = sum(entry.est_time for entry in queue)
-    array_seconds = sum(entry.est_time * entry.arrays for entry in queue)
+    live = queue.live
     return max(
-        slot_seconds / system.slots(kind),
-        array_seconds / system.arrays(kind),
+        sum(compress(queue.times, live)) / system.slots(kind),
+        sum(compress(queue.work, live)) / system.arrays(kind),
     )
 
 
 #: Aggregate DDR4 bandwidth of the evaluated system (4 x DDR4-2400);
 #: kept in sync with :class:`repro.sim.mainmem.DDR4Config` defaults.
 DEFAULT_PIPE_BANDWIDTH_BPS = 76.8e9
+
+
+class QueueBalance:
+    """Algorithm 1's state: per-memory queues and, for every
+    ``(target, source)`` pair of their memories, the jobs queued on
+    ``source`` ranked by ``(est_time on target, job id)``.
+
+    ``queues`` map memories to :class:`PlanQueue` objects in
+    :func:`longest_first` order (they may hold launched positions).
+    ``plans`` holds every queued job's options; only the options of
+    queued jobs on queued memories are read, so the table may hold
+    more (in-flight jobs, lost kinds).
+    A job without options is queued but never ranked, so never moved.
+    The state lives as long as the queues and the table's options do:
+    :meth:`balance` queues arrivals and migrates, :meth:`unrank`
+    forgets a job dispatch took, and anything that changes options or
+    memories (a loss, a derate) builds a new state.
+    """
+
+    __slots__ = ("queues", "_plans", "_slots", "_arrays", "_rank")
+
+    def __init__(
+        self,
+        queues: dict[MemoryKind, PlanQueue],
+        plans: dict[str, dict[MemoryKind, PlannedJob]],
+        system: MLIMPSystem | None,
+    ) -> None:
+        self.queues = queues
+        self._plans = plans
+        self._slots = {kind: system.slots(kind) for kind in queues}
+        self._arrays = {kind: system.arrays(kind) for kind in queues}
+        #: ``_rank[target][source]``: sorted ``(time on target, job id,
+        #: entry queued on source, option on target)``; a job id is
+        #: unique, so a comparison never reaches the entries.
+        self._rank: dict[MemoryKind, dict[MemoryKind, list[tuple]]] = {
+            target: {source: [] for source in queues if source is not target}
+            for target in queues
+        }
+        for source, queue in queues.items():
+            for entry in queue:
+                for target, row in self._rows(entry):
+                    self._rank[target][source].append(row)
+        for by_source in self._rank.values():
+            for ranking in by_source.values():
+                ranking.sort()
+
+    def _rows(self, entry: PlannedJob):
+        """``(target, ranking row)`` of ``entry`` for each other queued
+        memory it has an option on."""
+        job_id = entry.job.job_id
+        for target, option in self._plans.get(job_id, {}).items():
+            if target is not entry.kind and target in self._rank:
+                yield target, (option.est_time, job_id, entry, option)
+
+    def _enter(self, entry: PlannedJob) -> None:
+        """Queue ``entry`` on its memory and rank it."""
+        self.queues[entry.kind].insert(entry)
+        rank = self._rank
+        for target, row in self._rows(entry):
+            insort(rank[target][entry.kind], row)
+
+    def unrank(self, job_id: str, source: MemoryKind) -> None:
+        """Forget the rows of a job that left ``source``'s queue (a
+        launch or a migration)."""
+        rank = self._rank
+        for target, option in self._plans.get(job_id, {}).items():
+            by_source = rank.get(target)
+            if by_source is None or target is source:
+                continue
+            ranking = by_source[source]
+            at = bisect_left(ranking, (option.est_time, job_id))
+            if at < len(ranking) and ranking[at][1] == job_id:
+                del ranking[at]
+
+    def _cheapest(self, target: MemoryKind, source: MemoryKind) -> tuple | None:
+        """The row of the job queued on ``source`` that is cheapest on
+        ``target`` (ties to the smaller job id), if any."""
+        ranking = self._rank[target][source]
+        return ranking[0] if ranking else None
+
+    def _totals(
+        self, arrivals: dict[MemoryKind, list[PlannedJob]]
+    ) -> tuple[dict[MemoryKind, float], dict[MemoryKind, float], float]:
+        """Each queue's slot-seconds and array-seconds with its
+        arrivals, and the pipe's fill bytes: one builtin ``sum`` per
+        queue over the kept column followed by the arrivals in order
+        (3.12's ``sum`` is compensated, so only one call over the same
+        sequence rounds the same everywhere), the pipe adding the
+        non-DRAM queues in ``queues`` order."""
+        slot_s: dict[MemoryKind, float] = {}
+        arr_s: dict[MemoryKind, float] = {}
+        pipe_bytes = 0.0
+        for kind, queue in self.queues.items():
+            live = queue.live
+            fresh = arrivals.get(kind, ())
+            slot_s[kind] = sum(
+                chain(compress(queue.times, live), [e.est_time for e in fresh])
+            )
+            arr_s[kind] = sum(
+                chain(compress(queue.work, live), [e.est_time * e.arrays for e in fresh])
+            )
+            if kind is not MemoryKind.DRAM:
+                pipe_bytes += sum(
+                    chain(compress(queue.fills, live), map(fill_bytes, fresh))
+                )
+        return slot_s, arr_s, pipe_bytes
+
+    def balance(
+        self,
+        arrivals: dict[MemoryKind, list[PlannedJob]],
+        epsilon_fraction: float = EPSILON_FRACTION,
+        max_rounds: int | None = None,
+        pipe_bandwidth_bps: float = DEFAULT_PIPE_BANDWIDTH_BPS,
+    ) -> None:
+        """Algorithm 1: queue ``arrivals`` (per memory, in order), then
+        balance estimated drain time across the queues.
+
+        Each round migrates the job out of the most-loaded queue that
+        best reduces the drain-time spread; the loop stops when the
+        queues are within epsilon or no migration improves (the
+        paper's "if t-bar improves else break").  Candidate probes and
+        commits are O(1) arithmetic over per-queue aggregates
+        (slot-seconds, array-seconds, pipe fill bytes), and the
+        cheapest-on-target candidate is the head of one ranking.
+
+        The aggregates start from :meth:`_totals`: the floats a fresh
+        pass over queue-then-arrivals lists gives.  A migration is one
+        :meth:`PlanQueue.remove` and one :meth:`PlanQueue.insert`, so
+        the queues end as a stable re-sort of those lists with the
+        migrants appended in order.
+        """
+        queues = self.queues
+        if not queues:
+            return
+        slot_s, arr_s, pipe_bytes = self._totals(arrivals)
+        for entries in arrivals.values():
+            for entry in entries:
+                self._enter(entry)
+        if max_rounds is None:
+            # Balancing may need to move a sizeable fraction of the batch.
+            max_rounds = max(MAX_ROUNDS, sum(map(len, queues.values())))
+        slots, arrays = self._slots, self._arrays
+
+        for _ in range(max_rounds):
+            current = {
+                kind: max(slot_s[kind] / slots[kind], arr_s[kind] / arrays[kind])
+                for kind in queues
+            }
+            max_kind = max(current, key=current.get)  # type: ignore[arg-type]
+            spread = current[max_kind] - min(current.values())
+            overall = sum(current.values()) / max(1, len(current))
+            if spread <= epsilon_fraction * max(overall, 1e-30):
+                break
+            current_max = max(current[max_kind], pipe_bytes / pipe_bandwidth_bps)
+            # Consider every under-loaded target; take the move with the
+            # smallest post-migration maximum drain (pipe included).
+            best_move: tuple[float, PlannedJob, MemoryKind, PlannedJob] | None = None
+            for target, target_drain in current.items():
+                if target is max_kind or target_drain >= current[max_kind]:
+                    continue
+                row = self._cheapest(target, max_kind)
+                if row is None:
+                    continue
+                _, _, moved, replanned = row
+                new_src = max(
+                    (slot_s[max_kind] - moved.est_time) / slots[max_kind],
+                    (arr_s[max_kind] - moved.est_time * moved.arrays) / arrays[max_kind],
+                )
+                new_dst = max(
+                    (slot_s[target] + replanned.est_time) / slots[target],
+                    (arr_s[target] + replanned.est_time * replanned.arrays)
+                    / arrays[target],
+                )
+                new_bytes = pipe_bytes
+                if max_kind is not MemoryKind.DRAM:
+                    new_bytes -= fill_bytes(moved)
+                if target is not MemoryKind.DRAM:
+                    new_bytes += fill_bytes(replanned)
+                new_max = max(new_src, new_dst, new_bytes / pipe_bandwidth_bps)
+                for kind, drain in current.items():
+                    if kind is not max_kind and kind is not target and drain > new_max:
+                        new_max = drain
+                if new_max < current_max and (
+                    best_move is None or new_max < best_move[0]
+                ):
+                    best_move = (new_max, moved, target, replanned)
+            if best_move is None:
+                break
+            _, moved, target, replanned = best_move
+            queues[max_kind].remove(moved)
+            self.unrank(moved.job.job_id, max_kind)
+            self._enter(replanned)
+            slot_s[max_kind] -= moved.est_time
+            arr_s[max_kind] -= moved.est_time * moved.arrays
+            slot_s[target] += replanned.est_time
+            arr_s[target] += replanned.est_time * replanned.arrays
+            if max_kind is not MemoryKind.DRAM:
+                pipe_bytes -= fill_bytes(moved)
+            if target is not MemoryKind.DRAM:
+                pipe_bytes += fill_bytes(replanned)
 
 
 def inter_queue_adjust(
@@ -596,136 +830,16 @@ def inter_queue_adjust(
     max_rounds: int | None = None,
     pipe_bandwidth_bps: float = DEFAULT_PIPE_BANDWIDTH_BPS,
 ) -> dict[MemoryKind, list[PlannedJob]]:
-    """Algorithm 1: balance estimated drain time across queues.
-
-    ``plans`` holds every job's pre-computed plan on every supported
-    memory (built once during planning), so candidate evaluation is a
-    lookup.  Only the options of jobs in ``queues`` on kinds in
-    ``queues`` are read, so the table may hold more (finished jobs,
-    lost kinds) and the cost scales with the queued backlog, not the
-    table.  Each round migrates the job out of the most-loaded queue
-    that best reduces the drain-time spread; the loop stops when the
-    queues are within epsilon or no migration improves (the paper's
-    "if t-bar improves else break").
-    """
-    queues = {kind: list(entries) for kind, entries in queues.items()}
-    if max_rounds is None:
-        # Balancing may need to move a sizeable fraction of the batch.
-        max_rounds = max(MAX_ROUNDS, sum(len(q) for q in queues.values()))
-
-    # Candidate probes and commits are O(1) arithmetic over cached
-    # per-queue aggregates (slot-seconds, array-seconds, pipe fill
-    # bytes) rather than re-summing every queue per probe, and the
-    # cheapest-on-target candidate comes from a per-target list sorted
-    # once up front (plans are immutable for the whole loop, so each
-    # job's estimated time on each target never changes).
-    slot_caps = {kind: system.slots(kind) for kind in queues}
-    array_caps = {kind: system.arrays(kind) for kind in queues}
-
-    def entry_bytes(entry: PlannedJob) -> float:
-        profile = entry.job.profile(entry.kind)
-        return profile.fill_bytes * profile.n_iter
-
-    slot_s: dict[MemoryKind, float] = {}
-    arr_s: dict[MemoryKind, float] = {}
-    pipe_bytes = 0.0
-    for kind, entries in queues.items():
-        slot_s[kind] = sum(e.est_time for e in entries)
-        arr_s[kind] = sum(e.est_time * e.arrays for e in entries)
-        if kind is not MemoryKind.DRAM:
-            pipe_bytes += sum(entry_bytes(e) for e in entries)
-
-    # Which queue each job currently sits in, its current entry, and
-    # per-target job ids ordered by estimated time on that target.
-    member: dict[str, MemoryKind] = {}
-    entry_of: dict[str, PlannedJob] = {}
-    for kind, entries in queues.items():
-        for entry in entries:
-            member[entry.job.job_id] = kind
-            entry_of[entry.job.job_id] = entry
-    # Ranked from the queued jobs alone: ``plans`` may also hold
-    # finished or in-flight jobs and options on lost kinds, none of
-    # which Algorithm 1 may move.  ``(est_time, job_id)`` is a total
-    # order, so the ranking does not depend on iteration order.
-    by_target: dict[MemoryKind, list[str]] = {}
-    for kind in queues:
-        ranked = []
-        for job_id in member:
-            option = plans.get(job_id, {}).get(kind)
-            if option is not None:
-                ranked.append((option.est_time, job_id))
-        ranked.sort()
-        by_target[kind] = [job_id for _, job_id in ranked]
-
-    def drain_of(kind: MemoryKind, slot: float, arr: float) -> float:
-        return max(slot / slot_caps[kind], arr / array_caps[kind])
-
-    for _ in range(max_rounds):
-        current = {
-            kind: drain_of(kind, slot_s[kind], arr_s[kind]) for kind in queues
-        }
-        max_kind = max(current, key=current.get)  # type: ignore[arg-type]
-        spread = current[max_kind] - min(current.values())
-        overall = sum(current.values()) / max(1, len(current))
-        if spread <= epsilon_fraction * max(overall, 1e-30):
-            break
-        current_max = max(
-            current[max_kind], pipe_bytes / pipe_bandwidth_bps
-        )
-        # Consider every under-loaded target; take the move with the
-        # smallest post-migration maximum drain (pipe included).
-        best_move: tuple[float, PlannedJob, MemoryKind, PlannedJob] | None = None
-        for target, target_drain in current.items():
-            if target is max_kind or target_drain >= current[max_kind]:
-                continue
-            moved: PlannedJob | None = None
-            for job_id in by_target[target]:
-                if member.get(job_id) is max_kind:
-                    moved = entry_of[job_id]
-                    break
-            if moved is None:
-                continue
-            replanned = plans[moved.job.job_id][target]
-            new_src = drain_of(
-                max_kind,
-                slot_s[max_kind] - moved.est_time,
-                arr_s[max_kind] - moved.est_time * moved.arrays,
-            )
-            new_dst = drain_of(
-                target,
-                slot_s[target] + replanned.est_time,
-                arr_s[target] + replanned.est_time * replanned.arrays,
-            )
-            new_bytes = pipe_bytes
-            if max_kind is not MemoryKind.DRAM:
-                new_bytes -= entry_bytes(moved)
-            if target is not MemoryKind.DRAM:
-                new_bytes += entry_bytes(replanned)
-            new_max = max(new_src, new_dst, new_bytes / pipe_bandwidth_bps)
-            for kind, drain in current.items():
-                if kind is not max_kind and kind is not target and drain > new_max:
-                    new_max = drain
-            if new_max < current_max and (
-                best_move is None or new_max < best_move[0]
-            ):
-                best_move = (new_max, moved, target, replanned)
-        if best_move is None:
-            break
-        _, moved, target, replanned = best_move
-        queues[max_kind].remove(moved)
-        queues[target].append(replanned)
-        job_id = moved.job.job_id
-        member[job_id] = target
-        entry_of[job_id] = replanned
-        slot_s[max_kind] -= moved.est_time
-        arr_s[max_kind] -= moved.est_time * moved.arrays
-        slot_s[target] += replanned.est_time
-        arr_s[target] += replanned.est_time * replanned.arrays
-        if max_kind is not MemoryKind.DRAM:
-            pipe_bytes -= entry_bytes(moved)
-        if target is not MemoryKind.DRAM:
-            pipe_bytes += entry_bytes(replanned)
-    return queues
+    """Algorithm 1 on a closed batch: :meth:`QueueBalance.balance` of
+    ``queues`` arriving at empty queues.  ``plans`` holds every job's
+    pre-computed plan on every supported memory (built once during
+    planning), so candidate evaluation is a lookup.  Returns each
+    queue's entries in :func:`longest_first` order."""
+    balance = QueueBalance(
+        {kind: PlanQueue(longest_first) for kind in queues}, plans, system
+    )
+    balance.balance(queues, epsilon_fraction, max_rounds, pipe_bandwidth_bps)
+    return {kind: list(queue) for kind, queue in balance.queues.items()}
 
 
 def intra_queue_adjust(

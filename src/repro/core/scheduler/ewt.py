@@ -82,7 +82,7 @@ class EWTPolicy(TablePolicy):
         table = self.table
 
         def cost(kind: MemoryKind, entry: PlannedJob) -> tuple[float, str]:
-            drain = queue_drain_estimate(list(self._queues[kind]), kind, table.system)
+            drain = queue_drain_estimate(self._queues[kind], kind, table.system)
             return drain / table.factor(kind) + table.scaled(entry), kind.value
 
         unplaced: list[Job] = []

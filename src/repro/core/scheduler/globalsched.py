@@ -111,14 +111,13 @@ def build_static_schedule(
             if free - arrays < queue.smallest():
                 ceiling = entry.estimate.max_useful_arrays or free
                 arrays = entry.estimate.snap_to_replica(min(free, max(arrays, ceiling)))
-            profile = entry.job.profile(kind)
-            fill_bytes = profile.fill_bytes * profile.n_iter
+            fill = queue.fills[pos]
             start = now
             end = start + dispatch_overhead_s + entry.estimate.total_time(arrays)
-            if kind is not MemoryKind.DRAM and fill_bytes > 0:
+            if kind is not MemoryKind.DRAM and fill > 0:
                 # FIFO approximation of the shared pipe: the fill waits
                 # behind earlier fills.
-                fill_time = fill_bytes / pipe_bandwidth_bps
+                fill_time = fill / pipe_bandwidth_bps
                 fill_start = max(start + dispatch_overhead_s, pipe_free_at)
                 pipe_free_at = fill_start + fill_time
                 end += max(0.0, fill_start - (start + dispatch_overhead_s))

@@ -212,3 +212,115 @@ class TestFitBeta:
         beta, r2 = fit_beta([2, 4], [1.0, 2.0 ** -0.7])
         assert beta == pytest.approx(0.7, abs=1e-9)
         assert r2 == pytest.approx(1.0)
+
+
+# ----------------------------------------------------------------------
+# The bit-exactness sizing relies on: the knee pass hands each entry
+# the time it computed, so that time must be the scalar ``total_time``.
+# ----------------------------------------------------------------------
+def _sized_estimates(system, jobs):
+    """Oracle and noisy estimates of ``jobs`` on ``system``, after
+    sizing them through the knee cohort (which fills the grid cache)."""
+    from repro.core.predictor import NoisyPredictor, OraclePredictor
+    from repro.core.scheduler.adjustments import job_fits, plan_jobs
+
+    estimates = []
+    for predictor in (OraclePredictor(), NoisyPredictor(OraclePredictor(), 0.4, seed=3)):
+        for cap_fraction in (0.25, 0.5, 1.0):
+            plan_jobs(jobs, predictor, system, cap_fraction)
+        estimates += [
+            predictor.estimate(job, kind)
+            for job in jobs
+            for kind in system.kinds
+            if job_fits(job, kind, system)
+        ]
+    return estimates
+
+
+def _bench_systems():
+    from repro.apps.combos import combo_jobs
+    from repro.harness.config import full_system, gnn_system
+    from repro.harness.gnn import build_workload
+
+    gnn = gnn_system()
+    full = full_system()
+    return [
+        (gnn, build_workload("collab", num_batches=1, batch_size=32, seed=0).jobs_per_batch[0]),
+        (full, combo_jobs("A", full.specs)),
+    ]
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["gnn", "full"])
+def test_profile_times_match_total_time_on_every_cached_grid(which):
+    """``_profile_times`` over the exact rows of every cached grid's
+    shape is ``ProfileEstimate.total_time`` at every point, bit for bit,
+    for oracle and noisy estimates: the knee pass reads its guard and
+    the entry's ``est_time`` from those times."""
+    from repro.core import perfmodel
+
+    perfmodel.clear_caches()
+    system, jobs = _bench_systems()[which]
+    estimates = _sized_estimates(system, jobs)
+    grids = [
+        entry
+        for entry in perfmodel._GRID_CACHE._data.values()
+        if isinstance(entry, perfmodel._GridEntry)
+    ]
+    points = 0
+    for estimate in estimates:
+        assert isinstance(estimate, perfmodel.ProfileEstimate)
+        for entry in grids:
+            if int(entry.grid[0]) != estimate.unit_arrays:
+                continue
+            shape = perfmodel._profile_shape(estimate.profile, entry)
+            exact = shape[perfmodel._EXACT_ROWS]
+            flat = perfmodel._profile_times(estimate.curve_params(), exact).tolist()
+            assert flat == [estimate.total_time(int(a)) for a in entry.grid]
+            points += len(flat)
+    assert points > 10_000
+
+
+def _scalar_guard_knee(estimate, cap):
+    """The knee search on ``np.gradient`` with its guard on scalar
+    ``total_time`` calls."""
+    grid = allocation_grid(estimate, cap)
+    unit = int(grid[0])
+    if len(grid) == 1:
+        return unit
+    times = estimate.total_time_batch(grid)
+    span = times.max() - times.min()
+    if span <= 0.0:
+        return unit
+    x = (grid - grid[0]) / max(1, (grid[-1] - grid[0]))
+    theta = np.arctan(np.gradient((times - times.min()) / span, x))
+    knee = int(grid[int(np.argmax(np.abs(np.gradient(theta, x))))])
+    if knee != unit and estimate.total_time(knee) > estimate.total_time(unit):
+        return unit
+    return knee
+
+
+def test_knee_points_match_the_scalar_guard_and_time():
+    """Batch times can differ from the scalar ones in the last bit (a
+    SIMD power), so the knee guard must decide as scalar ``total_time``
+    calls would: over seeded scale-free and profile curves, the
+    cohort's knees equal the scalar-guard reference, and each
+    handed-back time is the scalar time at the knee."""
+    from repro.core import perfmodel
+    from repro.core.perfmodel import knee_points
+
+    from tests.test_perf_cache import _random_curve
+
+    perfmodel.clear_caches()
+    rng = np.random.default_rng(23)
+    estimates, caps = [], []
+    for _ in range(2000):
+        estimate = _random_curve(rng)
+        estimates.append(estimate)
+        caps.append(estimate.unit_arrays * int(rng.integers(1, 300)))
+    points = knee_points(estimates, caps)
+    for estimate, cap, (knee, time) in zip(estimates, caps, points):
+        assert knee == _scalar_guard_knee(estimate, cap)
+        if len(allocation_grid(estimate, cap)) > 1:
+            assert time == estimate.total_time(knee)
+        else:
+            assert time is None

@@ -24,9 +24,11 @@ from repro.core import (
 )
 from repro.core.scheduler.adjustments import (
     PlannedJob,
+    PlanQueue,
     inter_queue_adjust,
     intra_queue_adjust,
     job_fits,
+    longest_first,
     plan_job,
     queue_drain_estimate,
 )
@@ -130,9 +132,10 @@ class TestPlanning:
     def test_queue_drain_estimate(self, system):
         job = make_job("x", 1e-4, 2e-4)
         plan = plan_job(job, MemoryKind.SRAM, OraclePredictor(), system)
-        drain = queue_drain_estimate([plan] * 8, MemoryKind.SRAM, system)
+        queue = PlanQueue(longest_first, [plan] * 8)
+        drain = queue_drain_estimate(queue, MemoryKind.SRAM, system)
         assert drain > 0
-        assert queue_drain_estimate([], MemoryKind.SRAM, system) == 0.0
+        assert queue_drain_estimate(PlanQueue(longest_first), MemoryKind.SRAM, system) == 0.0
 
 
 class TestInterQueue:
@@ -153,10 +156,11 @@ class TestInterQueue:
         balanced = inter_queue_adjust(queues, plans, system)
         assert len(balanced[MemoryKind.RERAM]) > 0
         drains = {
-            kind: queue_drain_estimate(entries, kind, system)
+            kind: queue_drain_estimate(PlanQueue(longest_first, entries), kind, system)
             for kind, entries in balanced.items()
         }
-        before = queue_drain_estimate(queues[MemoryKind.SRAM], MemoryKind.SRAM, system)
+        sram = PlanQueue(longest_first, queues[MemoryKind.SRAM])
+        before = queue_drain_estimate(sram, MemoryKind.SRAM, system)
         assert max(drains.values()) < before
 
     def test_noop_on_balanced_queues(self, system):

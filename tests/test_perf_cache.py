@@ -155,27 +155,40 @@ class TestVectorisedParity:
             est.total_time_batch([4])
 
 
-class TestPlannedJobMemo:
-    def _planned(self, arrays: int) -> PlannedJob:
+class TestPlannedJobTime:
+    """``PlannedJob.est_time`` is a field set at construction: the
+    entry's ``total_time``, evaluated then unless the sizer hands it in."""
+
+    def _planned(self, arrays: int, **kwargs) -> PlannedJob:
         est = ScaleFreeEstimate(
             unit_arrays=8, t_load=1e-6, t_replica_unit=5e-8,
             t_compute_unit=1e-4, beta=0.92,
         )
         # est_time only reads .estimate and .arrays; no Job needed.
-        return PlannedJob(job=None, kind=MemoryKind.SRAM, arrays=arrays, estimate=est)
+        return PlannedJob(
+            job=None, kind=MemoryKind.SRAM, arrays=arrays, estimate=est, **kwargs
+        )
 
-    def test_memo_matches_direct_evaluation(self):
+    def test_est_time_is_total_time_at_construction(self, monkeypatch):
         pj = self._planned(16)
         assert pj.est_time == pj.estimate.total_time(16)
-        assert pj.est_time == pj.estimate.total_time(16)
-        assert "_est_time" in pj.__dict__
+        assert not hasattr(pj, "__dict__")  # slotted: no memo to go stale
+        # Reading the field never evaluates the curve again.
+        calls = []
+        monkeypatch.setattr(
+            ScaleFreeEstimate, "total_time", lambda est, arrays: calls.append(arrays)
+        )
+        assert pj.est_time == pj.est_time
+        assert calls == []
 
-    def test_with_arrays_gets_a_fresh_memo(self):
-        pj = self._planned(16)
-        _ = pj.est_time
+    def test_handed_in_time_is_kept(self):
+        assert self._planned(16, est_time=0.5).est_time == 0.5
+
+    def test_with_arrays_recomputes_est_time(self):
+        pj = self._planned(16, est_time=0.5)
         bigger = pj.with_arrays(32)
-        assert "_est_time" not in bigger.__dict__
         assert bigger.est_time == pj.estimate.total_time(32)
+        assert bigger.arrays == 32 and pj.arrays == 16
 
 
 class TestMinTimeCacheOnFig10Sweep:

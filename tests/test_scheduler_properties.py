@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.core import (
     AdaptiveScheduler,
@@ -23,13 +24,18 @@ from repro.core import (
 )
 from repro.core.scheduler import AdaptivePolicy, EWTPolicy, GlobalPolicy
 from repro.core.scheduler.globalsched import ScheduledEntry, build_static_schedule
+from repro.core.scheduler import adjustments
 from repro.core.scheduler.adjustments import (
     PlannedJob,
     PlanQueue,
     PlanTable,
+    QueueBalance,
+    inter_queue_adjust,
     intra_queue_adjust,
+    longest_first,
     no_options,
 )
+from repro.harness.config import full_system, gnn_system
 from repro.memories import ArrayGeometry, MemoryKind, MemorySpec
 
 
@@ -867,3 +873,435 @@ def test_static_schedule_orders_tied_ends_by_memory():
     assert got == schedule_rows(reference_static_schedule(queues, SYSTEM))
     later = [row for row in got if row[0] > 0.0]
     assert [row[2] for row in later] == [KINDS[0], KINDS[1]]
+
+
+def reference_inter_queue_adjust(
+    queues, plans, system, epsilon_fraction=0.05, max_rounds=None, pipe_bandwidth_bps=76.8e9
+):
+    """Algorithm 1 rebuilt from scratch on every call: membership, one
+    ranking per target and the queue sums, then rounds that walk each
+    target's ranking past the jobs queued elsewhere.  The specification
+    the kept ``QueueBalance`` must reproduce; returns the lists as its
+    moves leave them (migrants appended)."""
+    queues = {kind: list(entries) for kind, entries in queues.items()}
+    if max_rounds is None:
+        max_rounds = max(64, sum(len(q) for q in queues.values()))
+    slot_caps = {kind: system.slots(kind) for kind in queues}
+    array_caps = {kind: system.arrays(kind) for kind in queues}
+
+    def entry_bytes(entry):
+        profile = entry.job.profile(entry.kind)
+        return profile.fill_bytes * profile.n_iter
+
+    slot_s, arr_s, pipe_bytes = {}, {}, 0.0
+    for kind, entries in queues.items():
+        slot_s[kind] = sum(e.est_time for e in entries)
+        arr_s[kind] = sum(e.est_time * e.arrays for e in entries)
+        if kind is not MemoryKind.DRAM:
+            pipe_bytes += sum(entry_bytes(e) for e in entries)
+    member, entry_of = {}, {}
+    for kind, entries in queues.items():
+        for entry in entries:
+            member[entry.job.job_id] = kind
+            entry_of[entry.job.job_id] = entry
+    by_target = {}
+    for kind in queues:
+        ranked = []
+        for job_id in member:
+            option = plans.get(job_id, {}).get(kind)
+            if option is not None:
+                ranked.append((option.est_time, job_id))
+        ranked.sort()
+        by_target[kind] = [job_id for _, job_id in ranked]
+
+    def drain_of(kind, slot, arr):
+        return max(slot / slot_caps[kind], arr / array_caps[kind])
+
+    for _ in range(max_rounds):
+        current = {kind: drain_of(kind, slot_s[kind], arr_s[kind]) for kind in queues}
+        max_kind = max(current, key=current.get)
+        spread = current[max_kind] - min(current.values())
+        overall = sum(current.values()) / max(1, len(current))
+        if spread <= epsilon_fraction * max(overall, 1e-30):
+            break
+        current_max = max(current[max_kind], pipe_bytes / pipe_bandwidth_bps)
+        best_move = None
+        for target, target_drain in current.items():
+            if target is max_kind or target_drain >= current[max_kind]:
+                continue
+            moved = None
+            for job_id in by_target[target]:
+                if member.get(job_id) is max_kind:
+                    moved = entry_of[job_id]
+                    break
+            if moved is None:
+                continue
+            replanned = plans[moved.job.job_id][target]
+            new_src = drain_of(
+                max_kind,
+                slot_s[max_kind] - moved.est_time,
+                arr_s[max_kind] - moved.est_time * moved.arrays,
+            )
+            new_dst = drain_of(
+                target,
+                slot_s[target] + replanned.est_time,
+                arr_s[target] + replanned.est_time * replanned.arrays,
+            )
+            new_bytes = pipe_bytes
+            if max_kind is not MemoryKind.DRAM:
+                new_bytes -= entry_bytes(moved)
+            if target is not MemoryKind.DRAM:
+                new_bytes += entry_bytes(replanned)
+            new_max = max(new_src, new_dst, new_bytes / pipe_bandwidth_bps)
+            for kind, drain in current.items():
+                if kind is not max_kind and kind is not target and drain > new_max:
+                    new_max = drain
+            if new_max < current_max and (best_move is None or new_max < best_move[0]):
+                best_move = (new_max, moved, target, replanned)
+        if best_move is None:
+            break
+        _, moved, target, replanned = best_move
+        queues[max_kind].remove(moved)
+        queues[target].append(replanned)
+        job_id = moved.job.job_id
+        member[job_id] = target
+        entry_of[job_id] = replanned
+        slot_s[max_kind] -= moved.est_time
+        arr_s[max_kind] -= moved.est_time * moved.arrays
+        slot_s[target] += replanned.est_time
+        arr_s[target] += replanned.est_time * replanned.arrays
+        if max_kind is not MemoryKind.DRAM:
+            pipe_bytes -= entry_bytes(moved)
+        if target is not MemoryKind.DRAM:
+            pipe_bytes += entry_bytes(replanned)
+    return queues
+
+
+def reference_requeue(queues, table, jobs):
+    """The adaptive policy's re-placement rebuilt on every call: queue
+    each job on its table ``best`` memory, run the rebuilt Algorithm 1
+    over every queue and sort each queue longest first.  Returns the new
+    queues and the jobs with no live option (dropped from the table)."""
+    queues = {kind: list(queue) for kind, queue in queues.items()}
+    unplaced = []
+    for job in jobs:
+        best = table.best(job.job_id)
+        if best is None:
+            unplaced.append(job)
+        else:
+            queues[best.kind].append(best)
+    table.drop(unplaced)
+    if queues:
+        queues = reference_inter_queue_adjust(queues, table.plans, table.system)
+    return {kind: sorted(entries, key=longest_first) for kind, entries in queues.items()}, unplaced
+
+
+class ReferenceAdaptive:
+    """The adaptive policy with every queue rebuilt per call (the
+    specification of the kept balance state): queues are lists in
+    longest-first order, dispatch is the queue-order scan."""
+
+    def __init__(self, table, queues, backfill):
+        self.table = table
+        self.queues = {
+            kind: sorted(queues.get(kind, ()), key=longest_first) for kind in table.live
+        }
+        self.inflight = {kind: {} for kind in self.queues}
+        self.backfill = backfill
+
+    def admit(self, jobs):
+        placed = [job for job in jobs if self.table.admit(job)]
+        if placed:
+            self.queues, _ = reference_requeue(self.queues, self.table, placed)
+        return [job for job in jobs if job not in placed]
+
+    def next_dispatches(self, view):
+        derate = {kind: self.table.factor(kind) for kind in self.queues}
+        return reference_dispatches(self.queues, self.inflight, derate, view, self.backfill)
+
+    def notify_completion(self, job, kind):
+        self.inflight.get(kind, {}).pop(job.job_id, None)
+        self.table.drop([job])
+
+    def notify_failed(self, job):
+        self.table.drop([job])
+
+    def device_derated(self, kind, factor):
+        self.table.derate(kind, factor)
+        queues = {k: [] for k in self.queues}
+        for queue in self.queues.values():
+            for entry in queue:
+                best = self.table.best(entry.job.job_id) or entry
+                queues[best.kind].append(best)
+        self.queues = {k: sorted(entries, key=longest_first) for k, entries in queues.items()}
+
+    def device_lost(self, kind, jobs):
+        self.table.lose(kind)
+        orphans = self.queues.pop(kind)
+        self.inflight.pop(kind, None)
+        self.queues, unplaced = reference_requeue(
+            self.queues, self.table, [entry.job for entry in orphans] + jobs
+        )
+        return unplaced
+
+
+def balance_job(i: int, kinds) -> Job:
+    """A job whose fills are none, small, pipe-scale or pipe-bound."""
+    return Job(
+        job_id=f"b{(7 * i) % 40:02d}",  # ids out of arrival order
+        kernel="app",
+        profiles={
+            kind: JobPerfProfile(
+                unit_arrays=1,
+                t_load=1e-6,
+                t_replica_unit=0.0,
+                t_compute_unit=1e-5,
+                fill_bytes=(0.0, 4e3, 2e5, 2e6)[i % 4],
+            )
+            for kind in kinds
+        },
+    )
+
+
+@st.composite
+def balance_options(draw, job: Job, system: MLIMPSystem) -> dict:
+    """A plan per memory from the shared curves, so queued times and
+    times on a target tie across jobs."""
+    options = {}
+    for kind in system.kinds:
+        estimate = draw(st.sampled_from(PLAN_CURVES))
+        multiple = draw(st.integers(min_value=1, max_value=4))
+        arrays = min(estimate.unit_arrays * multiple, system.arrays(kind))
+        options[kind] = PlannedJob(job=job, kind=kind, arrays=arrays, estimate=estimate)
+    return options
+
+
+class AdaptiveBalanceMachine(RuleBasedStateMachine):
+    """The adaptive policy's kept balance state against the policy
+    rebuilt per call, over admits, launches, completions, failures,
+    derates and device losses on the GNN and full systems.  After every
+    step each queue holds the same entries (identity, order, arrays),
+    the in-flight horizons agree, and the kept rankings equal a fresh
+    build."""
+
+    @initialize(
+        data=st.data(),
+        system=st.sampled_from([gnn_system, full_system]),
+        backfill=st.booleans(),
+        n_initial=st.integers(min_value=0, max_value=14),
+    )
+    def start(self, data, system, backfill, n_initial):
+        system = system()
+        jobs = [balance_job(i, system.kinds) for i in range(40)]
+        options = {job.job_id: data.draw(balance_options(job, system)) for job in jobs}
+
+        def planner(job):
+            return dict(options[job.job_id])
+
+        sides = []
+        for _ in range(2):
+            table = PlanTable(system, planner)
+            queues = {kind: [] for kind in system.kinds}
+            for job in jobs[:n_initial]:
+                table.admit(job)
+                best = table.best(job.job_id)
+                queues[best.kind].append(best)
+            sides.append((table, queues))
+        (table, queues), (ref_table, ref_queues) = sides
+        self.policy = AdaptivePolicy(
+            table, inter_queue_adjust(queues, table.plans, system), backfill=backfill
+        )
+        self.reference = ReferenceAdaptive(
+            ref_table,
+            reference_inter_queue_adjust(ref_queues, ref_table.plans, system),
+            backfill,
+        )
+        self.system = system
+        self.jobs = {job.job_id: job for job in jobs}
+        self.waiting = [job.job_id for job in jobs[n_initial:]]
+        self.running: list[tuple[MemoryKind, str]] = []
+        self.now = 0.0
+
+    @rule(data=st.data())
+    def admit(self, data):
+        if not self.waiting:
+            return
+        count = data.draw(st.integers(1, min(3, len(self.waiting))))
+        batch = [self.jobs[j] for j in self.waiting[:count]]
+        del self.waiting[:count]
+        assert self.policy.admit(batch, self.now) == self.reference.admit(batch)
+
+    @rule(data=st.data())
+    def dispatch(self, data):
+        kinds = self.system.kinds
+        self.now += data.draw(st.sampled_from([0.0, 2e-6, 1e-5]))
+        view = ResourceView(
+            now=self.now,
+            free_slots={k: data.draw(st.integers(0, 3)) for k in kinds},
+            free_arrays={k: self.system.arrays(k) for k in kinds},
+            largest_free_run={
+                k: data.draw(st.integers(0, self.system.arrays(k))) for k in kinds
+            },
+        )
+        got = [
+            (d.job.job_id, d.kind, d.arrays, d.predicted_time)
+            for d in self.policy.next_dispatches(view)
+        ]
+        assert got == self.reference.next_dispatches(view)
+        self.running += [(kind, job_id) for job_id, kind, _, _ in got]
+
+    @rule(data=st.data(), failed=st.booleans())
+    def finish(self, data, failed):
+        if not self.running:
+            return
+        kind, job_id = self.running.pop(data.draw(st.integers(0, len(self.running) - 1)))
+        job = self.jobs[job_id]
+        if failed:
+            self.policy.notify_failed(job, self.now)
+            self.reference.notify_failed(job)
+        else:
+            self.policy.notify_completion(job, kind, self.now)
+            self.reference.notify_completion(job, kind)
+
+    @rule(data=st.data(), factor=st.sampled_from([0.5, 0.8]))
+    def derate(self, data, factor):
+        kind = data.draw(st.sampled_from(self.system.kinds))
+        self.policy.device_derated(kind, factor, self.now)
+        self.reference.device_derated(kind, factor)
+
+    @rule(data=st.data())
+    def lose(self, data):
+        live = list(self.policy._queues)
+        if not live:
+            return
+        kind = data.draw(st.sampled_from(live))
+        victims = [self.jobs[j] for k, j in self.running if k is kind]
+        self.running = [(k, j) for k, j in self.running if k is not kind]
+        assert self.policy.device_lost(kind, victims, self.now) == (
+            self.reference.device_lost(kind, victims)
+        )
+
+    @invariant()
+    def queues_match(self):
+        policy = self.policy
+        assert list(policy._queues) == list(self.reference.queues)
+        for kind, queue in policy._queues.items():
+            got, expected = list(queue), self.reference.queues[kind]
+            assert [id(e) for e in got] == [id(e) for e in expected]
+            assert [e.arrays for e in got] == [e.arrays for e in expected]
+        assert policy._inflight == self.reference.inflight
+        fresh = QueueBalance(policy._queues, policy.table.plans, policy.table.system)
+        assert policy._balance._rank == fresh._rank
+
+
+TestAdaptiveBalanceMachine = AdaptiveBalanceMachine.TestCase
+TestAdaptiveBalanceMachine.settings = settings(
+    max_examples=150, stateful_step_count=30, deadline=None
+)
+
+
+def test_algorithm_1_breaks_target_time_ties_on_job_id():
+    """Two jobs queued on the loaded memory tie on their time on the
+    target and differ only by id: the migration takes the smaller id,
+    though it is queued second, as the rebuilt reference does -- on a
+    closed batch and through admission."""
+    sram, reram = MemoryKind.SRAM, MemoryKind.RERAM
+    curve = CURVES[0]
+    jobs = [
+        Job(
+            job_id=job_id,
+            kernel="app",
+            profiles={kind: JobPerfProfile(1, 1e-6, 0.0, 1e-5) for kind in KINDS},
+        )
+        for job_id in ("t1", "t0")
+    ]
+    options = {
+        job.job_id: {
+            kind: PlannedJob(job=job, kind=kind, arrays=2, estimate=curve)
+            for kind in KINDS
+        }
+        for job in jobs
+    }
+    plans = {job_id: dict(row) for job_id, row in options.items()}
+    queues = {sram: [options[job.job_id][sram] for job in jobs], reram: []}
+    expected = reference_inter_queue_adjust(queues, plans, SYSTEM)
+    assert [e.job.job_id for e in expected[reram]] == ["t0"]
+    got = inter_queue_adjust(queues, plans, SYSTEM)
+    assert {k: [id(e) for e in q] for k, q in got.items()} == {
+        k: [id(e) for e in q] for k, q in expected.items()
+    }
+    # The same two jobs admitted together onto empty queues: both are
+    # best on ReRAM (the memory-name tie-break), and t0 moves to SRAM.
+    policy = AdaptivePolicy(
+        PlanTable(SYSTEM, lambda job: dict(options[job.job_id])), {}
+    )
+    reference = ReferenceAdaptive(
+        PlanTable(SYSTEM, lambda job: dict(options[job.job_id])), {}, backfill=True
+    )
+    assert policy.admit(jobs, 0.0) == reference.admit(jobs) == []
+    assert {k: [e.job.job_id for e in q] for k, q in policy._queues.items()} == {
+        sram: ["t0"],
+        reram: ["t1"],
+    }
+    for kind, queue in policy._queues.items():
+        assert [id(e) for e in queue] == [id(e) for e in reference.queues[kind]]
+
+
+def neumaier_sum(values, start=0.0):
+    """Compensated summation in the manner of Python 3.12's builtin
+    ``sum`` over floats: with it, one sum over a sequence and partial
+    sums added up round differently on any Python."""
+    total, compensation = start, 0.0
+    for value in values:
+        step = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - step) + value
+        else:
+            compensation += (value - step) + total
+        total = step
+    return total + compensation
+
+
+def test_balance_sums_kept_column_then_arrivals_once(monkeypatch):
+    """Each queue's aggregate is one ``sum`` over its kept column (a
+    launched position excluded) followed by that call's arrivals in
+    order, and the pipe adds the non-DRAM queues in queue order: under
+    a compensated ``sum`` the result is the rebuilt lists' sum, which
+    adding the arrivals to a kept total with ``+`` would miss."""
+    monkeypatch.setattr(adjustments, "sum", neumaier_sum, raising=False)
+    sram, reram = MemoryKind.SRAM, MemoryKind.RERAM
+
+    def planned(job_id, kind, value):
+        job = Job(
+            job_id=job_id,
+            kernel="app",
+            profiles={k: JobPerfProfile(1, 1e-6, 0.0, 1e-5, fill_bytes=value) for k in KINDS},
+        )
+        # Exactly ``value`` seconds at one array.
+        estimate = ScaleFreeEstimate(
+            unit_arrays=1, t_load=0.0, t_replica_unit=0.0, t_compute_unit=value, beta=1.0
+        )
+        return PlannedJob(job=job, kind=kind, arrays=1, estimate=estimate)
+
+    kept = {
+        sram: [planned("k0", sram, 1e16), planned("k1", sram, 1.0), planned("k2", sram, 3.0)],
+        reram: [planned("k3", reram, 1.0)],
+    }
+    queues = {kind: PlanQueue(longest_first, entries) for kind, entries in kept.items()}
+    launched = queues[sram].take(1)  # k2, between k0 and k1
+    arrivals = {
+        sram: [planned("a0", sram, 1.0), planned("a1", sram, 1.0)],
+        reram: [planned("a2", reram, 1e16), planned("a3", reram, 1.0)],
+    }
+    balance = QueueBalance(queues, {}, SYSTEM)
+    slot_s, arr_s, pipe_bytes = balance._totals(arrivals)
+    expected_pipe = 0.0
+    for kind in (sram, reram):
+        rows = [e for e in queues[kind]] + arrivals[kind]
+        assert launched not in rows
+        assert slot_s[kind] == neumaier_sum(e.est_time for e in rows)
+        assert arr_s[kind] == neumaier_sum(e.est_time * e.arrays for e in rows)
+        expected_pipe += neumaier_sum(e.job.profile(kind).fill_bytes for e in rows)
+    assert pipe_bytes == expected_pipe
+    # The aggregates this guards: a kept total plus arrivals differs.
+    assert slot_s[sram] != neumaier_sum(e.est_time for e in queues[sram]) + 1.0 + 1.0
