@@ -2,8 +2,9 @@
 visibly cheaper, admission must size each arrival about once, adaptive
 and EWT dispatch must not re-evaluate every queued curve or scaled
 time per call, the global
-planning passes must not rescan their queues, and the batched event
-drain must not change the event order.  Byte-identity
+planning passes must not rescan their queues, a workload must not
+sample its predictor training set until it is read, and the batched
+event drain must not change the event order.  Byte-identity
 of the simulated output is pinned by the golden digests
 (``tests/golden/``).
 
@@ -33,6 +34,7 @@ from repro.core.scheduler import (
 from repro.core.scheduler.adjustments import AdmissionPlanner, PlannedJob, PlanTable
 from repro.harness.ablations import ablation_knee
 from repro.harness.config import full_system, gnn_system
+from repro.harness import gnn
 from repro.harness.gnn import build_workload
 from repro.kernels import spmm
 from repro.serving import PoissonArrivals, ServingRuntime, Tenant
@@ -471,6 +473,26 @@ def test_spmm_job_scans_strips_once_per_memory(monkeypatch):
     assert jobs > 100
     per_job = len(scans) / jobs
     assert 0 < per_job <= 3, f"{len(scans)} strip scans for {jobs} SpMM jobs"
+
+
+def test_training_set_is_sampled_on_first_read(monkeypatch):
+    """Building a workload samples only its batches; the predictor's
+    held-out training set is sampled when ``training_jobs`` is first
+    read, and only then.  Counts only: ``sample_batches`` calls."""
+    calls: list[int] = []
+    sample = gnn.sample_batches
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["seed"])
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(gnn, "sample_batches", counted)
+    workload = build_workload("collab", num_batches=1, seed=0)
+    assert calls == [0]
+    assert workload.training_jobs
+    assert calls == [0, 1000]
+    assert workload.training_jobs is workload.training_jobs
+    assert calls == [0, 1000]
 
 
 def test_chunked_run_matches_step_trace():

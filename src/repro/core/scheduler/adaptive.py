@@ -78,6 +78,12 @@ class AdaptivePolicy(TablePolicy):
         self._inflight.get(kind, {}).pop(job.job_id, None)
         super().notify_completion(job, kind, now)
 
+    def notify_failed(self, job: Job, now: float) -> None:
+        # A failed job's predicted end must not stay a backfill horizon.
+        for inflight in self._inflight.values():
+            inflight.pop(job.job_id, None)
+        super().notify_failed(job, now)
+
     def _requeue(self, jobs: list[Job]) -> list[Job]:
         """Queue each job on its table ``best`` memory and run Algorithm
         1 over every queue; returns (and drops) the jobs with no live

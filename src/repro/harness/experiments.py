@@ -344,7 +344,7 @@ def fig12_breakdown(dataset: str = "citation") -> Report:
             batches=workload.batches,
             jobs_per_batch=workload.jobs_per_batch,
             config=workload.config,
-            training_jobs=workload.training_jobs,
+            training=workload.training,
         )
         summary = run_workload(workload_view, GlobalScheduler(predictor))
         busy = summary.kernel_busy_seconds(workload.jobs_per_batch)

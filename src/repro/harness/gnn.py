@@ -6,7 +6,8 @@ to keep the harness quick), lower each subgraph through the 3-layer
 GCN into MLIMP jobs, and run them batch-by-batch under a scheduler.
 Also trains the MLP performance predictor on held-out subgraphs of the
 same mother graph, exactly as the paper's per-mother-graph training
-recipe prescribes.
+recipe prescribes; that training set is sampled and lowered only when
+something first reads it.
 """
 
 from __future__ import annotations
@@ -43,8 +44,53 @@ BASELINE_HOST_POWER_W = 180.0
 
 
 @dataclass
+class TrainingSet:
+    """The predictor's held-out training jobs, kept as their recipe.
+
+    The jobs are sampled from the mother graph and lowered the first
+    time :attr:`jobs` is read; most workloads never train a predictor.
+    The sampler's seed is ``seed + 1000``, disjoint from the batches',
+    so the draw does not depend on when it runs.
+    """
+
+    dataset: str
+    specs: dict[MemoryKind, MemorySpec]
+    config: GCNConfig
+    batch_size: int
+    seed: int
+    subgraphs: int
+    _jobs: list[Job] | None = field(default=None, repr=False)
+
+    @property
+    def jobs(self) -> list[Job]:
+        if self._jobs is None:
+            per_batch = max(8, min(self.batch_size, self.subgraphs))
+            batches = sample_batches(
+                generate(self.dataset),
+                num_batches=math.ceil(self.subgraphs / per_batch),
+                batch_size=per_batch,
+                hops=3,
+                fanout=DATASETS[self.dataset].fanout,
+                concat=False,
+                seed=self.seed + 1000,
+            )
+            self._jobs = [
+                job
+                for i, batch in enumerate(batches)
+                for q, subgraph in enumerate(batch)
+                for job in spmm_jobs(
+                    subgraph, self.config, self.specs, prefix=f"b{1000 + i}/q{q}"
+                )
+            ]
+        return self._jobs
+
+
+@dataclass
 class GNNWorkload:
-    """One dataset's evaluation workload."""
+    """One dataset's evaluation workload.
+
+    ``training`` is the recipe of the predictor's held-out training
+    set; :attr:`training_jobs` builds it on first read."""
 
     dataset: str
     specs: dict[MemoryKind, MemorySpec]
@@ -52,7 +98,11 @@ class GNNWorkload:
     batches: list[list[Subgraph]]
     jobs_per_batch: list[list[Job]]
     config: GCNConfig
-    training_jobs: list[Job] = field(default_factory=list)
+    training: TrainingSet
+
+    @property
+    def training_jobs(self) -> list[Job]:
+        return self.training.jobs
 
     @property
     def all_jobs(self) -> list[Job]:
@@ -149,7 +199,11 @@ def build_workload(
     seed: int = 3,
     training_subgraphs: int = 72,
 ) -> GNNWorkload:
-    """Sample batches and lower them into MLIMP jobs."""
+    """Sample batches and lower them into MLIMP jobs.
+
+    The predictor's ``training_subgraphs`` held-out subgraphs are only
+    a recipe here: ``training_jobs`` samples and lowers them on first
+    read."""
     spec = DATASETS[dataset]
     graph = generate(dataset)
     specs = scaled_specs(scale)
@@ -167,24 +221,6 @@ def build_workload(
     jobs_per_batch = [
         batch_jobs(batch, config, specs, batch_id=i) for i, batch in enumerate(batches)
     ]
-    # Held-out training subgraphs for the predictor (same mother graph,
-    # disjoint seed).
-    per_training_batch = max(8, min(batch_size, training_subgraphs))
-    training_batches = sample_batches(
-        graph,
-        num_batches=math.ceil(training_subgraphs / per_training_batch),
-        batch_size=per_training_batch,
-        hops=3,
-        fanout=spec.fanout,
-        concat=False,
-        seed=seed + 1000,
-    )
-    training_jobs = [
-        job
-        for i, batch in enumerate(training_batches)
-        for q, subgraph in enumerate(batch)
-        for job in spmm_jobs(subgraph, config, specs, prefix=f"b{1000 + i}/q{q}")
-    ]
     return GNNWorkload(
         dataset=dataset,
         specs=specs,
@@ -192,7 +228,14 @@ def build_workload(
         batches=batches,
         jobs_per_batch=jobs_per_batch,
         config=config,
-        training_jobs=training_jobs,
+        training=TrainingSet(
+            dataset=dataset,
+            specs=specs,
+            config=config,
+            batch_size=batch_size,
+            seed=seed,
+            subgraphs=training_subgraphs,
+        ),
     )
 
 

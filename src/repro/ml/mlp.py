@@ -102,12 +102,22 @@ class MLPRegressor:
         self, Xs: np.ndarray, ys: np.ndarray, epochs: int, rng: np.random.Generator
     ) -> None:
         """Mini-batch Adam over standardised data, continuing from the
-        persistent optimiser state in ``self._adam``."""
+        persistent optimiser state in ``self._adam``.
+
+        The parameters, both moments and the gradients are each packed
+        into one flat buffer of the same layout, and the per-layer
+        weights, biases and moments become views into those buffers, so
+        the Adam step is a few whole-buffer operations.  Each one is
+        elementwise, so the bits are those of a layer-by-layer update."""
         n = Xs.shape[0]
         batch = min(self.batch_size, n)
         adam = self._adam
-        m_w, v_w = adam["m_w"], adam["v_w"]
-        m_b, v_b = adam["m_b"], adam["v_b"]
+        layers = len(self._weights)
+        params, self._weights, self._biases = _pack(self._weights, self._biases)
+        m, adam["m_w"], adam["m_b"] = _pack(adam["m_w"], adam["m_b"])
+        v, adam["v_w"], adam["v_b"] = _pack(adam["v_w"], adam["v_b"])
+        # Same layout; every mini-batch overwrites the copied values.
+        grads, grads_w, grads_b = _pack(self._weights, self._biases)
         beta1, beta2, eps = 0.9, 0.999, 1e-8
 
         for _ in range(epochs):
@@ -122,34 +132,24 @@ class MLPRegressor:
 
                 # Backprop
                 grad = 2.0 * err / len(idx)
-                grads_w: list[np.ndarray] = [None] * len(self._weights)  # type: ignore
-                grads_b: list[np.ndarray] = [None] * len(self._biases)  # type: ignore
-                for layer in range(len(self._weights) - 1, -1, -1):
-                    a_in = acts[layer]
-                    grads_w[layer] = a_in.T @ grad + self.l2 * self._weights[layer]
-                    grads_b[layer] = grad.sum(axis=0)
+                for layer in range(layers - 1, -1, -1):
+                    W = self._weights[layer]
+                    np.add(acts[layer].T @ grad, self.l2 * W, out=grads_w[layer])
+                    np.sum(grad, axis=0, out=grads_b[layer])
                     if layer > 0:
-                        grad = grad @ self._weights[layer].T
+                        grad = grad @ W.T
                         grad = grad * (acts[layer] > 0.0)
 
                 # Adam update
                 adam["step"] += 1
                 step = adam["step"]
-                for layer in range(len(self._weights)):
-                    m_w[layer] = beta1 * m_w[layer] + (1 - beta1) * grads_w[layer]
-                    v_w[layer] = beta2 * v_w[layer] + (1 - beta2) * grads_w[layer] ** 2
-                    m_b[layer] = beta1 * m_b[layer] + (1 - beta1) * grads_b[layer]
-                    v_b[layer] = beta2 * v_b[layer] + (1 - beta2) * grads_b[layer] ** 2
-                    m_w_hat = m_w[layer] / (1 - beta1**step)
-                    v_w_hat = v_w[layer] / (1 - beta2**step)
-                    m_b_hat = m_b[layer] / (1 - beta1**step)
-                    v_b_hat = v_b[layer] / (1 - beta2**step)
-                    self._weights[layer] -= (
-                        self.learning_rate * m_w_hat / (np.sqrt(v_w_hat) + eps)
-                    )
-                    self._biases[layer] -= (
-                        self.learning_rate * m_b_hat / (np.sqrt(v_b_hat) + eps)
-                    )
+                m *= beta1
+                m += (1 - beta1) * grads
+                v *= beta2
+                v += (1 - beta2) * grads**2
+                m_hat = m / (1 - beta1**step)
+                v_hat = v / (1 - beta2**step)
+                params -= self.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
             self.loss_history_.append(epoch_loss / n)
 
     # ------------------------------------------------------------------
@@ -334,3 +334,18 @@ class MLPRegressor:
                 "step": int(adam["step"]),
             }
         return model
+
+
+def _pack(
+    weights: list[np.ndarray], biases: list[np.ndarray]
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """One flat copy of every weight, then every bias, and the views of
+    it shaped like each of them."""
+    arrays = [*weights, *biases]
+    flat = np.concatenate([a.ravel() for a in arrays])
+    views = []
+    offset = 0
+    for a in arrays:
+        views.append(flat[offset : offset + a.size].reshape(a.shape))
+        offset += a.size
+    return flat, views[: len(weights)], views[len(weights) :]

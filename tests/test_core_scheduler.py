@@ -213,6 +213,44 @@ class TestIntraQueue:
             assert entry.arrays >= entry.estimate.unit_arrays
 
 
+class TestAdaptiveBackfill:
+    def test_failed_job_leaves_the_backfill_horizon(self, system):
+        """A failed launch's predicted end must not stay the horizon of
+        pass-2 backfill: once that time has passed, no queued job could
+        finish by it and backfill on that memory would never fire."""
+        sram, reram = MemoryKind.SRAM, MemoryKind.RERAM
+        jobs = [
+            make_job("c", 8e-4, 1.0), make_job("a", 4e-4, 1.0), make_job("b", 1e-5, 1.0)
+        ]
+        policy = AdaptiveScheduler(OraclePredictor()).plan(jobs, system)
+        start = ResourceView(
+            now=0.0,
+            free_slots={sram: 2, reram: 0},
+            free_arrays={sram: 64, reram: 128},
+            largest_free_run={sram: 64, reram: 128},
+        )
+        launched = policy.next_dispatches(start)
+        assert [d.job.job_id for d in launched] == ["c", "a"]
+        ends = {d.job.job_id: d.predicted_time for d in launched}
+        assert ends["a"] < ends["c"]
+
+        now = (ends["a"] + ends["c"]) / 2  # "a" is overdue when it fails
+        policy.notify_failed(jobs[1], now)
+        assert "a" not in policy._inflight[sram]
+        # A free slot, but a run too short for "b"'s requested arrays:
+        # only backfill behind "c" can launch it.
+        later = ResourceView(
+            now=now,
+            free_slots={sram: 1, reram: 0},
+            free_arrays={sram: 36, reram: 128},
+            largest_free_run={sram: 8, reram: 128},
+        )
+        (backfill,) = policy.next_dispatches(later)
+        assert backfill.job.job_id == "b"
+        assert backfill.arrays <= 8
+        assert now + backfill.predicted_time <= ends["c"]
+
+
 class TestSchedulersEndToEnd:
     @pytest.mark.parametrize(
         "scheduler_cls",

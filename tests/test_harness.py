@@ -1,5 +1,7 @@
 """Harness: configuration, reporting, workloads, integration shapes."""
 
+import pickle
+
 import pytest
 
 from repro.core import (
@@ -77,6 +79,13 @@ class TestWorkload:
         assert len(workload.jobs_per_batch[0]) == 24 * 9
         assert workload.num_queries == 48
         assert len(workload.training_jobs) >= 24
+
+    def test_unread_training_set_pickles_as_its_recipe(self):
+        built = build_workload("collab", num_batches=1, batch_size=8, seed=9)
+        clone = pickle.loads(pickle.dumps(built))
+        assert clone.training._jobs is None
+        ids = [job.job_id for job in clone.training_jobs]
+        assert ids == [job.job_id for job in built.training_jobs]
 
     def test_spmm_selector(self, workload):
         spmm = workload.spmm_jobs()

@@ -1024,6 +1024,8 @@ class ReferenceAdaptive:
         self.table.drop([job])
 
     def notify_failed(self, job):
+        for inflight in self.inflight.values():
+            inflight.pop(job.job_id, None)
         self.table.drop([job])
 
     def device_derated(self, kind, factor):
