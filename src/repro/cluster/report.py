@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..obs.metrics import nearest_rank
-from ..serving.report import ServingReport, TenantReport
+from ..serving.report import ServingReport, TenantReport, tenant_report
 from ..serving.tenants import Tenant
 from .spec import ClusterSpec
 
@@ -188,23 +188,16 @@ def build_cluster_report(
             unplaced += node_stats.get("shed_unplaced", 0)
             predicted += node_stats.get("shed_predicted", 0)
         lost = stats.lost_no_node.get(name, 0)
-        values = sorted(sojourns[name])
-        effective_slo = tenant.slo_s if tenant.slo_s is not None else slo_s
-        met = sum(1 for v in values if v <= effective_slo)
-        tenant_reports[name] = TenantReport(
-            tenant=name,
+        tenant_reports[name] = tenant_report(
+            name,
+            sojourns[name],
+            slo_s,
+            tenant.slo_s,
             offered=offered + lost,
             admitted=admitted,
-            completed=len(values),
             shed_queue_full=queue_full,
             shed_unplaced=unplaced + lost,
             shed_predicted=predicted,
-            slo_s=tenant.slo_s,
-            sojourn_mean_s=sum(values) / len(values) if values else 0.0,
-            sojourn_p50_s=nearest_rank(values, 0.50) if values else 0.0,
-            sojourn_p95_s=nearest_rank(values, 0.95) if values else 0.0,
-            sojourn_p99_s=nearest_rank(values, 0.99) if values else 0.0,
-            slo_attainment=met / len(values) if values else 1.0,
         )
 
     makespan = max((o.makespan for o in outcomes), default=0.0)

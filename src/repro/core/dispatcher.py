@@ -17,7 +17,6 @@ with internal row moves and bypass the pipe.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -31,6 +30,7 @@ from ..obs.metrics import (
     Counter,
     Gauge,
     MetricsRegistry,
+    nearest_rank,
     runtime_counter_inc,
     runtime_state_set,
 )
@@ -109,28 +109,19 @@ class DispatchResult:
     #: the baseline (``MLIMPRuntime.run(..., fault_baseline=True)``).
     fault_free_makespan: float | None = None
 
-    def jobs_on(self, kind: MemoryKind) -> list[JobRecord]:
-        return [r for r in self.records.values() if r.kind is kind]
-
     def mean_latency(self) -> float:
         if not self.records:
             return 0.0
         return sum(r.latency for r in self.records.values()) / len(self.records)
 
     def tail_latency(self, quantile: float = 0.99) -> float:
-        """Nearest-rank latency quantile: value at ``ceil(q*n) - 1``.
-
-        (``int(q * n)`` indexing is off by one against the nearest-rank
-        definition and returns the maximum for every quantile once
-        ``q * n`` reaches ``n - 1``.)
-        """
+        """Nearest-rank latency quantile (0.0 for a run with no jobs)."""
         if not 0.0 < quantile <= 1.0:
             raise ValueError(f"quantile must be in (0, 1], got {quantile}")
         if not self.records:
             return 0.0
         latencies = sorted(r.latency for r in self.records.values())
-        index = max(0, math.ceil(quantile * len(latencies)) - 1)
-        return latencies[min(index, len(latencies) - 1)]
+        return nearest_rank(latencies, quantile)
 
     def report(self) -> RunReport:
         """Per-device utilisation, bubbles, phase breakdown and

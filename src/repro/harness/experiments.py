@@ -46,6 +46,7 @@ from .gnn import (
     HOST_POWER_W,
     MLIMP_SYSTEM_POWER_W,
     GNNWorkload,
+    add_kernel_busy,
     build_workload,
     run_workload,
 )
@@ -277,11 +278,7 @@ def fig11_kernel_speedup(dataset: str = "citation") -> Report:
     summary = run_workload(workload, GlobalScheduler(OraclePredictor()))
     speedups: dict[str, list[float]] = {"gemm": [], "spmm": [], "vadd": []}
     for jobs, result in zip(workload.jobs_per_batch, summary.results):
-        kernel_of = {job.job_id: job.kernel for job in jobs}
-        busy: dict[str, float] = {}
-        for record in result.trace.records:
-            kernel = kernel_of[record.job_id]
-            busy[kernel] = busy.get(kernel, 0.0) + record.duration
+        busy = add_kernel_busy({}, result, jobs)
         total_busy = sum(busy.values()) or 1.0
         for kernel in speedups:
             gpu = sum(

@@ -23,7 +23,7 @@ from ..core.scheduler import MLIMPSystem, Scheduler, oracle_makespan
 from ..gnn import DATASETS, GCNConfig, batch_jobs, generate, sample_batches, spmm_jobs
 from ..gnn.sampler import Subgraph
 from ..memories import MemoryKind, MemorySpec
-from ..sim import EnergyCategory, EnergyLedger
+from ..sim import EnergyCategory, EnergyLedger, Phase
 from .config import DEVICE_SCALE, scaled_specs
 
 __all__ = ["GNNWorkload", "BatchRunSummary", "build_workload", "run_workload"]
@@ -144,6 +144,18 @@ class GNNWorkload:
         return self.baseline_time(XEON_E5_2697V3)
 
 
+def add_kernel_busy(
+    busy: dict[str, float], result: DispatchResult, jobs: list[Job]
+) -> dict[str, float]:
+    """Add each kernel's traced device time in ``result`` (one batch of
+    ``jobs``) to ``busy``, row by row in trace order; returns ``busy``."""
+    kernel_of = {job.job_id: job.kernel for job in jobs}
+    columns = result.trace.columns
+    for job_id, start, end in zip(columns.job_ids, columns.starts, columns.ends):
+        kernel = kernel_of[job_id]
+        busy[kernel] = busy.get(kernel, 0.0) + (end - start)
+    return busy
+
 @dataclass
 class BatchRunSummary:
     """Aggregate of running every batch under one scheduler."""
@@ -163,32 +175,19 @@ class BatchRunSummary:
         """Total per-kernel device time (fill+replicate+compute)."""
         out: dict[str, float] = {}
         for jobs, result in zip(jobs_per_batch, self.results):
-            kernel_of = {job.job_id: job.kernel for job in jobs}
-            for record in result.trace.records:
-                kernel = kernel_of[record.job_id]
-                out[kernel] = out.get(kernel, 0.0) + record.duration
+            add_kernel_busy(out, result, jobs)
         return out
 
     def memcpy_seconds(self) -> float:
         """Time spent in fill phases (the memcpy analog)."""
-        from ..sim import Phase
-
-        return sum(result.trace.phase_time(Phase.FILL) for result in self.results)
-
-    def reports(self):
-        """Per-batch observability reports (``repro.obs`` RunReports)."""
-        return [result.report() for result in self.results]
-
-    def mean_utilisation(self, device: str) -> float:
-        """Average utilisation of one device across all batches."""
-        values = [
-            report.devices[device].utilisation
-            for report in self.reports()
-            if device in report.devices
-        ]
-        if not values:
-            return 0.0
-        return sum(values) / len(values)
+        return sum(
+            sum(
+                end - start
+                for phase, start, end in zip(c.phases, c.starts, c.ends)
+                if phase is Phase.FILL
+            )
+            for c in (result.trace.columns for result in self.results)
+        )
 
 
 def build_workload(

@@ -6,11 +6,18 @@ this package makes those quantities first-class for *every* run:
 
 ``repro.obs.metrics``    counters / gauges / histograms fed by the dispatcher
 ``repro.obs.decisions``  per-dispatch predicted-vs-actual decision log
-``repro.obs.analytics``  utilisation, bubbles, phase breakdown -> RunReport
+``repro.obs.analytics``  one sweep per device over the trace: utilisation,
+                         bubbles, phase breakdown -> RunReport
 ``repro.obs.export``     JSON / CSV dumps (also behind ``python -m repro trace``)
+
+The package root re-exports the report types and ``build_report``, the
+decision log, the metric types with ``nearest_rank`` and the
+process-global runtime counters, and the exporters.  The trace itself
+(:mod:`repro.sim.trace`) only stores rows; every derived number comes
+from ``build_report``.
 """
 
-from .analytics import DeviceReport, RunReport, bubbles, build_report, merged_intervals
+from .analytics import DeviceReport, RunReport, build_report
 from .decisions import DecisionLog, DispatchDecision
 from .metrics import (
     Counter,
@@ -30,9 +37,7 @@ from .export import result_payload, trace_rows, write_results_json, write_trace_
 __all__ = [
     "DeviceReport",
     "RunReport",
-    "bubbles",
     "build_report",
-    "merged_intervals",
     "DecisionLog",
     "DispatchDecision",
     "Counter",

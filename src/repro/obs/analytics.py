@@ -4,9 +4,16 @@ Figures 12-19 of the paper are statements about *where time goes*:
 per-device utilisation, fill/replicate/compute overlap, and the
 scheduling bubbles that separate the adaptive scheduler from the
 global one (Section III-C5).  This module derives all of them from an
-:class:`~repro.sim.trace.ExecutionTrace` and packages the result as a
-:class:`RunReport`, reachable from any run via
-:meth:`repro.core.dispatcher.DispatchResult.report`.
+:class:`~repro.sim.trace.ExecutionTrace` -- which only stores the rows
+-- and packages the result as a :class:`RunReport`, reachable from any
+run via :meth:`repro.core.dispatcher.DispatchResult.report`.
+
+The report is one fold over the trace: a single pass over its rows
+splits them by device and sums the phase seconds, then one sweep per
+device sorts that device's intervals once and reads off its first and
+last activity, busy time (the union of its intervals) and bubbles
+(the gaps between them).  Each float is summed in a fixed order, so a
+report is the same to the bit on every run and every Python version.
 
 Usage::
 
@@ -29,51 +36,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..sim.trace import ExecutionTrace
+import numpy as np
 
-__all__ = ["DeviceReport", "RunReport", "merged_intervals", "bubbles", "build_report"]
+from ..sim.trace import ExecutionTrace, Phase
+
+__all__ = ["DeviceReport", "RunReport", "build_report"]
 
 #: Gaps shorter than this fraction of the device's active span are
 #: measurement noise (event ordering, dispatch overhead), not bubbles.
 MIN_BUBBLE_FRACTION = 1e-9
-
-
-def merged_intervals(trace: ExecutionTrace, device: str) -> list[tuple[float, float]]:
-    """The device's activity as disjoint, sorted (start, end) intervals."""
-    intervals = sorted(
-        (r.start, r.end) for r in trace.records if r.device == device
-    )
-    merged: list[tuple[float, float]] = []
-    for start, end in intervals:
-        if merged and start <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-        else:
-            merged.append((start, end))
-    return merged
-
-
-def bubbles(
-    trace: ExecutionTrace, device: str, min_gap: float | None = None
-) -> tuple[int, float]:
-    """Idle gaps on ``device`` between its first and last activity.
-
-    Returns ``(count, total_idle_seconds)``.  ``min_gap`` filters
-    floating-point slivers; it defaults to a tiny fraction of the
-    device's active span.
-    """
-    merged = merged_intervals(trace, device)
-    if len(merged) < 2:
-        return 0, 0.0
-    if min_gap is None:
-        span = merged[-1][1] - merged[0][0]
-        min_gap = span * MIN_BUBBLE_FRACTION
-    count, total = 0, 0.0
-    for (_, end), (start, _) in zip(merged, merged[1:]):
-        gap = start - end
-        if gap > min_gap:
-            count += 1
-            total += gap
-    return count, total
 
 
 @dataclass(frozen=True)
@@ -206,26 +177,13 @@ def build_report(result) -> RunReport:
     for record in result.records.values():
         device = record.kind.value
         jobs_per_device[device] = jobs_per_device.get(device, 0) + 1
-    devices: dict[str, DeviceReport] = {}
-    for device in trace.devices():
-        merged = merged_intervals(trace, device)
-        bubble_count, bubble_time = bubbles(trace, device)
-        devices[device] = DeviceReport(
-            device=device,
-            first_activity=merged[0][0],
-            last_activity=merged[-1][1],
-            busy_time=trace.busy_time(device),
-            utilisation=trace.utilisation(device),
-            bubble_count=bubble_count,
-            bubble_time=bubble_time,
-            phase_seconds={
-                phase: seconds
-                for phase, seconds in trace.per_device_phase_breakdown()
-                .get(device, {})
-                .items()
-            },
-            jobs=jobs_per_device.get(device, 0),
+    span = trace.makespan
+    devices = {
+        device: _device_report(
+            device, starts, ends, phase_seconds, span, jobs_per_device.get(device, 0)
         )
+        for device, starts, ends, phase_seconds in _device_columns(trace)
+    }
     decisions = getattr(result, "decisions", None)
     return RunReport(
         scheduler=result.scheduler_name,
@@ -236,6 +194,88 @@ def build_report(result) -> RunReport:
         devices=devices,
         predictor=decisions.error_summary() if decisions is not None else None,
         degradation=_degradation_summary(result),
+    )
+
+
+_PHASE_NAMES = {phase: phase.value for phase in Phase}
+
+
+def _device_columns(trace: ExecutionTrace):
+    """Each device's start/end columns and phase seconds, devices sorted.
+
+    One pass over the trace rows splits them by device.  Phase seconds
+    accumulate with ``+=`` in trace order, the order the report's bytes
+    were first produced in (a pairwise or compensated sum rounds
+    differently).
+    """
+    columns = trace.columns
+    rows: dict[str, tuple[list[int], dict[str, float]]] = {}
+    for row, (device, phase, start, end) in enumerate(
+        zip(columns.devices, columns.phases, columns.starts, columns.ends)
+    ):
+        entry = rows.get(device)
+        if entry is None:
+            entry = rows[device] = ([], {})
+        entry[0].append(row)
+        seconds = entry[1]
+        name = _PHASE_NAMES[phase]
+        seconds[name] = seconds.get(name, 0.0) + (end - start)
+    # Copies, not np.frombuffer views: a live view of the trace's
+    # array columns makes its next ``record`` raise BufferError.
+    starts = np.array(columns.starts, dtype=np.float64)
+    ends = np.array(columns.ends, dtype=np.float64)
+    for device in sorted(rows):
+        index, phase_seconds = rows[device]
+        yield device, starts[index], ends[index], phase_seconds
+
+
+def _device_report(
+    device: str,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    phase_seconds: dict[str, float],
+    span: float,
+    jobs: int,
+) -> DeviceReport:
+    """The sweep over one device's intervals.
+
+    After one lexsort (by start, then end), ``running[i]`` is the
+    latest end among the first ``i + 1`` intervals.  An interval adds
+    to the busy union the part of it past ``cover`` -- the larger of its
+    own start and the running end before it -- and leaves a gap of
+    ``start - running[i - 1]`` before it when that is positive: the
+    same union and the same gaps as merging the sorted intervals.
+    """
+    order = np.lexsort((ends, starts))
+    starts, ends = starts[order], ends[order]
+    running = np.maximum.accumulate(ends)
+    first, last = float(starts[0]), float(running[-1])
+    cover = np.empty_like(ends)
+    cover[0] = starts[0]
+    np.maximum(running[:-1], starts[1:], out=cover[1:])
+    # One NumPy sum over the contiguous per-interval parts: the same
+    # pairwise summation, hence the same bits, on every run.
+    busy = float(np.maximum(0.0, ends - cover).sum())
+    # Gaps below this sliver of the active span are event-ordering
+    # noise, not bubbles.
+    min_gap = (last - first) * MIN_BUBBLE_FRACTION
+    gaps = starts[1:] - running[:-1]
+    gaps = gaps[gaps > min_gap].tolist()
+    # Sequential ``+=``: builtin ``sum`` is compensated on Python 3.12+
+    # and would round differently there than here.
+    idle = 0.0
+    for gap in gaps:
+        idle += gap
+    return DeviceReport(
+        device=device,
+        first_activity=first,
+        last_activity=last,
+        busy_time=busy,
+        utilisation=busy / span if span else 0.0,
+        bubble_count=len(gaps),
+        bubble_time=idle,
+        phase_seconds=phase_seconds,
+        jobs=jobs,
     )
 
 

@@ -51,15 +51,15 @@ def trace_rows(result, run: int = 0) -> list[dict]:
     return [
         {
             "run": run,
-            "job_id": r.job_id,
-            "device": r.device,
-            "phase": r.phase.value,
-            "start": r.start,
-            "end": r.end,
-            "duration": r.duration,
-            "arrays": r.arrays,
+            "job_id": job_id,
+            "device": device,
+            "phase": phase.value,
+            "start": start,
+            "end": end,
+            "duration": end - start,
+            "arrays": arrays,
         }
-        for r in result.trace.records
+        for job_id, device, phase, start, end, arrays in zip(*result.trace.columns)
     ]
 
 

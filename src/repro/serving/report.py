@@ -28,7 +28,7 @@ from ..obs.analytics import build_report
 from ..obs.metrics import nearest_rank
 from .tenants import OpenLoop
 
-__all__ = ["TenantReport", "ServingReport", "build_serving_report"]
+__all__ = ["TenantReport", "ServingReport", "build_serving_report", "tenant_report"]
 
 
 @dataclass(frozen=True)
@@ -221,6 +221,44 @@ class ServingReport:
         return "\n".join(lines)
 
 
+def tenant_report(
+    name: str,
+    sojourns: list[float],
+    slo_s: float,
+    tenant_slo: float | None,
+    *,
+    offered: int,
+    admitted: int,
+    shed_queue_full: int,
+    shed_unplaced: int,
+    shed_predicted: int,
+) -> TenantReport:
+    """One tenant's row from its completed jobs' sojourns.
+
+    Quantiles are nearest-rank; attainment is judged against the
+    tenant's own ``tenant_slo`` when it has one, else the run's
+    ``slo_s``, and is 1.0 for a tenant that completed nothing.
+    """
+    values = sorted(sojourns)
+    effective_slo = tenant_slo if tenant_slo is not None else slo_s
+    met = sum(1 for v in values if v <= effective_slo)
+    return TenantReport(
+        tenant=name,
+        offered=offered,
+        admitted=admitted,
+        completed=len(values),
+        shed_queue_full=shed_queue_full,
+        shed_unplaced=shed_unplaced,
+        shed_predicted=shed_predicted,
+        slo_s=tenant_slo,
+        sojourn_mean_s=sum(values) / len(values) if values else 0.0,
+        sojourn_p50_s=nearest_rank(values, 0.50) if values else 0.0,
+        sojourn_p95_s=nearest_rank(values, 0.95) if values else 0.0,
+        sojourn_p99_s=nearest_rank(values, 0.99) if values else 0.0,
+        slo_attainment=met / len(values) if values else 1.0,
+    )
+
+
 def build_serving_report(
     result: DispatchResult,
     open_loop: OpenLoop,
@@ -249,26 +287,20 @@ def build_serving_report(
         sojourns[tenant].append(record.finished_at - arrived)
 
     tenant_slo = {t.name: t.slo_s for t in open_loop.tenants}
-    tenants: dict[str, TenantReport] = {}
-    for name, stats in open_loop.tenant_stats().items():
-        values = sorted(sojourns.get(name, []))
-        effective_slo = tenant_slo.get(name) or slo_s
-        met = sum(1 for v in values if v <= effective_slo)
-        tenants[name] = TenantReport(
-            tenant=name,
+    tenants = {
+        name: tenant_report(
+            name,
+            sojourns.get(name, []),
+            slo_s,
+            tenant_slo.get(name),
             offered=stats["offered"],
             admitted=stats["admitted"],
-            completed=len(values),
             shed_queue_full=stats["shed_queue_full"],
             shed_unplaced=stats["shed_unplaced"],
             shed_predicted=stats["shed_predicted"],
-            slo_s=tenant_slo.get(name),
-            sojourn_mean_s=sum(values) / len(values) if values else 0.0,
-            sojourn_p50_s=nearest_rank(values, 0.50) if values else 0.0,
-            sojourn_p95_s=nearest_rank(values, 0.95) if values else 0.0,
-            sojourn_p99_s=nearest_rank(values, 0.99) if values else 0.0,
-            slo_attainment=met / len(values) if values else 1.0,
         )
+        for name, stats in open_loop.tenant_stats().items()
+    }
 
     devices = build_report(result).devices
     utilisation = {name: report.utilisation for name, report in devices.items()}

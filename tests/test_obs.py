@@ -2,7 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import (
     Counter,
@@ -11,9 +14,7 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     RunReport,
-    bubbles,
     build_report,
-    merged_intervals,
     nearest_rank,
     result_payload,
     write_results_json,
@@ -184,24 +185,97 @@ def make_trace() -> ExecutionTrace:
     return trace
 
 
+# -- reference models ---------------------------------------------------
+# The two implementations the report's one sweep replaced, kept as they
+# were: the Python merge behind first/last activity and bubbles, and the
+# NumPy union behind busy time and utilisation.
+
+MIN_BUBBLE_FRACTION = 1e-9
+
+
+def merged_intervals(trace: ExecutionTrace, device: str) -> list[tuple[float, float]]:
+    """The device's activity as disjoint, sorted (start, end) intervals."""
+    intervals = sorted(
+        (r.start, r.end) for r in trace.records if r.device == device
+    )
+    merged: list[tuple[float, float]] = []
+    for start, end in intervals:
+        if merged and start <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
+        else:
+            merged.append((start, end))
+    return merged
+
+
+def bubbles(trace: ExecutionTrace, device: str) -> tuple[int, float]:
+    """Idle gaps past a sliver of the span: ``(count, total_seconds)``."""
+    merged = merged_intervals(trace, device)
+    if len(merged) < 2:
+        return 0, 0.0
+    min_gap = (merged[-1][1] - merged[0][0]) * MIN_BUBBLE_FRACTION
+    count, total = 0, 0.0
+    for (_, end), (start, _) in zip(merged, merged[1:]):
+        gap = start - end
+        if gap > min_gap:
+            count += 1
+            total += gap
+    return count, total
+
+
+def _union_length(pairs: np.ndarray) -> float:
+    """Union length of lexsorted intervals, vectorised."""
+    if not pairs.size:
+        return 0.0
+    starts, ends = pairs[:, 0], pairs[:, 1]
+    cover = np.empty_like(ends)
+    cover[0] = starts[0]
+    np.maximum.accumulate(ends[:-1], out=cover[1:])
+    cover[1:] = np.maximum(cover[1:], starts[1:])
+    cover[0] = starts[0]
+    return float(np.maximum(0.0, ends - cover).sum())
+
+
+def reference_busy_time(trace: ExecutionTrace, device: str) -> float:
+    rows = [(r.start, r.end) for r in trace.records if r.device == device]
+    pairs = np.array(rows, dtype=np.float64).reshape(-1, 2)
+    if pairs.size:
+        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    return _union_length(pairs)
+
+
+def reference_phase_seconds(trace: ExecutionTrace) -> dict[str, dict[str, float]]:
+    out: dict[str, dict[str, float]] = {}
+    for r in trace.records:
+        phases = out.setdefault(r.device, {})
+        phases[r.phase.value] = phases.get(r.phase.value, 0.0) + (r.end - r.start)
+    return out
+
+
 class TestTraceAnalytics:
     def test_merged_intervals(self):
         trace = make_trace()
         assert merged_intervals(trace, "dev0") == [(0.0, 2.0), (3.0, 4.0)]
         assert merged_intervals(trace, "dev1") == [(0.0, 4.0)]
+        devices = build_report(_FakeResult(trace)).devices
+        assert (devices["dev0"].first_activity, devices["dev0"].last_activity) == (
+            0.0,
+            4.0,
+        )
+        assert devices["dev0"].busy_time == 3.0
+        assert devices["dev1"].busy_time == 4.0
 
     def test_bubble_detection(self):
-        trace = make_trace()
-        count, total = bubbles(trace, "dev0")
-        assert count == 1
-        assert total == pytest.approx(1.0)
-        assert bubbles(trace, "dev1") == (0, 0.0)
+        devices = build_report(_FakeResult(make_trace())).devices
+        assert devices["dev0"].bubble_count == 1
+        assert devices["dev0"].bubble_time == pytest.approx(1.0)
+        assert (devices["dev1"].bubble_count, devices["dev1"].bubble_time) == (0, 0.0)
 
     def test_min_gap_filters_slivers(self):
         trace = ExecutionTrace()
         trace.record("a", "dev", Phase.COMPUTE, 0.0, 1.0)
         trace.record("b", "dev", Phase.COMPUTE, 1.0 + 1e-15, 2.0)
-        assert bubbles(trace, "dev") == (0, 0.0)
+        dev = build_report(_FakeResult(trace)).devices["dev"]
+        assert (dev.bubble_count, dev.bubble_time) == (0, 0.0)
 
     def test_report_string_renders(self):
         report = RunReport(
@@ -211,6 +285,59 @@ class TestTraceAnalytics:
         text = str(report)
         assert "dispatch report" in text
         assert "predictor error: n/a" in text
+
+    def test_build_report_leaves_trace_appendable(self):
+        trace = make_trace()
+        build_report(_FakeResult(trace))
+        trace.record("d", "dev1", Phase.COMPUTE, 4.0, 5.0)
+        assert len(trace) == 5
+
+
+# Start times: a coarse shared grid (equal starts, touching and nested
+# intervals) or any float; a start may be nudged past a grid point by a
+# sliver below or above the bubble threshold.
+_grid = st.integers(0, 8).map(lambda k: k * 0.5)
+_start = st.one_of(_grid, st.floats(0.0, 5.0, allow_nan=False))
+_length = st.one_of(
+    st.just(0.0), st.integers(1, 4).map(lambda k: k * 0.5), st.floats(0.0, 2.0)
+)
+_nudge = st.sampled_from([0.0, 0.0, 1e-15, 1e-12, 1e-6])
+_rows = st.lists(
+    st.tuples(
+        st.sampled_from(["dev0", "dev1", "dev2"]),
+        st.sampled_from(list(Phase)),
+        _start,
+        _length,
+        _nudge,
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestSweepMatchesReferences:
+    @settings(max_examples=300, deadline=None)
+    @given(_rows)
+    def test_device_fields_bit_exact(self, rows):
+        trace = ExecutionTrace()
+        for i, (device, phase, start, length, nudge) in enumerate(rows):
+            start += nudge
+            trace.record(f"j{i}", device, phase, start, start + length)
+        report = build_report(_FakeResult(trace))
+        phases = reference_phase_seconds(trace)
+        assert list(report.devices) == sorted(phases)
+        for device, dev in report.devices.items():
+            merged = merged_intervals(trace, device)
+            busy = reference_busy_time(trace, device)
+            assert dev.first_activity == merged[0][0]
+            assert dev.last_activity == merged[-1][1]
+            assert dev.busy_time == busy
+            assert dev.utilisation == (
+                busy / trace.makespan if trace.makespan else 0.0
+            )
+            assert (dev.bubble_count, dev.bubble_time) == bubbles(trace, device)
+            assert dev.phase_seconds == phases[device]
+            assert list(dev.phase_seconds) == list(phases[device])
 
 
 class _FakeResult:

@@ -2,7 +2,17 @@
 
 import pytest
 
+from repro.core.dispatcher import DispatchResult
+from repro.obs import build_report
 from repro.sim import EnergyCategory, EnergyLedger, ExecutionTrace, Phase, TraceRecord
+
+
+def device_reports(trace):
+    """The per-device section of the run report over ``trace``."""
+    result = DispatchResult(
+        makespan=trace.makespan, trace=trace, energy=EnergyLedger(), records={}
+    )
+    return build_report(result).devices
 
 
 class TestTrace:
@@ -23,39 +33,35 @@ class TestTrace:
         trace.record("a", "d", Phase.COMPUTE, 0.0, 2.0)
         trace.record("b", "d", Phase.COMPUTE, 1.0, 3.0)
         trace.record("c", "d", Phase.COMPUTE, 5.0, 6.0)
-        assert trace.busy_time("d") == pytest.approx(4.0)
+        assert device_reports(trace)["d"].busy_time == pytest.approx(4.0)
 
     def test_bubble_time_is_internal_idle(self):
-        trace = self.make_trace()
+        devices = device_reports(self.make_trace())
         # sram active [0,3] and [4,5]: bubble = 1.
-        assert trace.bubble_time("sram") == pytest.approx(1.0)
-        assert trace.bubble_time("reram") == pytest.approx(0.0)
-        assert trace.bubble_time("absent") == 0.0
+        assert devices["sram"].bubble_time == pytest.approx(1.0)
+        assert devices["reram"].bubble_time == pytest.approx(0.0)
+        assert "absent" not in devices
 
     def test_utilisation(self):
-        trace = self.make_trace()
-        assert trace.utilisation("sram") == pytest.approx(4.0 / 5.0)
-
-    def test_job_latency(self):
-        trace = self.make_trace()
-        assert trace.job_latency("j1") == pytest.approx(3.0)
-        with pytest.raises(KeyError):
-            trace.job_latency("nope")
+        devices = device_reports(self.make_trace())
+        assert devices["sram"].utilisation == pytest.approx(4.0 / 5.0)
 
     def test_phase_time(self):
-        trace = self.make_trace()
-        assert trace.phase_time(Phase.FILL) == pytest.approx(1.0)
-        assert trace.phase_time(Phase.COMPUTE) == pytest.approx(4.5)
-
-    def test_devices_and_jobs(self):
-        trace = self.make_trace()
-        assert trace.devices() == ["reram", "sram"]
-        assert trace.job_ids() == ["j1", "j2", "j3"]
+        devices = device_reports(self.make_trace()).values()
+        fill = sum(d.phase_seconds.get("fill", 0.0) for d in devices)
+        compute = sum(d.phase_seconds.get("compute", 0.0) for d in devices)
+        assert fill == pytest.approx(1.0)
+        assert compute == pytest.approx(4.5)
 
     def test_breakdown(self):
-        breakdown = self.make_trace().per_device_phase_breakdown()
-        assert breakdown["sram"]["compute"] == pytest.approx(3.0)
-        assert breakdown["sram"]["fill"] == pytest.approx(1.0)
+        breakdown = device_reports(self.make_trace())["sram"].phase_seconds
+        assert breakdown["compute"] == pytest.approx(3.0)
+        assert breakdown["fill"] == pytest.approx(1.0)
+
+    def test_records_rebuild_rows_in_order(self):
+        records = self.make_trace().records
+        assert [r.job_id for r in records] == ["j1", "j1", "j2", "j3"]
+        assert records[1] == TraceRecord("j1", "sram", Phase.COMPUTE, 1.0, 3.0, 4)
 
     def test_invalid_record(self):
         with pytest.raises(ValueError):
