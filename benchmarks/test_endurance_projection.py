@@ -26,13 +26,7 @@ def endurance_projection() -> Report:
             ].endurance_writes,
         )
         for result in summary.results:
-            per_byte = tracker.spec.fill_energy_pj_per_byte * 1e-12
-            from repro.sim import EnergyCategory
-
-            joules = result.energy.get(
-                EnergyCategory.FILL, kind.value
-            ) + result.energy.get(EnergyCategory.REPLICATION, kind.value)
-            tracker.record_bytes(joules / per_byte, result.makespan)
+            tracker.record_result(result)
         seconds = tracker.projected_lifetime_seconds()
         pretty = (
             f"{seconds / 3600:.1f} hours" if seconds < 1e7 else f"{seconds / 3.156e7:.0f}+ years"

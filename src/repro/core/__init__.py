@@ -9,7 +9,6 @@ from .perfmodel import (
     estimate_from_profile,
     fit_beta,
     knee_allocation,
-    knee_allocations,
     min_time_allocation,
 )
 from .predictor import (
@@ -34,9 +33,7 @@ from .scheduler import (
     MLIMPSystem,
     ResourceView,
     Scheduler,
-    WearAwareScheduler,
     oracle_makespan,
-    single_memory_makespan,
 )
 
 __all__ = [
@@ -52,7 +49,6 @@ __all__ = [
     "estimate_from_profile",
     "fit_beta",
     "knee_allocation",
-    "knee_allocations",
     "min_time_allocation",
     "MLPPredictor",
     "NaiveThresholdClassifier",
@@ -69,11 +65,9 @@ __all__ = [
     "ExactScheduler",
     "GlobalScheduler",
     "JohnsonScheduler",
-    "WearAwareScheduler",
     "LJFScheduler",
     "MLIMPSystem",
     "ResourceView",
     "Scheduler",
     "oracle_makespan",
-    "single_memory_makespan",
 ]

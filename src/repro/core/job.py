@@ -174,21 +174,11 @@ class Job:
         if not self.profiles:
             raise ValueError(f"job {self.job_id}: no memory profiles")
 
-    def supported_memories(self) -> list[MemoryKind]:
-        return list(self.profiles)
-
     def profile(self, kind: MemoryKind) -> JobPerfProfile:
         try:
             return self.profiles[kind]
         except KeyError:
             raise KeyError(f"job {self.job_id} has no profile for {kind}") from None
-
-    def true_time(self, kind: MemoryKind, arrays: int) -> float:
-        """Ground-truth execution time (what the simulator charges)."""
-        return self.profile(kind).total_time(arrays)
-
-    def unit_arrays(self, kind: MemoryKind) -> int:
-        return self.profile(kind).unit_arrays
 
     def best_memory(self, arrays_by_kind: dict[MemoryKind, int]) -> MemoryKind:
         """Memory minimising true time under the given allocations."""

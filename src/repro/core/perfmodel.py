@@ -63,7 +63,6 @@ that each own their caches).
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -78,7 +77,6 @@ __all__ = [
     "estimate_from_profile",
     "allocation_grid",
     "knee_allocation",
-    "knee_allocations",
     "knee_points",
     "min_time_allocation",
     "fit_beta",
@@ -258,19 +256,6 @@ class ScaleFreeEstimate:
         replica multiples: the curve is *not* monotone once
         replication load cost dominates."""
         return _invert_total_time(self, target_seconds, max_arrays)
-
-    def invert_compute_time(self, target_seconds: float) -> int:
-        """Smallest allocation whose estimated *compute* time meets the
-        target -- ``t_max^{-1}(mean_t)`` in Algorithm 2."""
-        if target_seconds <= 0:
-            raise ValueError("target must be positive")
-        if target_seconds >= self.t_compute_unit:
-            return self.unit_arrays
-        ratio = (self.t_compute_unit / target_seconds) ** (1.0 / self.beta)
-        arrays = math.ceil(self.unit_arrays * ratio)
-        if self.max_useful_arrays is not None:
-            arrays = min(arrays, self.max_useful_arrays)
-        return max(self.unit_arrays, arrays)
 
     def curve_key(self) -> tuple:
         """Canonical identity of the t(x, m) curve (see
@@ -610,13 +595,7 @@ def min_time_allocation(estimate, max_arrays: int) -> int:
 def knee_allocation(estimate, max_arrays: int) -> int:
     """Allocation at the knee of t(x, m): max angular speed of the
     tangent (paper III-C3)."""
-    return knee_allocations([estimate], [max_arrays])[0]
-
-
-def knee_allocations(estimates, caps) -> list[int]:
-    """:func:`knee_allocation` of each ``(estimate, cap)`` pair (see
-    :func:`knee_points`)."""
-    return [knee for knee, _ in knee_points(estimates, caps)]
+    return knee_points([estimate], [max_arrays])[0][0]
 
 
 def knee_points(estimates, caps) -> list[tuple[int, float | None]]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from ..faults.plan import FaultPlan
 from ..sim.mainmem import DDR4Config
-from .dispatcher import Dispatcher, DispatchError, DispatchResult
+from .dispatcher import Dispatcher, DispatchResult
 from .job import Job
 from .predictor import OraclePredictor, PerformancePredictor
 from .scheduler import (
@@ -31,7 +31,6 @@ from .scheduler import (
     LJFScheduler,
     MLIMPSystem,
     Scheduler,
-    oracle_makespan,
 )
 
 __all__ = ["MLIMPRuntime"]
@@ -85,69 +84,6 @@ class MLIMPRuntime:
             return self.scheduler
         predictor = self.predictor or OraclePredictor()
         return _SCHEDULERS[self.scheduler](predictor)
-
-    # ------------------------------------------------------------------
-    def plan_preview(self) -> dict[str, tuple[str, int]]:
-        """Dry-run the scheduler: job id -> (memory, arrays).
-
-        The policy is drained against a fully-free view; whenever it
-        runs out of immediately-dispatchable work, the dry-run feeds
-        the already-"dispatched" jobs back as completions, so
-        completion-driven policies (adaptive backfill, custom
-        schedulers that release work one completion at a time) unwind
-        fully instead of stalling.  A policy that makes no progress
-        even with every completion delivered raises
-        :class:`~repro.core.dispatcher.DispatchError` -- a partial
-        preview is never silently returned.
-        """
-        scheduler = self._make_scheduler()
-        policy = scheduler.plan(list(self._queue), self.system)
-        from .scheduler.base import ResourceView
-
-        def view() -> ResourceView:
-            return ResourceView(
-                now=float("inf"),  # time-driven plans release everything
-                free_slots={k: 10**9 for k in self.system.kinds},
-                free_arrays={k: self.system.arrays(k) for k in self.system.kinds},
-                largest_free_run={
-                    k: self.system.arrays(k) for k in self.system.kinds
-                },
-            )
-
-        preview: dict[str, tuple[str, int]] = {}
-        in_flight: list[tuple[Job, object]] = []
-        guard = 0
-        while policy.pending():
-            guard += 1
-            if guard > 10_000:
-                raise DispatchError(
-                    f"plan preview did not converge after {guard - 1} rounds; "
-                    f"{policy.pending()} jobs still pending"
-                )
-            dispatches = policy.next_dispatches(view())
-            if dispatches:
-                for dispatch in dispatches:
-                    preview[dispatch.job.job_id] = (
-                        dispatch.kind.value,
-                        dispatch.arrays,
-                    )
-                    in_flight.append((dispatch.job, dispatch.kind))
-                continue
-            if not in_flight:
-                raise DispatchError(
-                    f"plan preview stalled with {policy.pending()} jobs "
-                    "pending and no in-flight work left to complete"
-                )
-            for job, kind in in_flight:
-                policy.notify_completion(job, kind, float("inf"))
-            in_flight = []
-        return preview
-
-    def oracle_bound(self) -> float:
-        """Fluid lower bound for the current queue."""
-        if not self._queue:
-            return 0.0
-        return oracle_makespan(list(self._queue), self.system)
 
     def run(
         self,

@@ -2,15 +2,14 @@
 exact branch-and-bound reference, and the fluid oracle bound."""
 
 from .adaptive import AdaptivePolicy, AdaptiveScheduler
-from .adjustments import PlannedJob, inter_queue_adjust, intra_queue_adjust, plan_job
+from .adjustments import PlannedJob, inter_queue_adjust, intra_queue_adjust
 from .base import Dispatch, DispatchPolicy, MLIMPSystem, ResourceView, Scheduler
 from .ewt import EWTPolicy, EWTScheduler
 from .exact import ExactScheduler, ExactSolution, ExactSolverError, solve_exact
 from .globalsched import GlobalPolicy, GlobalScheduler
 from .johnson import JohnsonScheduler, flow_shop_makespan, johnson_order
 from .ljf import LJFPolicy, LJFScheduler
-from .oracle import oracle_makespan, single_memory_makespan
-from .wear import WearAwareScheduler, restrict_worn_memories
+from .oracle import oracle_makespan
 
 __all__ = [
     "AdaptivePolicy",
@@ -18,7 +17,6 @@ __all__ = [
     "PlannedJob",
     "inter_queue_adjust",
     "intra_queue_adjust",
-    "plan_job",
     "Dispatch",
     "DispatchPolicy",
     "MLIMPSystem",
@@ -38,7 +36,4 @@ __all__ = [
     "LJFPolicy",
     "LJFScheduler",
     "oracle_makespan",
-    "single_memory_makespan",
-    "WearAwareScheduler",
-    "restrict_worn_memories",
 ]

@@ -31,7 +31,6 @@ from .adjustments import (
     first_fit_launches,
     inter_queue_adjust,
     longest_first,
-    no_options,
 )
 from .base import Dispatch, MLIMPSystem, ResourceView, Scheduler
 
@@ -239,12 +238,6 @@ class AdaptiveScheduler(JobSizing, Scheduler):
         if self.inter_queue:
             queues = inter_queue_adjust(queues, table.plans, system)
         return queues
-
-    def build_queues(
-        self, jobs: list[Job], system: MLIMPSystem
-    ) -> dict[MemoryKind, list[PlannedJob]]:
-        """The balanced queues alone (see :meth:`build_plans`)."""
-        return self.build_plans(jobs, PlanTable(system, no_options))
 
     def plan(
         self, jobs: list[Job], system: MLIMPSystem, upcoming: Sequence[Job] = ()

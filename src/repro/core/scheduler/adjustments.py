@@ -32,7 +32,6 @@ __all__ = [
     "PlanQueue",
     "longest_first",
     "first_fit_launches",
-    "plan_job",
     "plan_jobs",
     "PlanTable",
     "TablePolicy",
@@ -381,22 +380,6 @@ def plan_jobs(
     return tables
 
 
-def plan_job(
-    job: Job,
-    kind: MemoryKind,
-    predictor: PerformancePredictor,
-    system: MLIMPSystem,
-    allocation_cap_fraction: float = 0.5,
-    sizing: str = "knee",
-) -> PlannedJob:
-    """Size one job on one memory (see :func:`plan_jobs`)."""
-    if not job_fits(job, kind, system):
-        raise ValueError(f"job {job.job_id} does not fit on {kind}")
-    return plan_jobs(
-        [job], predictor, system.subset([kind]), allocation_cap_fraction, sizing
-    )[0][kind]
-
-
 class AdmissionPlanner:
     """Sizes the jobs a policy's ``admit`` hook receives.
 
@@ -564,17 +547,11 @@ class JobSizing:
     def __post_init__(self) -> None:
         check_sizing(self.sizing, self.allocation_cap_fraction)
 
-    def plan_options(
-        self, job: Job, system: MLIMPSystem
-    ) -> dict[MemoryKind, PlannedJob]:
-        """Size one job on every memory it fits (one row of the
-        per-job plan table)."""
-        return self.plan_many([job], system)[0]
-
     def plan_many(
         self, jobs: Sequence[Job], system: MLIMPSystem
     ) -> list[dict[MemoryKind, PlannedJob]]:
-        """:meth:`plan_options` of every job, sized in one cohort."""
+        """Each job's options on every memory it fits (one row of the
+        per-job plan table each), sized in one cohort."""
         return plan_jobs(
             jobs, self.predictor, system, self.allocation_cap_fraction, self.sizing
         )

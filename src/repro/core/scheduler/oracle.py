@@ -30,7 +30,7 @@ from ...memories.base import MemoryKind
 from ..job import Job
 from .base import MLIMPSystem
 
-__all__ = ["oracle_makespan", "single_memory_makespan"]
+__all__ = ["oracle_makespan"]
 
 
 def _fair_allocation(job: Job, system: MLIMPSystem, kind: MemoryKind) -> int:
@@ -104,17 +104,3 @@ def oracle_makespan(jobs: list[Job], system: MLIMPSystem) -> float:
     if not result.success:  # pragma: no cover - defensive
         raise RuntimeError(f"oracle LP failed: {result.message}")
     return float(result.x[-1])
-
-
-def single_memory_makespan(jobs: list[Job], system: MLIMPSystem, kind: MemoryKind) -> float:
-    """Fluid makespan if *all* jobs ran on one memory -- the paper's
-    observation that naive scheduling degenerates to the best single
-    processor's performance."""
-    slot_seconds = sum(_fair_time(job, system, kind) for job in jobs)
-    array_seconds = sum(
-        _fair_time(job, system, kind) * _fair_allocation(job, system, kind)
-        for job in jobs
-    )
-    return max(
-        slot_seconds / system.slots(kind), array_seconds / system.arrays(kind)
-    )

@@ -3,7 +3,7 @@
 from .datasets import DATASETS, DatasetSpec, barabasi_albert, dataset_names, generate
 from .gcn import GCNConfig, batch_jobs, gcn_jobs, spmm_jobs
 from .graph import CSRGraph
-from .metadata import SubgraphMetadata, extract_metadata, nonzero_prows, prow_population
+from .metadata import SubgraphMetadata, extract_metadata, prow_population
 from .sampler import NeighborSampler, Subgraph, sample_batches
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "CSRGraph",
     "SubgraphMetadata",
     "extract_metadata",
-    "nonzero_prows",
     "prow_population",
     "NeighborSampler",
     "Subgraph",

@@ -60,10 +60,6 @@ class GCNConfig:
             )
         )
 
-    @property
-    def num_layers(self) -> int:
-        return len(self.layer_dims)
-
 
 def spmm_jobs(
     subgraph: Subgraph,

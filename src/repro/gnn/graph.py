@@ -84,9 +84,6 @@ class CSRGraph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def degree(self, node: int) -> int:
-        return int(self.indptr[node + 1] - self.indptr[node])
-
     def neighbors(self, node: int) -> np.ndarray:
         if not 0 <= node < self.num_nodes:
             raise IndexError(f"node {node} out of range")
@@ -140,19 +137,6 @@ class CSRGraph:
             num_nodes=len(nodes),
             name=name or f"{self.name}/sub{len(nodes)}",
         )
-
-    def normalized_adjacency_values(self) -> np.ndarray:
-        """Edge values of ``D^{-1/2} A D^{-1/2}`` in CSR order.
-
-        Isolated endpoints contribute zero (they have no edges anyway);
-        GCN's renormalisation trick adds self loops upstream if wanted.
-        """
-        deg = self.degrees().astype(float)
-        inv_sqrt = np.zeros_like(deg)
-        nonzero = deg > 0
-        inv_sqrt[nonzero] = 1.0 / np.sqrt(deg[nonzero])
-        rows = np.repeat(np.arange(self.num_nodes), np.diff(self.indptr))
-        return inv_sqrt[rows] * inv_sqrt[self.indices]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -23,7 +23,7 @@ import numpy as np
 from .graph import CSRGraph
 from .sampler import Subgraph
 
-__all__ = ["nonzero_prows", "prow_population", "SubgraphMetadata", "extract_metadata"]
+__all__ = ["prow_population", "SubgraphMetadata", "extract_metadata"]
 
 
 def prow_population(graph: CSRGraph, width: int) -> np.ndarray:
@@ -51,11 +51,6 @@ def prow_population(graph: CSRGraph, width: int) -> np.ndarray:
     run_edges[0] = run_edges[-1] = True
     np.not_equal(keys[1:], keys[:-1], out=run_edges[1:-1])
     return np.diff(np.flatnonzero(run_edges))
-
-
-def nonzero_prows(graph: CSRGraph, width: int) -> int:
-    """``H_w(x)``: the number of non-zero prows of width ``width``."""
-    return int(len(prow_population(graph, width)))
 
 
 @dataclass(frozen=True)
@@ -90,19 +85,6 @@ class SubgraphMetadata:
                 float(width),
             ]
         )
-
-    @staticmethod
-    def feature_names(width_included: bool = True) -> list[str]:
-        names = [
-            "num_nodes",
-            "nnz",
-            "feature_dim",
-            "avg_degree",
-            "max_degree",
-            "degree_std",
-            "num_queries",
-        ]
-        return names + ["width"] if width_included else names
 
 
 def extract_metadata(subgraph: Subgraph, feature_dim: int) -> SubgraphMetadata:

@@ -38,10 +38,6 @@ class Subgraph:
     def num_nodes(self) -> int:
         return self.graph.num_nodes
 
-    @property
-    def nnz(self) -> int:
-        return self.graph.nnz
-
 
 @dataclass
 class NeighborSampler:

@@ -3,7 +3,7 @@
 from .config import DEVICE_SCALE, full_system, gnn_system, scaled_specs
 from .experiments import EXPERIMENTS
 from .gnn import BatchRunSummary, GNNWorkload, build_workload, run_workload
-from .reporting import Report, fmt_ratio, fmt_time
+from .reporting import Report, fmt_time
 
 __all__ = [
     "DEVICE_SCALE",
@@ -16,6 +16,5 @@ __all__ = [
     "build_workload",
     "run_workload",
     "Report",
-    "fmt_ratio",
     "fmt_time",
 ]

@@ -33,7 +33,6 @@ from ..core.scheduler import (
     LJFScheduler,
     MLIMPSystem,
     oracle_makespan,
-    single_memory_makespan,
 )
 from ..gnn import DATASETS, dataset_names, generate, sample_batches
 from ..memories import DEFAULT_SPECS, TECHNOLOGIES, MemoryKind, parallelism_rank
@@ -815,11 +814,11 @@ def run_experiment_grid(
     Every experiment pins its own seeds (dataset generation, sampling
     and the noisy predictor are all explicitly seeded), and worker
     processes never share mutable state, so the parallel output is
-    byte-identical to the serial path -- ``Report.to_json()`` of each
-    result matches regardless of ``max_workers``.  With ``parallel``
-    false, one name, or ``max_workers <= 1``, everything runs in-process
-    (which also keeps the per-process workload/knee caches warm across
-    grid entries).
+    byte-identical to the serial path -- the JSON of each result's
+    ``Report.to_json_dict()`` matches regardless of ``max_workers``.
+    With ``parallel`` false, one name, or ``max_workers <= 1``,
+    everything runs in-process (which also keeps the per-process
+    workload/knee caches warm across grid entries).
     """
     names = list(names)
     registry = full_registry()

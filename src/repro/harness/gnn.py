@@ -19,7 +19,7 @@ from ..baselines import TITAN_XP, XEON_E5_2697V3, HostDevice
 from ..core.dispatcher import Dispatcher, DispatchResult
 from ..core.job import Job
 from ..core.predictor import MLPPredictor
-from ..core.scheduler import MLIMPSystem, Scheduler, oracle_makespan
+from ..core.scheduler import MLIMPSystem, Scheduler
 from ..gnn import DATASETS, GCNConfig, batch_jobs, generate, sample_batches, spmm_jobs
 from ..gnn.sampler import Subgraph
 from ..memories import MemoryKind, MemorySpec
@@ -124,11 +124,6 @@ class GNNWorkload:
         predictor = MLPPredictor(epochs=epochs, seed=seed)
         predictor.train(self.training_jobs)
         return predictor
-
-    def oracle_total(self) -> float:
-        return sum(
-            oracle_makespan(jobs, self.system) for jobs in self.jobs_per_batch
-        )
 
     # ------------------------------------------------------------------
     def baseline_time(self, device: HostDevice) -> float:

@@ -103,10 +103,6 @@ class ReplayConfig(RunSpec):
              f"must be one of {sorted(PLACEMENTS)}"),
         )
 
-    @property
-    def horizon_s(self) -> float:
-        return self.windows * self.window_s
-
     def autoscale_policy(self) -> AutoscalePolicy:
         return AutoscalePolicy(max_scale=self.max_scale)
 

@@ -8,13 +8,10 @@ and figure series as text.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
-__all__ = ["Report", "fmt_time", "fmt_ratio"]
+__all__ = ["Report", "fmt_time"]
 
 
 def fmt_time(seconds: float) -> str:
@@ -25,10 +22,6 @@ def fmt_time(seconds: float) -> str:
         if abs(seconds) >= factor:
             return f"{seconds / factor:.2f}{unit}"
     return f"{seconds:.2e}s"
-
-
-def fmt_ratio(value: float) -> str:
-    return f"{value:.2f}x"
 
 
 @dataclass
@@ -76,26 +69,6 @@ class Report:
             "rows": [list(row) for row in self.rows],
             "notes": list(self.notes),
         }
-
-    def to_json(self, path: str | None = None, indent: int = 2) -> str:
-        """Serialise to JSON; optionally also write it to ``path``."""
-        text = json.dumps(self.to_json_dict(), indent=indent, default=str)
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-        return text
-
-    def to_csv(self, path: str | None = None) -> str:
-        """Serialise the table to CSV; optionally write it to ``path``."""
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(self.columns)
-        writer.writerows(self.rows)
-        text = buffer.getvalue()
-        if path is not None:
-            with open(path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-        return text
 
     def __str__(self) -> str:
         cells = [[str(c) for c in self.columns]] + [

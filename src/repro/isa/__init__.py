@@ -5,7 +5,7 @@ from .dfg import DFG, DFGError, DFGNode
 from .executor import FixedPointFormat, execute_dfg
 from .lowering import LoweringError, lower_histogram, lower_op
 from .ops import COMMUTATIVE_OPS, OP_CLASSES, Op, OpClass
-from .timing import is_native, native_ops, op_cycles
+from .timing import is_native, op_cycles
 
 __all__ = [
     "FixedPointFormat",
@@ -24,6 +24,5 @@ __all__ = [
     "Op",
     "OpClass",
     "is_native",
-    "native_ops",
     "op_cycles",
 ]

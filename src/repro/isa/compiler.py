@@ -18,7 +18,6 @@ plus the device geometry.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -43,42 +42,6 @@ class CompiledKernel:
     input_bytes_per_element: int = 0
     output_bytes_per_element: int = 0
     frontend_ops: int = 0
-
-    def lanes_per_array(self, spec: MemorySpec, vector_width: int | None = None) -> int:
-        """Usable SIMD lanes in one array for this kernel's data shape.
-
-        ``vector_width`` is the natural SIMD vector of the workload
-        (e.g. the GNN feature dimension).  An array fits at most
-        ``pack_limit`` independent vectors side by side -- DRAM rows
-        are filled by row-wide DMA and cannot pack independent narrow
-        vectors (pack_limit == 1), which models the paper's
-        observation that GNN feature vectors leave DRAM SIMD slots
-        underutilised.  Streaming kernels (``vector_width is None``)
-        fill arrays completely.
-        """
-        if spec.kind is not self.target:
-            raise ValueError(f"kernel compiled for {self.target}, got {spec.kind}")
-        return spec.usable_lanes(vector_width)
-
-    def compute_seconds(
-        self,
-        spec: MemorySpec,
-        elements: int,
-        arrays: int,
-        vector_width: int | None = None,
-    ) -> float:
-        """Pure compute time for ``elements`` lane-executions.
-
-        Elements are spread over the usable lanes of the allocation;
-        each *wave* runs the whole kernel once.
-        """
-        if elements <= 0:
-            return 0.0
-        if arrays <= 0:
-            raise ValueError("arrays must be positive")
-        lanes = arrays * self.lanes_per_array(spec, vector_width)
-        waves = math.ceil(elements / lanes)
-        return spec.seconds(waves * self.cycles_per_element)
 
     def compute_energy_j(self, elements: int) -> float:
         """Dynamic compute energy for ``elements`` lane-executions."""

@@ -33,8 +33,7 @@ not); :func:`cache_stats` reports the memo's hits and misses and
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable
 
 from ..memories.base import MemoryKind
 from ..memories.dram import DRAM_STEP_FACTOR
@@ -42,8 +41,6 @@ from .ops import Op
 
 __all__ = [
     "op_cycles",
-    "batch_cycles",
-    "native_ops",
     "is_native",
     "LoweringError",
     "cache_stats",
@@ -200,11 +197,6 @@ def cache_stats() -> dict[str, dict]:
     }
 
 
-def native_ops(kind: MemoryKind) -> frozenset[Op]:
-    """Operations with a native cost on ``kind``."""
-    return frozenset(_NATIVE[kind])
-
-
 def is_native(kind: MemoryKind, op: Op) -> bool:
     return op in _NATIVE[kind]
 
@@ -246,20 +238,3 @@ def op_cycles(kind: MemoryKind, op: Op, bits: int = 16, _depth: int = 0) -> floa
     return cycles
 
 
-def batch_cycles(
-    kind: MemoryKind, ops: Iterable[Op] | Mapping[Op, int], bits: int = 16
-) -> float:
-    """Total cycles for a *bag* of frontend ops on one SIMD lane.
-
-    Fast path for homogeneous kernel batches: the bag is collapsed to
-    (op, count) pairs first, so each distinct op is costed exactly once
-    (one memo lookup) no matter how many times it appears.  Accepts
-    either an iterable of ops or a pre-counted ``{op: count}`` mapping.
-    """
-    items = ops.items() if isinstance(ops, Mapping) else Counter(ops).items()
-    total = 0.0
-    for op, count in items:
-        if count < 0:
-            raise ValueError(f"negative op count {count} for {op}")
-        total += count * op_cycles(kind, op, bits)
-    return total

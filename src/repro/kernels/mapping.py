@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from ..memories.base import ELEMENT_BYTES, MemoryKind, MemorySpec
+from ..memories.base import MemoryKind, MemorySpec
 
 __all__ = [
     "elements_per_wordline",
@@ -28,7 +28,6 @@ __all__ = [
     "spmm_unit_arrays",
     "nominal_load_seconds",
     "replica_copy_seconds",
-    "stationary_bytes",
     "BUFFER_ARRAY_OVERHEAD",
     "STATIONARY_FRACTION",
 ]
@@ -127,8 +126,3 @@ def nominal_load_seconds(spec: MemorySpec, nbytes: float) -> float:
 def replica_copy_seconds(spec: MemorySpec, nbytes: float) -> float:
     """Time to produce one in-memory replica of ``nbytes``."""
     return spec.copy_seconds(nbytes)
-
-
-def stationary_bytes(rows: int, feature_dim: int) -> int:
-    """Bytes of a dense (rows x feature_dim) stationary matrix."""
-    return rows * feature_dim * ELEMENT_BYTES

@@ -20,11 +20,10 @@ from .base import (
     ELEMENT_BITS,
     ELEMENT_BYTES,
     ArrayGeometry,
-    DeviceState,
     MemoryKind,
     MemorySpec,
 )
-from .characteristics import TECHNOLOGIES, TechnologyProfile, parallelism_rank, technology
+from .characteristics import TECHNOLOGIES, TechnologyProfile, parallelism_rank
 from .dram import DRAM_SPEC
 from .reram import RERAM_SPEC
 from .sram import SRAM_SPEC, bit_serial_add_cycles, bit_serial_mul_cycles
@@ -38,7 +37,6 @@ __all__ = [
     "Allocation",
     "AllocationError",
     "ArrayGeometry",
-    "DeviceState",
     "MemoryKind",
     "MemorySpec",
     "ScratchpadAllocator",
@@ -47,7 +45,6 @@ __all__ = [
     "RERAM_SPEC",
     "TECHNOLOGIES",
     "TechnologyProfile",
-    "technology",
     "parallelism_rank",
     "bit_serial_add_cycles",
     "bit_serial_mul_cycles",

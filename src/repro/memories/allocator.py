@@ -87,11 +87,6 @@ class ScratchpadAllocator:
 
     # ------------------------------------------------------------------
     @property
-    def total_arrays(self) -> int:
-        """Arrays available for compute after reservation."""
-        return self._total
-
-    @property
     def free_arrays(self) -> int:
         return self._free
 
@@ -107,9 +102,6 @@ class ScratchpadAllocator:
     def largest_free_run(self) -> int:
         """Largest contiguous run -- what a single job can actually get."""
         return self._largest
-
-    def utilisation(self) -> float:
-        return self.used_arrays / self.total_arrays if self.total_arrays else 0.0
 
     # ------------------------------------------------------------------
     def allocate(self, arrays: int) -> Allocation:
@@ -141,10 +133,6 @@ class ScratchpadAllocator:
             f"{self.spec.name}: no contiguous run of {arrays} arrays "
             f"(free={self.free_arrays}, largest run={self.largest_free_run})"
         )
-
-    def allocate_bytes(self, nbytes: int) -> Allocation:
-        """Allocate enough arrays to hold ``nbytes`` of workspace."""
-        return self.allocate(max(1, self.spec.arrays_for_bytes(nbytes)))
 
     def free(self, allocation: Allocation) -> None:
         """Return an allocation; coalesces adjacent free runs."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "MemoryKind",
@@ -235,10 +235,6 @@ class MemorySpec:
         cycles = self.mac_cycles(operands)
         return self.clock_mhz / cycles
 
-    def aggregate_mac_gops(self, operands: int = 2) -> float:
-        """Whole-device MAC throughput (GOPS) at full utilisation."""
-        return self.mac_mops(operands) * self.total_alus / 1e3
-
     # ------------------------------------------------------------------
     # Allocation helpers.
     # ------------------------------------------------------------------
@@ -264,12 +260,6 @@ class MemorySpec:
         """Data elements one array can store at ``element_bits``."""
         return self.geometry.bits // self.element_bits
 
-    def arrays_for_bytes(self, nbytes: int) -> int:
-        """Smallest array count whose capacity covers ``nbytes``."""
-        if nbytes <= 0:
-            return 0
-        return math.ceil(nbytes / self.geometry.bytes)
-
     def fill_seconds(self, nbytes: float) -> float:
         """Time to stream ``nbytes`` into the compute region."""
         if nbytes <= 0:
@@ -282,35 +272,3 @@ class MemorySpec:
             return 0.0
         return nbytes / (self.copy_bandwidth_gbps * 1e9)
 
-
-@dataclass
-class DeviceState:
-    """Mutable runtime view of a device used by the dispatcher."""
-
-    spec: MemorySpec
-    free_arrays: int = field(default=0)
-    running_jobs: int = 0
-
-    def __post_init__(self) -> None:
-        if self.free_arrays == 0:
-            self.free_arrays = self.spec.num_arrays
-
-    @property
-    def has_slot(self) -> bool:
-        return self.running_jobs < self.spec.max_outstanding_jobs
-
-    def acquire(self, arrays: int) -> None:
-        if arrays > self.free_arrays:
-            raise ValueError(
-                f"cannot allocate {arrays} arrays; only {self.free_arrays} free"
-            )
-        if not self.has_slot:
-            raise ValueError("no free job slot")
-        self.free_arrays -= arrays
-        self.running_jobs += 1
-
-    def release(self, arrays: int) -> None:
-        self.free_arrays += arrays
-        self.running_jobs -= 1
-        if self.free_arrays > self.spec.num_arrays or self.running_jobs < 0:
-            raise ValueError("release does not match a prior acquire")

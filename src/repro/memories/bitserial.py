@@ -84,10 +84,6 @@ class BitSerialArray:
         self.cycles += 1  # one wordline activation
         return self._storage[name][b]
 
-    def _write_plane(self, name: str, b: int, value: np.ndarray) -> None:
-        self.cycles += 1
-        self._storage[name][b] = value
-
     def _ensure(self, name: str) -> None:
         if name not in self._storage:
             self.store(name, np.zeros(self.lanes, dtype=np.int64))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["TechnologyProfile", "TECHNOLOGIES", "technology", "parallelism_rank"]
+__all__ = ["TechnologyProfile", "TECHNOLOGIES", "parallelism_rank"]
 
 
 @dataclass(frozen=True)
@@ -138,18 +138,6 @@ TECHNOLOGIES: dict[str, TechnologyProfile] = {
         volatile=False,
     ),
 }
-
-
-def technology(name: str) -> TechnologyProfile:
-    """Look up a technology profile by (case-insensitive) name."""
-    key = name.strip()
-    for candidate in (key, key.upper(), key.capitalize()):
-        if candidate in TECHNOLOGIES:
-            return TECHNOLOGIES[candidate]
-    lowered = {k.lower(): v for k, v in TECHNOLOGIES.items()}
-    if key.lower() in lowered:
-        return lowered[key.lower()]
-    raise KeyError(f"unknown memory technology: {name!r}")
 
 
 def parallelism_rank() -> list[tuple[str, float]]:

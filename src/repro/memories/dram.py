@@ -25,18 +25,12 @@ from __future__ import annotations
 from .base import ArrayGeometry, MemoryKind, MemorySpec
 from .sram import bit_serial_mul_cycles
 
-__all__ = ["DRAM_SPEC", "DRAM_STEP_FACTOR", "tra_cycles"]
+__all__ = ["DRAM_SPEC", "DRAM_STEP_FACTOR"]
 
 #: Multiplier on the SRAM bit-serial step count: each 1-bit logic level
 #: becomes RowClone staging + a TRA sequence.  5 x 302 = 1,510 cycles
 #: for the 16-bit MAC, matching Table III.
 DRAM_STEP_FACTOR = 5
-
-#: Command-clock cycles for one triple-row-activation AND/OR primitive
-#: (ACT, ACT, PRE at tRAS-ish spacing on the 300 MHz command clock).
-def tra_cycles() -> int:
-    return 4
-
 
 DRAM_SPEC = MemorySpec(
     kind=MemoryKind.DRAM,

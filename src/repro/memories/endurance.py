@@ -5,8 +5,8 @@ energy/delay) which curtails the number of writes the memories can
 reliably sustain."  The paper's scheduler does not act on this; this
 module provides the bookkeeping a production MLIMP runtime would need:
 a per-device wear tracker fed by the dispatcher's fill/replication
-traffic, lifetime projection under a measured write rate, and a
-wear-aware job-admission check.
+traffic, lifetime projection under a measured write rate, and the
+wear-out fault event that ends a device once its budget is spent.
 
 Cell-write accounting assumes ideal wear levelling across the
 device's cells (the standard first-order model): lifetime ends when
@@ -25,9 +25,7 @@ if TYPE_CHECKING:  # avoid a core <-> memories import cycle
     from ..core.dispatcher import DispatchResult
     from ..faults.plan import FaultEvent
 
-__all__ = ["WearTracker", "project_lifetime_seconds"]
-
-_SECONDS_PER_YEAR = 365.25 * 24 * 3600.0
+__all__ = ["WearTracker"]
 
 
 @dataclass
@@ -48,11 +46,6 @@ class WearTracker:
     def total_cell_writes_budget(self) -> float:
         """Device-lifetime budget in bytes written (ideal levelling)."""
         return self.endurance_writes * self.spec.capacity_bytes
-
-    @property
-    def wear_fraction(self) -> float:
-        """Fraction of the endurance budget consumed so far."""
-        return self.written_bytes / self.total_cell_writes_budget
 
     @property
     def mean_writes_per_cell(self) -> float:
@@ -80,23 +73,12 @@ class WearTracker:
         self.record_bytes(joules / per_byte, busy_seconds=result.makespan)
 
     # ------------------------------------------------------------------
-    def admit(self, job_fill_bytes: float, reserve_fraction: float = 0.1) -> bool:
-        """Wear-aware admission: refuse writes that would cross into
-        the endurance reserve."""
-        if not 0.0 <= reserve_fraction < 1.0:
-            raise ValueError("reserve_fraction must be in [0, 1)")
-        budget = self.total_cell_writes_budget * (1.0 - reserve_fraction)
-        return self.written_bytes + job_fill_bytes <= budget
-
     def projected_lifetime_seconds(self) -> float:
         """Device lifetime at the observed write rate (inf if unworn)."""
         if self.written_bytes <= 0 or self.busy_seconds <= 0:
             return float("inf")
         rate = self.written_bytes / self.busy_seconds  # bytes/s
         return self.total_cell_writes_budget / rate
-
-    def projected_lifetime_years(self) -> float:
-        return self.projected_lifetime_seconds() / _SECONDS_PER_YEAR
 
     # -- fault-injection bridge (repro.faults) -------------------------
     def remaining_bytes(self, reserve_fraction: float = 0.0) -> float:
@@ -127,14 +109,3 @@ class WearTracker:
                 f"({self.mean_writes_per_cell:.3g} writes/cell consumed)"
             ),
         )
-
-
-def project_lifetime_seconds(
-    spec: MemorySpec,
-    endurance_writes: float,
-    write_bytes_per_second: float,
-) -> float:
-    """Closed-form lifetime for a sustained write rate."""
-    if write_bytes_per_second <= 0:
-        return float("inf")
-    return endurance_writes * spec.capacity_bytes / write_bytes_per_second

@@ -40,7 +40,7 @@ import numpy as np
 
 from ..sim.trace import ExecutionTrace, Phase
 
-__all__ = ["DeviceReport", "RunReport", "build_report"]
+__all__ = ["DeviceReport", "RunReport", "build_report", "device_utilisation"]
 
 #: Gaps shorter than this fraction of the device's active span are
 #: measurement noise (event ordering, dispatch overhead), not bubbles.
@@ -195,6 +195,17 @@ def build_report(result) -> RunReport:
         predictor=decisions.error_summary() if decisions is not None else None,
         degradation=_degradation_summary(result),
     )
+
+
+def device_utilisation(trace: ExecutionTrace) -> dict[str, float]:
+    """Each device's busy fraction of the trace's makespan: the
+    ``utilisation`` column of :func:`build_report`, from the same
+    per-device sweep, without the rest of the report."""
+    span = trace.makespan
+    return {
+        device: _device_report(device, starts, ends, phase_seconds, span, 0).utilisation
+        for device, starts, ends, phase_seconds in _device_columns(trace)
+    }
 
 
 _PHASE_NAMES = {phase: phase.value for phase in Phase}

@@ -52,12 +52,6 @@ class DispatchDecision:
         return self.predicted_time is not None and self.actual_time is not None
 
     @property
-    def absolute_error(self) -> float | None:
-        if not self.resolved:
-            return None
-        return abs(self.actual_time - self.predicted_time)
-
-    @property
     def relative_error(self) -> float | None:
         """Signed (actual - predicted) / actual; negative = overestimate."""
         if not self.resolved or self.actual_time <= 0:
@@ -115,10 +109,6 @@ class DecisionLog:
             raise KeyError(f"no decision recorded for job {job_id!r}") from None
 
     # ------------------------------------------------------------------
-    @property
-    def decisions(self) -> list[DispatchDecision]:
-        return list(self._decisions)
-
     def __len__(self) -> int:
         return len(self._decisions)
 

@@ -130,21 +130,6 @@ class Gauge:
             area += last_v * (end - last_t)
         return area / (end - start)
 
-    def time_in_state(self, horizon: float | None = None) -> dict[float, float]:
-        """Time-weighted histogram: seconds spent at each gauge value."""
-        out: dict[float, float] = {}
-        if not self.samples:
-            return out
-        end = self.samples[-1][0] if horizon is None else horizon
-        for (t0, v0), (t1, _) in zip(self.samples, self.samples[1:]):
-            span = min(t1, end) - t0
-            if span > 0:
-                out[v0] = out.get(v0, 0.0) + span
-        last_t, last_v = self.samples[-1]
-        if end > last_t:
-            out[last_v] = out.get(last_v, 0.0) + (end - last_t)
-        return out
-
 
 @dataclass
 class Histogram:

@@ -105,12 +105,6 @@ class PredictiveAdmission(AdmissionController):
             best = min(best, est.total_time(est.unit_arrays))
         return best
 
-    def predicted_sojourn(self, job: Job) -> float:
-        """Fluid-model forecast: queueing wait plus own service."""
-        service = self.service_estimate(job)
-        wait = self._outstanding_work / self._parallelism
-        return wait + service
-
     def decide(self, job: Job, tenant: Tenant, now: float) -> bool:
         slo = tenant.slo_s if tenant.slo_s is not None else self.slo_s
         service = self.service_estimate(job)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.dispatcher import DispatchResult
-from ..obs.analytics import build_report
+from ..obs.analytics import device_utilisation
 from ..obs.metrics import nearest_rank
 from .tenants import OpenLoop
 
@@ -302,8 +302,7 @@ def build_serving_report(
         for name, stats in open_loop.tenant_stats().items()
     }
 
-    devices = build_report(result).devices
-    utilisation = {name: report.utilisation for name, report in devices.items()}
+    utilisation = device_utilisation(result.trace)
     counters = getattr(predictor, "counters", None)
     return ServingReport(
         scheduler=result.scheduler_name,

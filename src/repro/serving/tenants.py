@@ -155,16 +155,6 @@ class OpenLoop:
             for name, state in sorted(self._tenants.items())
         }
 
-    def total_shed(self) -> int:
-        return sum(
-            s.shed_queue_full + s.shed_unplaced + s.shed_predicted
-            for s in self._tenants.values()
-        )
-
-    def backlog(self) -> int:
-        """Jobs waiting in tenant queues (not yet released)."""
-        return sum(len(state.queue) for state in self._tenants.values())
-
     # ------------------------------------------------------------------
     def on_arrival(self, arrival: JobArrival, now: float) -> None:
         """Admission control: enqueue, or shed against a full queue.

@@ -47,12 +47,6 @@ class EnergyLedger:
             out[category] += joules
         return dict(out)
 
-    def by_device(self) -> dict[str, float]:
-        out: dict[str, float] = defaultdict(float)
-        for (_, device), joules in self._entries.items():
-            out[device] += joules
-        return dict(out)
-
     def get(self, category: EnergyCategory, device: str) -> float:
         return self._entries.get((category, device), 0.0)
 
@@ -63,10 +57,3 @@ class EnergyLedger:
         for (category, device), joules in other._entries.items():
             merged.add(category, device, joules)
         return merged
-
-    def as_rows(self) -> list[tuple[str, str, float]]:
-        """Stable, sorted (category, device, joules) rows for reports."""
-        return sorted(
-            (category.value, device, joules)
-            for (category, device), joules in self._entries.items()
-        )

@@ -79,10 +79,6 @@ class EventHandle:
             self._owner._note_cancelled()
 
     @property
-    def time(self) -> float:
-        return self._event.time
-
-    @property
     def active(self) -> bool:
         """True while the event is still going to fire."""
         return not (self._event.cancelled or self._event.executed)

@@ -83,12 +83,6 @@ class SharedBandwidthPipe:
     def active_transfers(self) -> int:
         return len(self._active)
 
-    def current_rate_bps(self) -> float:
-        """Per-transfer rate right now."""
-        if not self._active:
-            return self.config.total_bandwidth_bps
-        return self.config.total_bandwidth_bps / len(self._active)
-
     # ------------------------------------------------------------------
     def submit(
         self, nbytes: float, on_done: Callable[..., None], *args: Any

@@ -1,18 +1,18 @@
 """Cohort sizing: many knee searches in one pass, arrivals sized ahead.
 
-* **Segmented knee pass** -- :func:`knee_allocations` over a seeded
+* **Segmented knee pass** -- :func:`knee_points` over a seeded
   cohort of mixed curves (scale-free and profile curves, scaled
   compute, one-point grids, flat curves, repeats within the cohort)
   equals the one-curve ``np.gradient`` reference item by item, from
   cold caches and from partly warm ones.
 * **Admission lookahead** -- in a seeded serve, the options the
   admission planner hands ``admit`` for every admitted job equal
-  ``plan_options(job, system)`` (kind, arrays and estimate), and its
+  a fresh one-job ``plan_many`` (kind, arrays and estimate), and its
   table never holds more than ``2 * LOOKAHEAD_JOBS`` plans.  Tenant
   queues that release out of arrival order do not make it size a job
   twice unless the job was evicted in between; eviction drops the
   lowest positions first, and an evicted job is sized alone to its
-  ``plan_options``.  A learning predictor is never asked ahead.
+  one-job ``plan_many`` options.  A learning predictor is never asked ahead.
 * **Sizing parameters** -- a bad ``sizing`` or
   ``allocation_cap_fraction`` fails when the scheduler is built.
 """
@@ -30,7 +30,7 @@ from repro.core.perfmodel import (
     ProfileEstimate,
     ScaleFreeEstimate,
     allocation_grid,
-    knee_allocations,
+    knee_points,
 )
 from repro.core.predictor import NoisyPredictor, OnlinePredictor, OraclePredictor
 from repro.core.scheduler import AdaptiveScheduler, EWTScheduler, GlobalScheduler
@@ -97,6 +97,10 @@ def _mixed_cohort(seed: int, size: int = 2400) -> tuple[list, list]:
     return [estimates[i] for i in order], [caps[i] for i in order]
 
 
+def _knees(estimates, caps) -> list[int]:
+    return [knee for knee, _ in knee_points(estimates, caps)]
+
+
 class TestKneePass:
     @pytest.mark.parametrize("cold", [True, False])
     def test_cohort_equals_one_curve_reference(self, cold):
@@ -105,10 +109,10 @@ class TestKneePass:
         perfmodel.clear_caches()
         if not cold:
             # Partly warm: every third search is already in the cache.
-            knee_allocations(estimates[::3], caps[::3])
-        assert knee_allocations(estimates, caps) == expected
+            knee_points(estimates[::3], caps[::3])
+        assert _knees(estimates, caps) == expected
         # Again, all from the cache.
-        assert knee_allocations(estimates, caps) == expected
+        assert _knees(estimates, caps) == expected
 
     def test_cohort_covers_every_branch(self):
         estimates, caps = _mixed_cohort(seed=14)
@@ -124,18 +128,18 @@ class TestKneePass:
     def test_repeats_count_as_hits(self):
         estimates, caps = _mixed_cohort(seed=3, size=300)
         unique = len({perfmodel._estimate_key(e, c) for e, c in zip(estimates, caps)})
-        knee_allocations(estimates, caps)
+        knee_points(estimates, caps)
         stats = perfmodel.cache_stats()["perfmodel.knee"]
         assert stats["misses"] == unique
         assert stats["hits"] == len(estimates) - unique
 
     def test_empty_cohort(self):
-        assert knee_allocations([], []) == []
+        assert knee_points([], []) == []
 
     def test_mismatched_lengths_rejected(self):
         estimates, caps = _mixed_cohort(seed=3, size=4)
         with pytest.raises(ValueError):
-            knee_allocations(estimates, caps[:-1])
+            knee_points(estimates, caps[:-1])
 
 
 def _serve(scheduler, rate: float = 3e5, horizon: float = 0.003):
@@ -218,7 +222,8 @@ def test_lookahead_options_equal_plan_options(monkeypatch, make, predictor, rate
     recorder = _Recorder(monkeypatch)
     served = _serve(make(predictor), rate=rate)
     if rate > 3e5:
-        assert served.open_loop.total_shed() > 0
+        stats = served.open_loop.tenant_stats().values()
+        assert sum(s["shed_queue_full"] + s["shed_unplaced"] for s in stats) > 0
         # Some admitted jobs had been evicted and were sized alone.
         assert recorder.evictions
     assert len(recorder.calls) >= 3 * LOOKAHEAD_JOBS
@@ -228,7 +233,7 @@ def test_lookahead_options_equal_plan_options(monkeypatch, make, predictor, rate
     system = gnn_system()
     reference = AdaptiveScheduler(predictor)
     for job, options in recorder.calls:
-        fresh = reference.plan_options(job, system)
+        fresh = reference.plan_many([job], system)[0]
         assert list(options) == list(fresh)
         for kind, entry in options.items():
             assert entry.job is job
@@ -286,7 +291,7 @@ def test_evicted_job_is_sized_alone_to_its_plan_options(monkeypatch):
     assert len(planner._table) == 2 * LOOKAHEAD_JOBS
     positions = (evicted[0], evicted[-1], evicted[-1] + 1)
     reference = AdaptiveScheduler(predictor)
-    expected = [reference.plan_options(jobs[at], system) for at in positions]
+    expected = [reference.plan_many([jobs[at]], system)[0] for at in positions]
     cohorts = []
     plan_jobs = adjustments.plan_jobs
 
@@ -334,7 +339,7 @@ def test_planner_without_upcoming_sizes_on_demand():
     for job in jobs:
         options = planner(job)
         assert {k: e.arrays for k, e in options.items()} == {
-            k: e.arrays for k, e in reference.plan_options(job, system).items()
+            k: e.arrays for k, e in reference.plan_many([job], system)[0].items()
         }
     assert planner._table == {}
 

@@ -95,7 +95,7 @@ class TestJob:
 
     def test_true_time(self):
         job = self.make_job()
-        assert job.true_time(MemoryKind.SRAM, 10) == pytest.approx(1.1e-5)
+        assert job.profile(MemoryKind.SRAM).total_time(10) == pytest.approx(1.1e-5)
 
     def test_best_memory(self):
         job = self.make_job()
@@ -105,8 +105,8 @@ class TestJob:
         # only if ReRAM actually gets faster -- verify consistency.
         allocations = {MemoryKind.SRAM: 10, MemoryKind.RERAM: 200}
         best2 = job.best_memory(allocations)
-        t_sram = job.true_time(MemoryKind.SRAM, 10)
-        t_reram = job.true_time(MemoryKind.RERAM, 200)
+        t_sram = job.profile(MemoryKind.SRAM).total_time(10)
+        t_reram = job.profile(MemoryKind.RERAM).total_time(200)
         assert (best2 is MemoryKind.RERAM) == (t_reram < t_sram)
 
     def test_best_memory_ignores_unsupported(self):
@@ -120,12 +120,6 @@ class TestJob:
     def test_empty_profiles_rejected(self):
         with pytest.raises(ValueError):
             Job(job_id="x", kernel="gemm", profiles={})
-
-    def test_supported_memories(self):
-        assert set(self.make_job().supported_memories()) == {
-            MemoryKind.SRAM,
-            MemoryKind.RERAM,
-        }
 
 
 @settings(max_examples=100, deadline=None)

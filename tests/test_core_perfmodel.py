@@ -83,11 +83,6 @@ class TestEstimate:
         est = estimate()
         assert est.invert_total_time(1.0, 64) == 8
 
-    def test_invert_compute_time(self):
-        est = estimate()
-        arrays = est.invert_compute_time(est.t_compute_unit / 2)
-        assert est.compute_time(arrays) <= est.t_compute_unit / 2 * 1.01
-
 
 class TestEstimateFromProfile:
     def make_profile(self) -> JobPerfProfile:

@@ -20,7 +20,6 @@ from repro.core import (
     MLIMPSystem,
     OraclePredictor,
     oracle_makespan,
-    single_memory_makespan,
 )
 from repro.core.scheduler.adjustments import (
     PlannedJob,
@@ -29,7 +28,7 @@ from repro.core.scheduler.adjustments import (
     intra_queue_adjust,
     job_fits,
     longest_first,
-    plan_job,
+    plan_jobs,
     queue_drain_estimate,
 )
 from repro.core.scheduler.base import Dispatch, ResourceView
@@ -114,24 +113,28 @@ class TestSystem:
             MLIMPSystem(specs={})
 
 
+def plan_on(job, kind, predictor, system) -> PlannedJob:
+    """``job``'s plan on ``kind``, sized by :func:`plan_jobs`."""
+    return plan_jobs([job], predictor, system)[0][kind]
+
+
 class TestPlanning:
     def test_plan_job_snaps_to_replicas(self, system):
         job = make_job("x", 1e-4, 2e-4)
-        plan = plan_job(job, MemoryKind.SRAM, OraclePredictor(), system)
+        plan = plan_on(job, MemoryKind.SRAM, OraclePredictor(), system)
         assert plan.arrays % plan.estimate.unit_arrays == 0
         assert plan.arrays <= system.arrays(MemoryKind.SRAM)
 
     def test_job_fits(self, system):
         assert job_fits(make_job("x", 1, 1, unit=4), MemoryKind.SRAM, system)
         assert not job_fits(make_job("x", 1, 1, unit=65), MemoryKind.SRAM, system)
-        with pytest.raises(ValueError):
-            plan_job(
-                make_job("x", 1, 1, unit=65), MemoryKind.SRAM, OraclePredictor(), system
-            )
+        too_big = make_job("x", 1, 1, unit=65)
+        (options,) = plan_jobs([too_big], OraclePredictor(), system)
+        assert MemoryKind.SRAM not in options
 
     def test_queue_drain_estimate(self, system):
         job = make_job("x", 1e-4, 2e-4)
-        plan = plan_job(job, MemoryKind.SRAM, OraclePredictor(), system)
+        plan = plan_on(job, MemoryKind.SRAM, OraclePredictor(), system)
         queue = PlanQueue(longest_first, [plan] * 8)
         drain = queue_drain_estimate(queue, MemoryKind.SRAM, system)
         assert drain > 0
@@ -144,7 +147,7 @@ class TestInterQueue:
         jobs = [make_job(f"j{i}", 1e-4, 1.2e-4) for i in range(16)]
         plans = {
             j.job_id: {
-                kind: plan_job(j, kind, predictor, system)
+                kind: plan_on(j, kind, predictor, system)
                 for kind in system.kinds
             }
             for j in jobs
@@ -168,7 +171,7 @@ class TestInterQueue:
         job_a = make_job("a", 1e-4, 5e-4)
         job_b = make_job("b", 5e-4, 1e-4)
         plans = {
-            j.job_id: {k: plan_job(j, k, predictor, system) for k in system.kinds}
+            j.job_id: {k: plan_on(j, k, predictor, system) for k in system.kinds}
             for j in (job_a, job_b)
         }
         queues = {
@@ -185,8 +188,8 @@ class TestIntraQueue:
         predictor = OraclePredictor()
         long_job = make_job("long", 1e-3, 1e-2)
         short_job = make_job("short", 1e-5, 1e-4)
-        long_plan = plan_job(long_job, MemoryKind.SRAM, predictor, system)
-        short_plan = plan_job(short_job, MemoryKind.SRAM, predictor, system)
+        long_plan = plan_on(long_job, MemoryKind.SRAM, predictor, system)
+        short_plan = plan_on(short_job, MemoryKind.SRAM, predictor, system)
         # Give the short job spare allocation to donate.
         short_plan = short_plan.with_arrays(4 * short_plan.estimate.unit_arrays)
         queues = {MemoryKind.SRAM: [long_plan, short_plan]}
@@ -205,7 +208,7 @@ class TestIntraQueue:
         jobs = [make_job("a", 1e-3, 1e-2), make_job("b", 1e-5, 1e-4)]
         queues = {
             MemoryKind.SRAM: [
-                plan_job(j, MemoryKind.SRAM, predictor, system) for j in jobs
+                plan_on(j, MemoryKind.SRAM, predictor, system) for j in jobs
             ]
         }
         adjusted = intra_queue_adjust(queues, system)
@@ -419,7 +422,8 @@ class TestOracle:
         jobs = mixed_batch(32)
         bound = oracle_makespan(jobs, system)
         for kind in system.kinds:
-            assert bound <= single_memory_makespan(jobs, system, kind) * 1.0001
+            single = oracle_makespan(jobs, system.subset([kind]))
+            assert bound <= single * 1.0001
 
     def test_empty_batch(self, system):
         assert oracle_makespan([], system) == 0.0

@@ -5,7 +5,9 @@ README pointing at nothing.  These tests pin the documentation to the
 code: every path reference in the pinned markdown set must resolve
 (`tools/check_links.py`), the README must document every `python -m
 repro` subcommand, and the serving doctests must run (the CI `docs`
-job runs the same checks).
+job runs the same checks).  Code that nothing references does not
+grow back either: every `src/repro` definition is referenced in the
+package or named, with its reason, in `tools/check_unused.py`.
 """
 
 from __future__ import annotations
@@ -18,13 +20,17 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def _load_check_links():
+def _load_tool(name: str):
     spec = importlib.util.spec_from_file_location(
-        "check_links", REPO_ROOT / "tools" / "check_links.py"
+        name, REPO_ROOT / "tools" / f"{name}.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_check_links():
+    return _load_tool("check_links")
 
 
 class TestLinkChecker:
@@ -79,6 +85,26 @@ class TestLinkChecker:
             "`BENCH_<date>.json` and `a/*.py` are placeholders.\n"
         )
         assert check_links.check_file(doc) == []
+
+
+class TestUnusedChecker:
+    def test_every_definition_is_referenced_or_allowed(self):
+        assert _load_tool("check_unused").find_unused() == ([], [])
+
+    def test_checker_is_not_vacuous(self, tmp_path, monkeypatch):
+        """An orphan definition is reported; a referenced one is not."""
+        check_unused = _load_tool("check_unused")
+        package = tmp_path / "repro"
+        package.mkdir()
+        (package / "mod.py").write_text(
+            "def used():\n    return 1\n\n\n"
+            "def orphan(n):\n    return orphan(n - 1) if n else used()\n"
+        )
+        monkeypatch.setattr(check_unused, "PACKAGE", package)
+        monkeypatch.setattr(check_unused, "ALLOWED", {"mod.py::gone": "stale"})
+        findings, stale = check_unused.find_unused()
+        assert findings == ["src/repro/mod.py:5: orphan"]
+        assert stale == ["mod.py::gone"]
 
 
 class TestCLIDocs:

@@ -16,7 +16,6 @@ def subgraph():
 class TestConfig:
     def test_three_layer(self):
         config = GCNConfig.three_layer(128, 256)
-        assert config.num_layers == 3
         assert config.layer_dims == ((128, 256), (256, 256), (256, 256))
 
     def test_dims_must_chain(self):

@@ -46,7 +46,6 @@ class TestConstruction:
     def test_degrees(self):
         g = triangle()
         assert list(g.degrees()) == [2, 2, 2]
-        assert g.degree(0) == 2
         assert g.avg_degree() == pytest.approx(2.0)
 
     def test_neighbors_out_of_range(self):
@@ -81,20 +80,6 @@ class TestSubgraph:
         assert sub.num_edges == g.num_edges
         assert np.array_equal(sub.indptr, g.indptr)
         assert np.array_equal(sub.indices, g.indices)
-
-
-class TestNormalisation:
-    def test_normalized_adjacency_row_values(self):
-        g = triangle()
-        values = g.normalized_adjacency_values()
-        # Every vertex has degree 2: each value is 1/2.
-        assert np.allclose(values, 0.5)
-
-    def test_isolated_vertices_contribute_zero(self):
-        g = CSRGraph.from_edges(3, np.asarray([[0, 1]]))
-        values = g.normalized_adjacency_values()
-        assert len(values) == g.num_edges
-        assert np.all(np.isfinite(values))
 
 
 @settings(max_examples=50, deadline=None)

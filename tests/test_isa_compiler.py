@@ -65,68 +65,27 @@ class TestCompile:
         assert ck.energy_per_element_pj < 5  # far below a DRAM MAC (60 pJ)
 
 
-class TestComputeSeconds:
-    def test_single_wave(self):
-        ck = compile_dfg(mac_kernel(), SRAM_SPEC)
-        lanes = SRAM_SPEC.alus_per_array
-        t = ck.compute_seconds(SRAM_SPEC, elements=lanes, arrays=1)
-        assert t == pytest.approx(SRAM_SPEC.seconds(ck.cycles_per_element))
-
-    def test_waves_round_up(self):
-        ck = compile_dfg(mac_kernel(), SRAM_SPEC)
-        lanes = SRAM_SPEC.alus_per_array
-        t1 = ck.compute_seconds(SRAM_SPEC, elements=lanes, arrays=1)
-        t2 = ck.compute_seconds(SRAM_SPEC, elements=lanes + 1, arrays=1)
-        assert t2 == pytest.approx(2 * t1)
-
-    def test_more_arrays_fewer_waves(self):
-        ck = compile_dfg(mac_kernel(), SRAM_SPEC)
-        n = SRAM_SPEC.alus_per_array * 64
-        t1 = ck.compute_seconds(SRAM_SPEC, elements=n, arrays=1)
-        t64 = ck.compute_seconds(SRAM_SPEC, elements=n, arrays=64)
-        assert t1 == pytest.approx(64 * t64)
-
-    def test_zero_elements_free(self):
-        ck = compile_dfg(mac_kernel(), SRAM_SPEC)
-        assert ck.compute_seconds(SRAM_SPEC, 0, 1) == 0.0
-
-    def test_requires_positive_arrays(self):
-        ck = compile_dfg(mac_kernel(), SRAM_SPEC)
-        with pytest.raises(ValueError):
-            ck.compute_seconds(SRAM_SPEC, 10, 0)
-
-    def test_wrong_target_spec_rejected(self):
-        ck = compile_dfg(mac_kernel(), SRAM_SPEC)
-        with pytest.raises(ValueError):
-            ck.compute_seconds(DRAM_SPEC, 10, 1)
-
-
 class TestPacking:
     def test_dram_narrow_vectors_waste_lanes(self):
         """Paper V-B1: GNN feature vectors cannot fill DRAM SIMD rows."""
-        ck = compile_dfg(mac_kernel(), DRAM_SPEC)
-        assert ck.lanes_per_array(DRAM_SPEC, vector_width=256) == 256
-        assert ck.lanes_per_array(DRAM_SPEC, vector_width=None) == 65536
+        assert DRAM_SPEC.usable_lanes(vector_width=256) == 256
+        assert DRAM_SPEC.usable_lanes(vector_width=None) == 65536
 
     def test_sram_packs_narrow_vectors(self):
-        ck = compile_dfg(mac_kernel(), SRAM_SPEC)
-        assert ck.lanes_per_array(SRAM_SPEC, vector_width=64) == 256
+        assert SRAM_SPEC.usable_lanes(vector_width=64) == 256
 
     def test_reram_pack_limit(self):
-        ck = compile_dfg(mac_kernel(), RERAM_SPEC)
-        assert ck.lanes_per_array(RERAM_SPEC, vector_width=1) == 16
+        assert RERAM_SPEC.usable_lanes(vector_width=1) == 16
 
     def test_invalid_vector_width(self):
-        ck = compile_dfg(mac_kernel(), SRAM_SPEC)
         with pytest.raises(ValueError):
-            ck.lanes_per_array(SRAM_SPEC, vector_width=0)
+            SRAM_SPEC.usable_lanes(vector_width=0)
 
     def test_dram_utilisation_penalty_in_time(self):
-        ck = compile_dfg(mac_kernel(), DRAM_SPEC)
         n = 65536
-        narrow = ck.compute_seconds(DRAM_SPEC, n, arrays=1, vector_width=256)
-        wide = ck.compute_seconds(DRAM_SPEC, n, arrays=1, vector_width=None)
-        assert narrow == pytest.approx(256 * wide)
+        narrow = math.ceil(n / DRAM_SPEC.usable_lanes(vector_width=256))
+        wide = math.ceil(n / DRAM_SPEC.usable_lanes(vector_width=None))
+        assert narrow == 256 * wide
 
     def test_compute_energy(self):
         ck = compile_dfg(mac_kernel(), SRAM_SPEC)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.isa import LoweringError, Op, is_native, lower_op, native_ops, op_cycles
+from repro.isa import LoweringError, Op, is_native, lower_op, op_cycles
 from repro.memories import MemoryKind
 
 
@@ -74,8 +74,8 @@ class TestLowering:
         assert lower_op(MemoryKind.DRAM, Op.LOAD) == {}
 
     def test_native_ops_listing(self):
-        assert Op.MAC in native_ops(MemoryKind.RERAM)
-        assert Op.EXP2 not in native_ops(MemoryKind.SRAM)
+        assert is_native(MemoryKind.RERAM, Op.MAC)
+        assert not is_native(MemoryKind.SRAM, Op.EXP2)
 
 
 @given(op=st.sampled_from(list(Op)), kind=st.sampled_from(list(MemoryKind)))
@@ -146,27 +146,3 @@ class TestCycleCache:
         stats = timing.cache_stats()["timing.op_cycles"]
         assert stats["size"] == 0 and stats["hits"] == 0
 
-
-class TestBatchCycles:
-    def test_iterable_matches_scalar_sum(self):
-        from repro.isa.timing import batch_cycles
-
-        ops = [Op.ADD] * 5 + [Op.MUL] * 3
-        expected = 5 * op_cycles(MemoryKind.SRAM, Op.ADD, 16) + 3 * op_cycles(
-            MemoryKind.SRAM, Op.MUL, 16
-        )
-        assert batch_cycles(MemoryKind.SRAM, ops) == expected
-
-    def test_mapping_form(self):
-        from repro.isa.timing import batch_cycles
-
-        bag = {Op.ADD: 5, Op.MUL: 3}
-        assert batch_cycles(MemoryKind.SRAM, bag) == batch_cycles(
-            MemoryKind.SRAM, [Op.ADD] * 5 + [Op.MUL] * 3
-        )
-
-    def test_negative_count_rejected(self):
-        from repro.isa.timing import batch_cycles
-
-        with pytest.raises(ValueError):
-            batch_cycles(MemoryKind.SRAM, {Op.ADD: -1})

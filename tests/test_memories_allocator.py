@@ -65,12 +65,6 @@ class TestAllocate:
         with pytest.raises(AllocationError):
             alloc.free(a)
 
-    def test_allocate_bytes_rounds_to_arrays(self):
-        spec = make_spec()
-        alloc = ScratchpadAllocator(spec)
-        a = alloc.allocate_bytes(spec.geometry.bytes * 3 + 1)
-        assert a.arrays == 4
-
     def test_fragmentation_blocks_contiguous_requests(self):
         alloc = ScratchpadAllocator(make_spec(10))
         first = alloc.allocate(4)
@@ -94,7 +88,7 @@ class TestAllocate:
 
     def test_reserved_fraction(self):
         alloc = ScratchpadAllocator(make_spec(100), reserved_fraction=0.25)
-        assert alloc.total_arrays == 75
+        assert alloc.free_arrays == 75
         with pytest.raises(AllocationError):
             alloc.allocate(76)
 
@@ -110,13 +104,6 @@ class TestAllocate:
         assert alloc.free_arrays == 16
         assert alloc.live_allocations == 0
 
-    def test_utilisation(self):
-        alloc = ScratchpadAllocator(make_spec(10))
-        assert alloc.utilisation() == 0.0
-        alloc.allocate(5)
-        assert alloc.utilisation() == pytest.approx(0.5)
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     ops=st.lists(
@@ -129,7 +116,8 @@ class TestAllocate:
 )
 def test_allocator_conservation_property(ops):
     """Free + used always equals total; free never exceeds total."""
-    alloc = ScratchpadAllocator(make_spec(64))
+    total = 64
+    alloc = ScratchpadAllocator(make_spec(total))
     live = []
     for action, value in ops:
         if action == "alloc":
@@ -140,13 +128,13 @@ def test_allocator_conservation_property(ops):
         elif live:
             allocation = live.pop(value % len(live))
             alloc.free(allocation)
-        assert alloc.free_arrays + alloc.used_arrays == alloc.total_arrays
-        assert 0 <= alloc.free_arrays <= alloc.total_arrays
+        assert alloc.free_arrays + alloc.used_arrays == total
+        assert 0 <= alloc.free_arrays <= total
         assert alloc.used_arrays == sum(a.arrays for a in live)
     for allocation in live:
         alloc.free(allocation)
-    assert alloc.free_arrays == alloc.total_arrays
-    assert alloc.largest_free_run == alloc.total_arrays
+    assert alloc.free_arrays == total
+    assert alloc.largest_free_run == total
 
 
 class _ReferenceRuns:
@@ -224,7 +212,7 @@ def test_cached_counters_match_free_runs(total, ops):
         assert runs == model.runs
         assert alloc.free_arrays == sum(length for _, length in runs)
         assert alloc.largest_free_run == max((length for _, length in runs), default=0)
-        assert alloc.used_arrays == alloc.total_arrays - sum(
+        assert alloc.used_arrays == total - sum(
             length for _, length in runs
         )
         assert alloc.live_allocations == len(live)

@@ -2,20 +2,12 @@
 
 import pytest
 
-from repro.memories import TECHNOLOGIES, parallelism_rank, technology
+from repro.memories import TECHNOLOGIES, parallelism_rank
 
 
 class TestProfiles:
     def test_six_technologies_present(self):
         assert set(TECHNOLOGIES) == {"SRAM", "eDRAM", "DRAM", "STT-RAM", "ReRAM", "NAND"}
-
-    def test_lookup_is_case_insensitive(self):
-        assert technology("sram") is TECHNOLOGIES["SRAM"]
-        assert technology("ReRAM") is TECHNOLOGIES["ReRAM"]
-
-    def test_unknown_technology_raises(self):
-        with pytest.raises(KeyError):
-            technology("HBM-PIM")
 
     def test_energy_ordering_sram_cheapest(self):
         # Figure 1: SRAM has the lowest energy per access; NVMs and

@@ -17,6 +17,11 @@ from repro.memories import (
 )
 
 
+def aggregate_mops(spec: MemorySpec, operands: int) -> float:
+    """Whole-device MAC throughput at full utilisation."""
+    return spec.mac_mops(operands) * spec.total_alus
+
+
 class TestTableIII:
     def test_sram_alu_count(self):
         assert SRAM_SPEC.total_alus == 5120 * 256 == 1_310_720
@@ -92,12 +97,6 @@ class TestSpecDerived:
     def test_seconds_conversion(self):
         assert SRAM_SPEC.seconds(2500e6) == pytest.approx(1.0)
 
-    def test_arrays_for_bytes_rounds_up(self):
-        per_array = SRAM_SPEC.geometry.bytes
-        assert SRAM_SPEC.arrays_for_bytes(per_array + 1) == 2
-        assert SRAM_SPEC.arrays_for_bytes(per_array) == 1
-        assert SRAM_SPEC.arrays_for_bytes(0) == 0
-
     def test_fill_seconds_scales_with_write_cost(self):
         base = MemorySpec(
             kind=MemoryKind.SRAM,
@@ -139,10 +138,10 @@ class TestSpecDerived:
         # At 2-operand MACs all three devices land in the same order of
         # magnitude (paper V-B1: SRAM and ReRAM have "similar SIMD
         # width and average MAC throughput").
-        aggregates = {k: s.aggregate_mac_gops(2) for k, s in DEFAULT_SPECS.items()}
+        aggregates = {k: aggregate_mops(s, 2) for k, s in DEFAULT_SPECS.items()}
         assert max(aggregates.values()) / min(aggregates.values()) < 5
 
     def test_reram_multi_operand_aggregate_wins(self):
         # With wide accumulations ReRAM's analog bitline sum dominates.
-        assert RERAM_SPEC.aggregate_mac_gops(64) > SRAM_SPEC.aggregate_mac_gops(64)
-        assert RERAM_SPEC.aggregate_mac_gops(64) > DRAM_SPEC.aggregate_mac_gops(64)
+        assert aggregate_mops(RERAM_SPEC, 64) > aggregate_mops(SRAM_SPEC, 64)
+        assert aggregate_mops(RERAM_SPEC, 64) > aggregate_mops(DRAM_SPEC, 64)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import JobPerfProfile
 from repro.core.perfmodel import ProfileEstimate
-from repro.harness import fmt_ratio, fmt_time
+from repro.harness import fmt_time
 from repro.kernels.mapping import cap_unit_arrays, spmm_strip_width
 from repro.memories import DRAM_SPEC, RERAM_SPEC, SRAM_SPEC
 
@@ -16,9 +16,6 @@ class TestFormatting:
         assert fmt_time(2.5e-3) == "2.50ms"
         assert fmt_time(3.2e-6) == "3.20us"
         assert fmt_time(8e-9) == "8.00ns"
-
-    def test_fmt_ratio(self):
-        assert fmt_ratio(4.8) == "4.80x"
 
 
 class TestCapUnit:

@@ -1,10 +1,12 @@
 """Parallel experiment grid: determinism, name validation, bench gate.
 
 The seed-determinism property ISSUE requires: sharding the grid across
-worker processes must produce byte-identical ``Report.to_json()``
-output to the serial path, because every experiment pins its own seeds
-and workers share no mutable state.
+worker processes must produce byte-identical report JSON
+(``Report.to_json_dict()``) to the serial path, because every
+experiment pins its own seeds and workers share no mutable state.
 """
+
+import json
 
 import pytest
 
@@ -14,6 +16,10 @@ from repro.harness.experiments import (
     run_experiment_grid,
     run_named_experiment,
 )
+
+
+def _json(report) -> str:
+    return json.dumps(report.to_json_dict(), default=str)
 
 
 class TestGridDeterminism:
@@ -26,12 +32,12 @@ class TestGridDeterminism:
         assert [name for name, _ in serial] == names
         assert [name for name, _ in sharded] == names
         for (_, a), (_, b) in zip(serial, sharded):
-            assert a.to_json() == b.to_json()
+            assert _json(a) == _json(b)
 
     def test_single_name_stays_in_process(self):
         [(name, report)] = run_experiment_grid(["table3"])
         assert name == "table3"
-        assert report.to_json() == run_named_experiment("table3").to_json()
+        assert _json(report) == _json(run_named_experiment("table3"))
 
     def test_unknown_names_rejected_before_any_work(self):
         with pytest.raises(KeyError, match="unknown experiments"):

@@ -10,7 +10,6 @@ from repro.core import (
     MLIMPSystem,
     OraclePredictor,
 )
-from repro.core.dispatcher import DispatchError
 from repro.core.scheduler.base import (
     Dispatch,
     DispatchPolicy,
@@ -92,25 +91,6 @@ class TestRuntime:
         with pytest.raises(ValueError):
             MLIMPRuntime(system, scheduler="magic")
 
-    def test_plan_preview_covers_queue(self, system):
-        runtime = MLIMPRuntime(system)
-        runtime.submit_many(job(i) for i in range(5))
-        preview = runtime.plan_preview()
-        assert set(preview) == {f"rt{i}" for i in range(5)}
-        for memory, arrays in preview.values():
-            assert memory in ("sram", "reram")
-            assert arrays >= 1
-        # Preview does not consume the queue.
-        assert runtime.pending == 5
-
-    def test_oracle_bound(self, system):
-        runtime = MLIMPRuntime(system)
-        assert runtime.oracle_bound() == 0.0
-        runtime.submit_many(job(i) for i in range(4))
-        bound = runtime.oracle_bound()
-        result = runtime.run()
-        assert bound <= result.makespan * 1.0001
-
     def test_multiple_runs_accumulate_history(self, system):
         runtime = MLIMPRuntime(system)
         runtime.submit(job(0))
@@ -121,8 +101,7 @@ class TestRuntime:
 
 
 class _OneAtATimePolicy(DispatchPolicy):
-    """Releases one job per completion: exercises the preview's
-    completion feedback (a static drain would stall after job one)."""
+    """Releases one job per completion."""
 
     def __init__(self, jobs: list[Job]):
         self._jobs = list(jobs)
@@ -146,49 +125,6 @@ class _OneAtATimeScheduler(Scheduler):
 
     def plan(self, jobs, system):
         return _OneAtATimePolicy(jobs)
-
-
-class _StuckScheduler(Scheduler):
-    """Plans a policy that never dispatches anything."""
-
-    name = "stuck"
-
-    class _Policy(DispatchPolicy):
-        def pending(self) -> int:
-            return 1
-
-        def next_dispatches(self, view: ResourceView) -> list[Dispatch]:
-            return []
-
-    def plan(self, jobs, system):
-        return self._Policy()
-
-
-class TestPlanPreview:
-    def test_completion_driven_policy_fully_drains(self, system):
-        """The preview must feed completions back so policies that
-        release work one completion at a time unwind completely."""
-        runtime = MLIMPRuntime(system, scheduler=_OneAtATimeScheduler())
-        runtime.submit_many(job(i) for i in range(5))
-        preview = runtime.plan_preview()
-        assert set(preview) == {f"rt{i}" for i in range(5)}
-
-    def test_stalled_policy_raises(self, system):
-        """A partial preview is never returned silently."""
-        runtime = MLIMPRuntime(system, scheduler=_StuckScheduler())
-        runtime.submit(job(0))
-        with pytest.raises(DispatchError, match="stalled"):
-            runtime.plan_preview()
-
-    def test_adaptive_preview_matches_run(self, system):
-        """The adaptive policy is completion-driven (backfill); its
-        preview must still cover the whole queue."""
-        runtime = MLIMPRuntime(system, scheduler="adaptive")
-        runtime.submit_many(job(i) for i in range(8))
-        preview = runtime.plan_preview()
-        assert set(preview) == {f"rt{i}" for i in range(8)}
-        result = runtime.run()
-        assert set(result.records) == set(preview)
 
 
 class TestSchedulerInstanceReuse:

@@ -115,7 +115,7 @@ def test_static_schedule_respects_capacity(n_jobs, seed):
     any planned instant, and plans every job exactly once."""
     jobs = [job_from_seed(i, seed) for i in range(n_jobs)]
     scheduler = AdaptiveScheduler(OraclePredictor())
-    queues = scheduler.build_queues(jobs, SYSTEM)
+    queues = scheduler.build_plans(jobs, PlanTable(SYSTEM, no_options))
     queues = intra_queue_adjust(queues, SYSTEM)
     schedule = build_static_schedule(queues, SYSTEM)
     assert len(schedule) == n_jobs
@@ -143,7 +143,7 @@ def test_intra_queue_conserves_feasibility(seed):
     allocations, and never exceeds the device."""
     jobs = [job_from_seed(i, seed) for i in range(12)]
     scheduler = AdaptiveScheduler(OraclePredictor())
-    queues = scheduler.build_queues(jobs, SYSTEM)
+    queues = scheduler.build_plans(jobs, PlanTable(SYSTEM, no_options))
     adjusted = intra_queue_adjust(queues, SYSTEM)
     before = sorted(
         entry.job.job_id for q in queues.values() for entry in q

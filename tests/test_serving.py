@@ -180,7 +180,7 @@ def test_release_respects_max_backlog():
     assert len(loop.release(0.0, policy_backlog=0)) == 3
     assert len(loop.release(0.0, policy_backlog=3)) == 0
     assert len(loop.release(0.0, policy_backlog=1)) == 2
-    assert loop.backlog() == 1
+    assert sum(s["queued"] for s in loop.tenant_stats().values()) == 1
 
 
 def test_stride_release_is_weighted_and_deterministic():
