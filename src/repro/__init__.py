@@ -14,7 +14,7 @@ Subpackages
 ``repro.apps``       Table II data-parallel applications and combos
 ``repro.core``       jobs, Eq. 1-3 model, predictors, schedulers, runtime
 ``repro.faults``     fault plans, injector, graceful degradation
-``repro.obs``        metrics, decision log, trace analytics, exporters
+``repro.obs``        metrics, trace analytics, decision rows, exporters
 ``repro.ml``         from-scratch MLP and gradient-boosted trees
 ``repro.baselines``  Xeon / Titan XP roofline models
 ``repro.harness``    per-figure experiment runners and ablations

@@ -57,7 +57,7 @@ from ..core.runtime import _SCHEDULERS
 from ..faults.plan import FaultPlan
 from ..obs.export import result_summary
 from ..serving.arrivals import ArrivalProcess, TimelineArrivals
-from ..serving.report import ServingReport
+from ..serving.report import ServingReport, completed_sojourns
 from ..serving.runtime import DEFAULT_SLO_S, ServingRuntime
 from ..serving.tenants import Tenant
 from ..serving.workload import OpenWorkload
@@ -173,20 +173,13 @@ def _run_node_task(task: _NodeTask) -> NodeOutcome:
         admission=task.admission,
         admission_margin=task.admission_margin,
     )
-    sojourns: dict[str, tuple[str, float]] = {}
-    for job_id, record in serving.result.records.items():
-        arrived = serving.open_loop.arrival_times.get(job_id)
-        if arrived is None:
-            continue
-        tenant = serving.open_loop.job_tenants[job_id]
-        sojourns[job_id] = (tenant, record.finished_at - arrived)
     return NodeOutcome(
         index=task.index,
         name=task.name,
         report=serving.report,
         payload=result_summary(serving.result),
         tenant_stats=serving.open_loop.tenant_stats(),
-        sojourns=sojourns,
+        sojourns=completed_sojourns(serving.result, serving.open_loop),
         makespan=serving.result.makespan,
         failed_jobs=dict(serving.result.failed_jobs),
     )

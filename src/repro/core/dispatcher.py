@@ -25,7 +25,6 @@ from ..faults.plan import FaultEvent, FaultKind, FaultPlan
 from ..memories.allocator import Allocation, ScratchpadAllocator
 from ..memories.base import MemoryKind
 from ..obs.analytics import RunReport, build_report
-from ..obs.decisions import DecisionLog
 from ..obs.metrics import (
     Counter,
     Gauge,
@@ -60,12 +59,17 @@ class DispatchError(RuntimeError):
 
 @dataclass
 class JobRecord:
-    """Lifecycle timestamps of one executed job.
+    """One launched job's row: its first launch's decision and the
+    lifecycle timestamps of its last attempt.
 
-    Under fault injection a job may run more than once (stall-aborted
-    retries, migration off a failed device); the timestamps describe
-    the **final, successful** attempt and ``attempts`` counts how many
-    launches it took.
+    The row is written once, at the job's first launch, and its
+    ``decided_*``, ``predicted_time`` and ``queue_depth`` fields keep
+    that decision: the device and arrays the policy chose, when, the
+    time the policy's estimate predicted for it, and how many jobs
+    were still queued.  Under fault injection a job may run more than
+    once (stall-aborted retries, migration off a failed device);
+    ``kind``, ``arrays`` and the timestamps describe the **last**
+    attempt and ``attempts`` counts how many launches it took.
     """
 
     job_id: str
@@ -76,6 +80,11 @@ class JobRecord:
     replicate_done_at: float = 0.0
     finished_at: float = 0.0
     attempts: int = 1
+    decided_device: str = ""
+    decided_arrays: int = 0
+    decided_at: float = 0.0
+    predicted_time: float | None = None
+    queue_depth: int = 0
 
     @property
     def latency(self) -> float:
@@ -86,10 +95,12 @@ class JobRecord:
 class DispatchResult:
     """Everything a run produced.
 
-    ``metrics`` and ``decisions`` are filled by the dispatcher's
-    observability layer (``repro.obs``); :meth:`report` derives the
-    per-device utilisation / bubble / phase / predictor-error summary
-    the paper's timeline figures are built from.
+    ``rows`` holds every launched job's :class:`JobRecord` in
+    first-launch order; ``records`` the completed ones, in the same
+    order.  ``metrics`` is filled by the dispatcher's observability
+    layer (``repro.obs``); :meth:`report` derives the per-device
+    utilisation / bubble / phase / predictor-error summary the paper's
+    timeline figures are built from.
     """
 
     makespan: float
@@ -98,7 +109,8 @@ class DispatchResult:
     records: dict[str, JobRecord]
     scheduler_name: str = ""
     metrics: MetricsRegistry | None = None
-    decisions: DecisionLog | None = None
+    #: Every launched job's row, failed ones included.
+    rows: dict[str, JobRecord] = field(default_factory=dict)
     #: Jobs the degraded run could not complete (job_id -> reason);
     #: always empty without a fault plan.
     failed_jobs: dict[str, str] = field(default_factory=dict)
@@ -275,13 +287,12 @@ class _Run:
         self.pipe = SharedBandwidthPipe(sim, dispatcher.ddr4)
         self.trace = ExecutionTrace()
         self.ledger = EnergyLedger()
-        self.records: dict[str, JobRecord] = {}
+        #: One row per launched job, in first-launch order.
+        self.rows: dict[str, JobRecord] = {}
 
         # Observability: metric gauges track device occupancy and the
-        # shared-pipe load over time; the decision log pairs every
-        # dispatch's predicted time with its measured latency.
+        # shared-pipe load over time.
         self.metrics = metrics = MetricsRegistry()
-        self.decisions = DecisionLog()
         self.pending_gauge = metrics.gauge("jobs.pending")
         pipe_gauge = metrics.gauge("ddr4.active_transfers")
         pipe_gauge.set(0.0, 0)
@@ -350,20 +361,38 @@ class _Run:
             # work, comparable with the fault-free run's.
             makespan = self.trace.makespan
         self.ledger.add(EnergyCategory.OFFCHIP, "ddr4", self.pipe.energy_j())
+        rows, failed = self.rows, self.failed_jobs
+        records = (
+            {job_id: row for job_id, row in rows.items() if job_id not in failed}
+            if failed
+            else rows
+        )
+        # The job counters are counts of the rows; a counter exists
+        # only when its value is non-zero.
+        metrics = self.metrics
+        for name, value in (
+            ("jobs.dispatched", sum(row.attempts for row in rows.values())),
+            ("jobs.completed", len(records)),
+            ("jobs.failed", len(failed)),
+        ):
+            if value:
+                metrics.counter(name).inc(value)
+        if failed:
+            runtime_counter_inc("jobs.failed", len(failed))
         # Engine throughput: per-run counter for the snapshot, plus the
         # process-global totals `repro bench` derives events/sec from.
-        self.metrics.counter("sim.events").inc(sim.processed)
+        metrics.counter("sim.events").inc(sim.processed)
         runtime_counter_inc("sim.events", sim.processed)
         runtime_counter_inc("sim.runs")
         return DispatchResult(
             makespan=makespan,
             trace=self.trace,
             energy=self.ledger,
-            records=self.records,
+            records=records,
             scheduler_name=self.label,
-            metrics=self.metrics,
-            decisions=self.decisions,
-            failed_jobs=self.failed_jobs,
+            metrics=metrics,
+            rows=rows,
+            failed_jobs=failed,
             fault_summary=injector.summary() if injector is not None else None,
         )
 
@@ -485,11 +514,8 @@ class _Run:
         flight.done = True
         flight.pending_retry = False
         job_id = flight.dispatch.job.job_id
-        self.records.pop(job_id, None)
         self.failed_jobs[job_id] = reason
         self.policy.notify_failed(flight.dispatch.job, self.sim.now)
-        self.metrics.counter("jobs.failed").inc()
-        runtime_counter_inc("jobs.failed")
         if self.open_loop is not None:
             # A failed job leaves the system too: return its
             # predicted-work reservation to the admission ledger.
@@ -755,9 +781,7 @@ class _Run:
             device = self.devices[kind]
             device.allocator.free(col.alloc[row])
             device.running -= 1
-            self.metrics.counter("jobs.completed").inc()
             self.note_occupancy(device)
-            self.decisions.complete(job.job_id, record.latency)
             col.release(row)
             self.policy.notify_completion(job, kind, now)
             if self.predictor_hook is not None:
@@ -818,38 +842,34 @@ class _Run:
             )
         allocation = device.allocator.allocate(arrays)
         device.running += 1
-        record = self.records.get(job.job_id)
-        relaunch = record is not None
-        if relaunch and flight is None:
+        name = self.names[kind]
+        record = self.rows.get(job.job_id)
+        if record is None:
+            record = self.rows[job.job_id] = JobRecord(
+                job_id=job.job_id,
+                kind=kind,
+                arrays=arrays,
+                dispatched_at=now,
+                decided_device=name,
+                decided_arrays=arrays,
+                decided_at=now,
+                predicted_time=dispatch.predicted_time,
+                queue_depth=self.policy.pending(),
+            )
+        elif flight is None:
             raise DispatchError(f"job {job.job_id} dispatched twice")
-        if relaunch:
+        else:
             record.kind = kind
             record.arrays = arrays
             record.dispatched_at = now
             record.fill_done_at = 0.0
             record.replicate_done_at = 0.0
             record.attempts += 1
-        else:
-            record = JobRecord(
-                job_id=job.job_id, kind=kind, arrays=arrays, dispatched_at=now
-            )
-            self.records[job.job_id] = record
-        name = self.names[kind]
-        self.metrics.counter("jobs.dispatched").inc()
         counter = device.jobs_counter
         if counter is None:
             counter = device.jobs_counter = self.metrics.counter(f"{name}.jobs")
         counter.inc()
         self.note_occupancy(device)
-        if not relaunch:
-            self.decisions.record(
-                job_id=job.job_id,
-                device=name,
-                arrays=arrays,
-                decided_at=now,
-                predicted_time=dispatch.predicted_time,
-                queue_depth=self.policy.pending(),
-            )
         attempt = 0
         if flight is not None:
             if flight.pending_retry:

@@ -36,6 +36,7 @@ from __future__ import annotations
 from ..core.runtime import MLIMPRuntime
 from ..faults.plan import FaultPlan
 from ..serving import PoissonArrivals, ServingRuntime, Tenant
+from ..serving.report import completed_sojourns
 from ..serving.workload import OpenWorkload
 from .config import gnn_system
 from .reporting import Report, fmt_time
@@ -111,9 +112,10 @@ def _comparison_report(title: str, faults: FaultPlan | None = None) -> Report:
         closed_result, open_result = _run_pair(scheduler, faults=faults)
         r = open_result.report
         all_sojourns = sorted(
-            record.finished_at - open_result.open_loop.arrival_times[job_id]
-            for job_id, record in open_result.result.records.items()
-            if job_id in open_result.open_loop.arrival_times
+            sojourn
+            for _, sojourn in completed_sojourns(
+                open_result.result, open_result.open_loop
+            ).values()
         )
         p50 = all_sojourns[len(all_sojourns) // 2] if all_sojourns else 0.0
         p99 = all_sojourns[int(0.99 * (len(all_sojourns) - 1))] if all_sojourns else 0.0

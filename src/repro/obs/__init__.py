@@ -1,28 +1,27 @@
-"""Observability for MLIMP runs: metrics, decision log, trace analytics.
+"""Observability for MLIMP runs: metrics, trace analytics, decision rows.
 
 The paper's evaluation (Figs. 12-19) reasons about per-device
 utilisation timelines, phase overlap and scheduler-vs-oracle gaps;
 this package makes those quantities first-class for *every* run:
 
-``repro.obs.metrics``    counters / gauges / histograms fed by the dispatcher
-``repro.obs.decisions``  per-dispatch predicted-vs-actual decision log
+``repro.obs.metrics``    counters and gauges fed by the dispatcher
 ``repro.obs.analytics``  one sweep per device over the trace: utilisation,
-                         bubbles, phase breakdown -> RunReport
+                         bubbles, phase breakdown -> RunReport; the
+                         per-job predicted-vs-actual decision rows and
+                         the predictor-error summary folded from them
 ``repro.obs.export``     JSON / CSV dumps (also behind ``python -m repro trace``)
 
-The package root re-exports the report types and ``build_report``, the
-decision log, the metric types with ``nearest_rank`` and the
+The package root re-exports the report types, ``build_report`` and
+``decision_rows``, the metric types with ``nearest_rank`` and the
 process-global runtime counters, and the exporters.  The trace itself
 (:mod:`repro.sim.trace`) only stores rows; every derived number comes
 from ``build_report``.
 """
 
-from .analytics import DeviceReport, RunReport, build_report
-from .decisions import DecisionLog, DispatchDecision
+from .analytics import DeviceReport, RunReport, build_report, decision_rows
 from .metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     nearest_rank,
     reset_runtime_counters,
@@ -38,11 +37,9 @@ __all__ = [
     "DeviceReport",
     "RunReport",
     "build_report",
-    "DecisionLog",
-    "DispatchDecision",
+    "decision_rows",
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "nearest_rank",
     "reset_runtime_counters",

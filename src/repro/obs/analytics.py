@@ -26,10 +26,19 @@ Usage::
     sram.bubble_count                 # scheduling gaps (Section III-C5)
     sram.phase_seconds["fill"]        # fill / replicate / compute split
     report.as_dict()                  # JSON-ready form
+    report.predictor                  # predictor error over the decisions
 
     # or derive it directly from a DispatchResult:
-    from repro.obs import build_report
+    from repro.obs import build_report, decision_rows
     report = build_report(result)
+    decision_rows(result)             # predicted vs measured, per job
+
+The predictor study (Section III-E, Figs. 10 and 15) asks how far the
+scheduler's estimate is from the measured time.  Every launched job's
+row (:class:`~repro.core.dispatcher.JobRecord`) keeps the time its
+first launch was predicted to take; :func:`decision_rows` pairs it
+with the job's measured latency, and ``report.predictor`` summarises
+the relative errors.
 """
 
 from __future__ import annotations
@@ -39,8 +48,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..sim.trace import ExecutionTrace, Phase
+from .metrics import nearest_rank
 
-__all__ = ["DeviceReport", "RunReport", "build_report", "device_utilisation"]
+__all__ = [
+    "DeviceReport",
+    "RunReport",
+    "build_report",
+    "decision_rows",
+    "device_utilisation",
+]
 
 #: Gaps shorter than this fraction of the device's active span are
 #: measurement noise (event ordering, dispatch overhead), not bubbles.
@@ -184,7 +200,6 @@ def build_report(result) -> RunReport:
         )
         for device, starts, ends, phase_seconds in _device_columns(trace)
     }
-    decisions = getattr(result, "decisions", None)
     return RunReport(
         scheduler=result.scheduler_name,
         makespan=result.makespan,
@@ -192,9 +207,61 @@ def build_report(result) -> RunReport:
         mean_latency=result.mean_latency(),
         p99_latency=result.tail_latency(0.99),
         devices=devices,
-        predictor=decisions.error_summary() if decisions is not None else None,
+        predictor=_predictor_error(decision_rows(result)),
         degradation=_degradation_summary(result),
     )
+
+
+def decision_rows(result) -> list[dict]:
+    """Every launched job's dispatch decision and its outcome, in
+    first-launch order.
+
+    ``device``, ``arrays``, ``decided_at``, ``predicted_time`` and
+    ``queue_depth`` are the first launch's; ``actual_time`` is the
+    latency of the job's last attempt, or None for a job that failed.
+    ``relative_error`` is the signed ``(actual - predicted) / actual``
+    (negative: the predictor overestimated), when both sides are known.
+    """
+    failed = result.failed_jobs
+    rows = []
+    for row in result.rows.values():
+        actual = None if row.job_id in failed else row.latency
+        predicted = row.predicted_time
+        error = None
+        if predicted is not None and actual is not None and actual > 0:
+            error = (actual - predicted) / actual
+        rows.append(
+            {
+                "job_id": row.job_id,
+                "device": row.decided_device,
+                "arrays": row.decided_arrays,
+                "decided_at": row.decided_at,
+                "predicted_time": predicted,
+                "actual_time": actual,
+                "queue_depth": row.queue_depth,
+                "relative_error": error,
+            }
+        )
+    return rows
+
+
+def _predictor_error(decisions: list[dict]) -> dict | None:
+    """Relative-error statistics over the decisions with both a
+    prediction and a measured time; None when there is none (e.g.
+    hand-built policies predict nothing).  ``mean_signed_rel_error``
+    is the bias: positive means the predictor underestimates."""
+    signed = [d["relative_error"] for d in decisions if d["relative_error"] is not None]
+    if not signed:
+        return None
+    abs_errors = sorted(abs(error) for error in signed)
+    return {
+        "count": len(signed),
+        "mean_abs_rel_error": sum(abs_errors) / len(abs_errors),
+        "p50_abs_rel_error": nearest_rank(abs_errors, 0.5),
+        "p90_abs_rel_error": nearest_rank(abs_errors, 0.9),
+        "max_abs_rel_error": abs_errors[-1],
+        "mean_signed_rel_error": sum(signed) / len(signed),
+    }
 
 
 def device_utilisation(trace: ExecutionTrace) -> dict[str, float]:

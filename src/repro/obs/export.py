@@ -1,7 +1,7 @@
 """JSON / CSV exporters for dispatch runs.
 
 One :func:`result_payload` dict per run -- the derived report, the
-raw trace timeline, the decision log and the metrics snapshot --
+raw trace timeline, the decision rows and the metrics snapshot --
 written by :func:`write_results_json` (:func:`result_summary` is the
 same dict with the timeline and decision rows folded to row counts
 and digests, what cluster nodes ship back); :func:`write_trace_csv` dumps
@@ -33,7 +33,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from .analytics import build_report
+from .analytics import build_report, decision_rows
 
 __all__ = [
     "trace_rows",
@@ -65,7 +65,6 @@ def trace_rows(result, run: int = 0) -> list[dict]:
 
 def result_payload(result, run: int = 0) -> dict:
     """Everything one run produced, as JSON-ready data."""
-    decisions = getattr(result, "decisions", None)
     metrics = getattr(result, "metrics", None)
     return {
         "run": run,
@@ -73,9 +72,7 @@ def result_payload(result, run: int = 0) -> dict:
         "makespan": result.makespan,
         "report": build_report(result).as_dict(),
         "trace": trace_rows(result, run),
-        "decisions": (
-            [d.as_dict() for d in decisions] if decisions is not None else []
-        ),
+        "decisions": decision_rows(result),
         "metrics": (
             metrics.snapshot(result.makespan) if metrics is not None else None
         ),

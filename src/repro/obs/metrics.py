@@ -1,12 +1,12 @@
-"""Lightweight run metrics: counters, gauges, histograms.
+"""Lightweight run metrics: counters and gauges.
 
 The dispatcher feeds a :class:`MetricsRegistry` while a run executes:
-counters for dispatch/completion events, step-function gauges for
-per-device slots-in-use, arrays-in-use, queue depth and DDR4 pipe
-occupancy, and value histograms for latency-like samples.  Gauges keep
-their full (time, value) series, so time-weighted summaries -- the
-quantities behind the paper's utilisation-timeline figures -- can be
-derived after the run without any periodic sampling thread.
+counters for launches, completions and fault handling, and
+step-function gauges for per-device slots-in-use, arrays-in-use, queue
+depth and DDR4 pipe occupancy.  Gauges keep their full (time, value)
+series, so time-weighted summaries -- the quantities behind the
+paper's utilisation-timeline figures -- can be derived after the run
+without any periodic sampling thread.
 
 Everything is plain Python with no locking: the simulation is
 single-threaded and deterministic, and a registry belongs to exactly
@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "nearest_rank",
     "runtime_counter_inc",
@@ -131,36 +130,12 @@ class Gauge:
         return area / (end - start)
 
 
-@dataclass
-class Histogram:
-    """Plain value histogram with nearest-rank quantiles."""
-
-    name: str
-    values: list[float] = field(default_factory=list)
-
-    def observe(self, value: float) -> None:
-        self.values.append(float(value))
-
-    @property
-    def count(self) -> int:
-        return len(self.values)
-
-    def mean(self) -> float:
-        return sum(self.values) / len(self.values) if self.values else 0.0
-
-    def quantile(self, q: float) -> float:
-        if not self.values:
-            return 0.0
-        return nearest_rank(sorted(self.values), q)
-
-
 class MetricsRegistry:
-    """Namespace of counters, gauges and histograms for one run."""
+    """Namespace of counters and gauges for one run."""
 
     def __init__(self) -> None:
         self.counters: dict[str, Counter] = {}
         self.gauges: dict[str, Gauge] = {}
-        self.histograms: dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
         if name not in self.counters:
@@ -172,13 +147,11 @@ class MetricsRegistry:
             self.gauges[name] = Gauge(name)
         return self.gauges[name]
 
-    def histogram(self, name: str) -> Histogram:
-        if name not in self.histograms:
-            self.histograms[name] = Histogram(name)
-        return self.histograms[name]
-
     def snapshot(self, horizon: float | None = None) -> dict:
-        """JSON-ready summary of every metric."""
+        """JSON-ready summary of every metric.
+
+        ``histograms`` is always empty: the snapshot's shape is part of
+        the pinned exports."""
         return {
             "counters": {name: c.value for name, c in sorted(self.counters.items())},
             "gauges": {
@@ -190,15 +163,7 @@ class MetricsRegistry:
                 }
                 for name, g in sorted(self.gauges.items())
             },
-            "histograms": {
-                name: {
-                    "count": h.count,
-                    "mean": h.mean(),
-                    "p50": h.quantile(0.5),
-                    "p99": h.quantile(0.99),
-                }
-                for name, h in sorted(self.histograms.items())
-            },
+            "histograms": {},
         }
 
 

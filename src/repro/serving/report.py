@@ -28,7 +28,13 @@ from ..obs.analytics import device_utilisation
 from ..obs.metrics import nearest_rank
 from .tenants import OpenLoop
 
-__all__ = ["TenantReport", "ServingReport", "build_serving_report", "tenant_report"]
+__all__ = [
+    "TenantReport",
+    "ServingReport",
+    "build_serving_report",
+    "completed_sojourns",
+    "tenant_report",
+]
 
 
 @dataclass(frozen=True)
@@ -259,6 +265,24 @@ def tenant_report(
     )
 
 
+def completed_sojourns(
+    result: DispatchResult, open_loop: OpenLoop
+) -> dict[str, tuple[str, float]]:
+    """``job_id -> (tenant, sojourn)`` of every completed job that
+    arrived through ``open_loop``, in the order of ``result.records``.
+
+    Sojourn is ``finished_at - arrival_time``; jobs injected by the
+    *closed* part of a mixed run (no arrival record) are left out.
+    """
+    arrival_times, job_tenants = open_loop.arrival_times, open_loop.job_tenants
+    sojourns = {}
+    for job_id, record in result.records.items():
+        arrived = arrival_times.get(job_id)
+        if arrived is not None:
+            sojourns[job_id] = (job_tenants[job_id], record.finished_at - arrived)
+    return sojourns
+
+
 def build_serving_report(
     result: DispatchResult,
     open_loop: OpenLoop,
@@ -268,9 +292,8 @@ def build_serving_report(
 ) -> ServingReport:
     """Join dispatch records with arrival bookkeeping.
 
-    Sojourn of a completed job is ``finished_at - arrival_time``; jobs
-    injected by the *closed* part of a mixed run (no arrival record)
-    do not contribute to tenant sojourns.  A tenant with its own
+    Each tenant's sojourns come from :func:`completed_sojourns`.  A
+    tenant with its own
     ``slo_s`` is judged against that instead of the run-level SLO.
     ``predictor`` (when it carries lifecycle ``counters``) and
     ``admission`` (the run's controller, if any) land in the report's
@@ -279,12 +302,8 @@ def build_serving_report(
     if slo_s <= 0:
         raise ValueError(f"slo must be positive, got {slo_s}")
     sojourns: dict[str, list[float]] = {t.name: [] for t in open_loop.tenants}
-    for job_id, record in result.records.items():
-        arrived = open_loop.arrival_times.get(job_id)
-        if arrived is None:
-            continue
-        tenant = open_loop.job_tenants[job_id]
-        sojourns[tenant].append(record.finished_at - arrived)
+    for tenant, sojourn in completed_sojourns(result, open_loop).values():
+        sojourns[tenant].append(sojourn)
 
     tenant_slo = {t.name: t.slo_s for t in open_loop.tenants}
     tenants = {

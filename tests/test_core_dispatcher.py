@@ -11,6 +11,7 @@ from repro.core import (
 )
 from repro.core.scheduler.base import Dispatch, DispatchPolicy, ResourceView
 from repro.memories import ArrayGeometry, MemoryKind, MemorySpec, ScratchpadAllocator
+from repro.obs import decision_rows
 from repro.sim import DDR4Config, EnergyCategory, Phase
 
 
@@ -331,8 +332,9 @@ class TestObservability:
         assert slots.max_value <= 2  # never above the slot limit
         assert slots.value == 0  # everything drained by the end
         assert result.metrics.gauges["ddr4.active_transfers"].value == 0
-        assert len(result.decisions) == 3
-        assert all(d.actual_time is not None for d in result.decisions)
+        decisions = decision_rows(result)
+        assert len(decisions) == 3
+        assert all(d["actual_time"] is not None for d in decisions)
 
     def test_report_from_real_run(self):
         system = make_system(spec())

@@ -106,6 +106,22 @@ class TestUnusedChecker:
         assert findings == ["src/repro/mod.py:5: orphan"]
         assert stale == ["mod.py::gone"]
 
+    def test_bare_name_does_not_reach_a_method(self, tmp_path, monkeypatch):
+        """A local variable spelled like a method is not a call of it."""
+        check_unused = _load_tool("check_unused")
+        package = tmp_path / "repro"
+        package.mkdir()
+        (package / "mod.py").write_text(
+            "class Shape:\n"
+            "    def depth(self):\n        return 1\n\n"
+            "    def area(self):\n        return 2\n\n\n"
+            "def size(shape):\n    depth = 3\n    return depth + shape.area()\n\n\n"
+            "SIZE = size(Shape())\n"
+        )
+        monkeypatch.setattr(check_unused, "PACKAGE", package)
+        monkeypatch.setattr(check_unused, "ALLOWED", {})
+        assert check_unused.find_unused() == (["src/repro/mod.py:2: Shape.depth"], [])
+
 
 class TestCLIDocs:
     def _subcommands(self) -> set[str]:

@@ -291,6 +291,31 @@ class TestDispatcherDegradation:
         assert set(result.failed_jobs) == {"a", "b"}
         assert not result.records
         assert result.metrics.counter("jobs.failed").value == 2
+        # Both jobs launched before the failure, so each keeps its
+        # decision row, with no measured time.
+        payload = result_payload(result)
+        assert payload["decisions"] == [
+            {
+                "job_id": job_id,
+                "device": "sram",
+                "arrays": 4,
+                "decided_at": 0.0,
+                "predicted_time": None,
+                "actual_time": None,
+                "queue_depth": 0,
+                "relative_error": None,
+            }
+            for job_id in ("a", "b")
+        ]
+        assert payload["metrics"]["counters"] == {
+            "faults.injected": 1.0,
+            "faults.sram.fail": 1.0,
+            "jobs.dispatched": 2.0,
+            "jobs.failed": 2.0,
+            "sim.events": 14.0,
+            "sram.jobs": 2.0,
+        }
+        assert payload["report"]["predictor"] is None
 
     def test_fail_migrates_to_survivor(self):
         jobs = [job(f"j{i}", kinds=TWO_DEVICE) for i in range(3)]

@@ -9,7 +9,9 @@ cluster node summaries); the learning-predictor, noisy-predictor and
 estimate-order cases were captured before knee searches ran in
 cohorts and admission sized arrivals ahead; the EWT and global
 overload cases before the admission planner kept its table across
-cohorts.  Every one of those
+cohorts; the faulted-serve decision rows (jobs that relaunch on
+another device) before the decision log became a fold over the
+dispatcher's per-job rows.  Every one of those
 changes is meant to keep the simulated output byte-identical, and
 these cases hold them to it.
 
@@ -32,6 +34,7 @@ from repro.core.predictor import NoisyPredictor, OnlinePredictor, OraclePredicto
 from repro.faults import FaultPlan
 from repro.harness.config import gnn_system
 from repro.harness.replay import ReplayConfig, resume_replay, run_replay
+from repro.obs.export import result_payload
 from repro.serving import PoissonArrivals, ServingRuntime, Tenant
 
 GOLDEN = Path(__file__).parent / "golden" / "online.json"
@@ -65,19 +68,22 @@ def _serve_payload(served) -> dict:
     }
 
 
-def _serve(
+def _serve_run(
     scheduler: str, faults: FaultPlan | None = None, arrivals=None, predictor=None
-) -> dict:
+):
     runtime = ServingRuntime(
         gnn_system(), scheduler=scheduler, predictor=predictor, max_backlog=32
     )
-    served = runtime.serve(
+    return runtime.serve(
         arrivals or _arrivals(seed=11),
         tenants=_tenants(),
         slo_s=1e-4,
         faults=faults,
     )
-    return _serve_payload(served)
+
+
+def _serve(scheduler: str, **kwargs) -> dict:
+    return _serve_payload(_serve_run(scheduler, **kwargs))
 
 
 class _RecordingOnlinePredictor(OnlinePredictor):
@@ -105,9 +111,20 @@ def _serve_overload(scheduler: str) -> dict:
     return _serve(scheduler, arrivals=_arrivals(seed=13, rate=1e6, horizon=0.001))
 
 
+def _serve_faults_plan() -> FaultPlan:
+    return FaultPlan.random(seed=20, devices=gnn_system().kinds, horizon_s=0.003)
+
+
 def _serve_faults(scheduler: str) -> dict:
-    faults = FaultPlan.random(seed=20, devices=gnn_system().kinds, horizon_s=0.003)
-    return _serve(scheduler, faults=faults)
+    return _serve(scheduler, faults=_serve_faults_plan())
+
+
+def _serve_faults_decisions(scheduler: str) -> list:
+    """The decision rows of a faulted serve, where jobs relaunch on
+    another device: each row keeps its first launch's device, arrays
+    and time, and the final attempt's latency."""
+    served = _serve_run(scheduler, faults=_serve_faults_plan())
+    return result_payload(served.result)["decisions"]
 
 
 def _cluster_run(shards: int):
@@ -164,6 +181,10 @@ def _cases(tmp_dir: Path) -> dict:
         cases[f"serve-overload-{name}"] = lambda n=name: _serve_overload(n)
     cases["serve-faults-adaptive"] = lambda: _serve_faults("adaptive")
     cases["serve-faults-ewt"] = lambda: _serve_faults("ewt")
+    for name in SCHEDULERS:
+        cases[f"serve-faults-{name}-decisions"] = (
+            lambda n=name: _serve_faults_decisions(n)
+        )
     # A learning predictor (it has an ``on_completion`` hook) and a
     # consistently wrong one that hands the planner scaled profile curves.
     cases["serve-online"] = lambda: _serve("adaptive", predictor=OnlinePredictor())

@@ -1,4 +1,4 @@
-"""Observability layer: metrics, decision log, trace analytics, export."""
+"""Observability layer: metrics, decision rows, trace analytics, export."""
 
 import json
 
@@ -7,20 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import Dispatcher, DispatchError
+from repro.core.dispatcher import JobRecord
+from repro.core.scheduler.base import Dispatch
+from repro.memories import MemoryKind
 from repro.obs import (
     Counter,
-    DecisionLog,
     Gauge,
-    Histogram,
     MetricsRegistry,
     RunReport,
     build_report,
+    decision_rows,
     nearest_rank,
     result_payload,
     write_results_json,
     write_trace_csv,
 )
 from repro.sim.trace import ExecutionTrace, Phase
+from tests.test_core_dispatcher import StaticPolicy, job, make_system, spec
 
 
 class TestNearestRank:
@@ -93,75 +97,80 @@ class TestGauge:
         assert gauge.time_weighted_mean() == 0.0
 
 
-class TestHistogram:
-    def test_stats(self):
-        hist = Histogram("h")
-        for v in [3.0, 1.0, 2.0]:
-            hist.observe(v)
-        assert hist.count == 3
-        assert hist.mean() == pytest.approx(2.0)
-        assert hist.quantile(0.5) == 2.0
-        assert hist.quantile(1.0) == 3.0
-
-
 class TestMetricsRegistry:
     def test_lazy_creation_and_reuse(self):
         registry = MetricsRegistry()
         assert registry.counter("a") is registry.counter("a")
         assert registry.gauge("b") is registry.gauge("b")
-        assert registry.histogram("c") is registry.histogram("c")
 
     def test_snapshot_shape(self):
         registry = MetricsRegistry()
         registry.counter("jobs").inc(3)
         registry.gauge("depth").set(0.0, 1)
         registry.gauge("depth").set(1.0, 0)
-        registry.histogram("lat").observe(0.5)
         snap = registry.snapshot(horizon=2.0)
         assert snap["counters"]["jobs"] == 3
         assert snap["gauges"]["depth"]["samples"] == 2
         assert snap["gauges"]["depth"]["time_weighted_mean"] == pytest.approx(0.5)
-        assert snap["histograms"]["lat"]["count"] == 1
+        assert snap["histograms"] == {}
         json.dumps(snap)  # must be JSON-serialisable
 
 
+def _row(job_id, latency, predicted=None) -> JobRecord:
+    return JobRecord(
+        job_id=job_id,
+        kind=MemoryKind.SRAM,
+        arrays=4,
+        dispatched_at=0.0,
+        finished_at=latency,
+        decided_device="sram",
+        decided_arrays=4,
+        predicted_time=predicted,
+    )
+
+
+def _rows_result(*rows, failed=()):
+    """A fake result holding ``rows``; the ``failed`` job ids failed."""
+    result = _FakeResult(ExecutionTrace())
+    result.rows = {row.job_id: row for row in rows}
+    result.failed_jobs = {job_id: "device failed" for job_id in failed}
+    return result
+
+
 class TestDecisionLog:
+    """The decision rows folded from the dispatcher's per-job rows."""
+
     def test_record_and_complete(self):
-        log = DecisionLog()
-        log.record("j1", "sram", 4, 0.0, predicted_time=1.0, queue_depth=3)
-        log.complete("j1", 2.0)
-        (decision,) = log
-        assert decision.resolved
+        (decision,) = decision_rows(_rows_result(_row("j1", 2.0, predicted=1.0)))
+        assert decision["device"] == "sram"
+        assert decision["actual_time"] == 2.0
         # Signed (actual - predicted) / actual: underestimate is positive.
-        assert decision.relative_error == pytest.approx(0.5)
+        assert decision["relative_error"] == pytest.approx(0.5)
 
     def test_duplicate_record_rejected(self):
-        log = DecisionLog()
-        log.record("j1", "sram", 4, 0.0)
-        with pytest.raises(ValueError):
-            log.record("j1", "sram", 4, 0.0)
-
-    def test_unknown_completion_rejected(self):
-        with pytest.raises(KeyError):
-            DecisionLog().complete("ghost", 1.0)
+        # A second launch of a job without a fault plan would write a
+        # second row for it: the dispatcher refuses.
+        dispatch = Dispatch(job=job("j1"), kind=MemoryKind.SRAM, arrays=4)
+        with pytest.raises(DispatchError, match="dispatched twice"):
+            Dispatcher(make_system(spec())).run(StaticPolicy([dispatch, dispatch]))
 
     def test_error_summary(self):
-        log = DecisionLog()
-        log.record("a", "sram", 4, 0.0, predicted_time=1.0)
-        log.record("b", "sram", 4, 0.0, predicted_time=4.0)
-        log.complete("a", 2.0)  # |rel err| 0.5 (underestimate)
-        log.complete("b", 2.0)  # |rel err| 1.0 (overestimate)
-        summary = log.error_summary()
+        result = _rows_result(
+            _row("a", 2.0, predicted=1.0),  # |rel err| 0.5 (underestimate)
+            _row("b", 2.0, predicted=4.0),  # |rel err| 1.0 (overestimate)
+            _row("c", 0.0, predicted=1.0),  # failed: no measured time
+            failed=("c",),
+        )
+        assert decision_rows(result)[2]["actual_time"] is None
+        summary = build_report(result).predictor
         assert summary["count"] == 2
         assert summary["mean_abs_rel_error"] == pytest.approx(0.75)
         assert summary["max_abs_rel_error"] == pytest.approx(1.0)
         assert summary["mean_signed_rel_error"] == pytest.approx(-0.25)
 
     def test_no_predictions_yields_none(self):
-        log = DecisionLog()
-        log.record("a", "sram", 4, 0.0)  # no predicted_time
-        log.complete("a", 1.0)
-        assert log.error_summary() is None
+        result = _rows_result(_row("a", 1.0))  # no predicted_time
+        assert build_report(result).predictor is None
 
 
 def make_trace() -> ExecutionTrace:
@@ -335,9 +344,10 @@ class _FakeResult:
     def __init__(self, trace):
         self.trace = trace
         self.records = {}
+        self.rows = {}
+        self.failed_jobs = {}
         self.scheduler_name = "fake"
         self.makespan = trace.makespan
-        self.decisions = None
         self.metrics = None
 
     def mean_latency(self):

@@ -5,9 +5,12 @@ in ``src/repro`` apart from its own definition.
 The check is static and by name, in the spirit of ``vulture``: every
 identifier a module reads (a bare name, an attribute, or a string
 constant that is a valid identifier, as in ``getattr`` tables) counts
-as a reference to every definition of that name.  Three things do not
-count: the definition's own body (recursion), an ``import`` (a
-re-export is not a use), and the strings of an ``__all__`` list.
+as a reference to every definition of that name -- except that a
+method is only reached through an attribute or a string, so a bare
+name (a local variable, a function of the same name) does not count
+for it.  Three things do not count: the definition's own body
+(recursion), an ``import`` (a re-export is not a use), and the
+strings of an ``__all__`` list.
 Dunder methods are exempt, since Python calls them implicitly.
 
 A definition that only the outside of the package reaches -- the
@@ -46,6 +49,7 @@ ALLOWED: dict[str, str] = {
     # Reached from bench/, examples/ or the benchmarks/ figure checks.
     "harness/reporting.py::Report.to_json_dict": _BENCH,
     "core/job.py::Job.best_memory": _EXAMPLE,
+    "isa/dfg.py::DFG.depth": _EXAMPLE,
     "isa/compiler.py::compile_for_all": _EXAMPLE,
     "sim/energy.py::EnergyLedger.by_category": _EXAMPLE,
     "harness/reporting.py::Report.column": _FIGURES,
@@ -87,13 +91,15 @@ def _is_dunder(name: str) -> bool:
 
 
 def _definitions(tree: ast.AST):
-    """Yield ``(qualname, node)`` for every def and class in ``tree``."""
+    """Yield ``(qualname, node, is_method)`` for every def and class in
+    ``tree``; ``is_method`` marks a def directly inside a class."""
 
     def walk(node, prefix):
+        in_class = isinstance(node, ast.ClassDef)
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 qualname = prefix + child.name
-                yield qualname, child
+                yield qualname, child, in_class and not isinstance(child, ast.ClassDef)
                 yield from walk(child, qualname + ".")
             else:
                 yield from walk(child, prefix)
@@ -112,22 +118,23 @@ def _all_strings(tree: ast.AST) -> set[int]:
     return ids
 
 
-def _references(tree: ast.AST) -> list[tuple[str, int]]:
-    """``(name, line)`` of every identifier the module reads."""
+def _references(tree: ast.AST) -> list[tuple[str, int, bool]]:
+    """``(name, line, bare)`` of every identifier the module reads;
+    ``bare`` marks a bare name (not an attribute or a string)."""
     skip = _all_strings(tree)
-    refs: list[tuple[str, int]] = []
+    refs: list[tuple[str, int, bool]] = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            refs.append((node.id, node.lineno))
+            refs.append((node.id, node.lineno, True))
         elif isinstance(node, ast.Attribute):
-            refs.append((node.attr, node.lineno))
+            refs.append((node.attr, node.lineno, False))
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
             and node.value.isidentifier()
             and id(node) not in skip
         ):
-            refs.append((node.value, node.lineno))
+            refs.append((node.value, node.lineno, False))
     return refs
 
 
@@ -138,23 +145,24 @@ def find_unused() -> tuple[list[str], list[str]]:
         path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for path in sorted(PACKAGE.rglob("*.py"))
     }
-    # name -> [(path, line)] of every reference in the package.
-    uses: dict[str, list[tuple[Path, int]]] = {}
+    # name -> [(path, line, bare)] of every reference in the package.
+    uses: dict[str, list[tuple[Path, int, bool]]] = {}
     for path, tree in trees.items():
-        for name, line in _references(tree):
-            uses.setdefault(name, []).append((path, line))
+        for name, line, bare in _references(tree):
+            uses.setdefault(name, []).append((path, line, bare))
 
     unused: dict[str, str] = {}
     for path, tree in trees.items():
         module = path.relative_to(PACKAGE).as_posix()
-        for qualname, node in _definitions(tree):
+        for qualname, node, is_method in _definitions(tree):
             if _is_dunder(node.name):
                 continue
             start = min([d.lineno for d in node.decorator_list] + [node.lineno])
             outside = [
                 (p, line)
-                for p, line in uses.get(node.name, ())
-                if p != path or not start <= line <= node.end_lineno
+                for p, line, bare in uses.get(node.name, ())
+                if not (is_method and bare)
+                and (p != path or not start <= line <= node.end_lineno)
             ]
             if not outside:
                 key = f"{module}::{qualname}"
