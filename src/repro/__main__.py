@@ -50,6 +50,16 @@ def _fault_plan(args: argparse.Namespace):
     return _read(FLAGS["faults"].flag, FaultPlan.load, args.faults)
 
 
+def _write_json(path: str, payload) -> None:
+    """Write a command's ``--json`` file (sorted keys, 2-space indent)."""
+    from pathlib import Path
+
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    print(f"wrote {path}")
+
+
 def _registry() -> dict:
     from .harness.experiments import full_registry
 
@@ -186,16 +196,14 @@ def cmd_trace(args: argparse.Namespace) -> int:
         runtime.submit_many(combo_jobs(args.target, DEFAULT_SPECS))
         results = [runtime.run(label=f"{args.scheduler}/{args.target}")]
     elif args.target in DATASETS:
-        from .core.predictor import OraclePredictor
-        from .core.runtime import _SCHEDULERS
+        from .core.runtime import make_scheduler
         from .harness.gnn import build_workload, run_workload
 
         if args.batches < 1:
             print("--batches must be at least 1", file=sys.stderr)
             return 2
         workload = build_workload(args.target, num_batches=args.batches)
-        scheduler = _SCHEDULERS[args.scheduler](OraclePredictor())
-        summary = run_workload(workload, scheduler)
+        summary = run_workload(workload, make_scheduler(args.scheduler))
         results = summary.results
     else:
         known = sorted(COMBOS) + sorted(DATASETS)
@@ -347,14 +355,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     # lifecycle counters now -- in both the text and the JSON forms.
     print(serving.report)
     if args.json:
-        from pathlib import Path
-
-        path = Path(args.json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(serving.report.as_dict(), indent=2, sort_keys=True)
-        )
-        print(f"wrote {args.json}")
+        _write_json(args.json, serving.report.as_dict())
     return 0
 
 
@@ -449,12 +450,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             f"({stats.migration_bytes / 1e6:.1f} MB) off dying nodes"
         )
     if args.json:
-        from pathlib import Path
-
-        path = Path(args.json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(result.as_dict(), indent=2, sort_keys=True))
-        print(f"wrote {args.json}")
+        _write_json(args.json, result.as_dict())
     return 0
 
 
@@ -518,12 +514,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         f"peak scale {totals['peak_scale']}"
     )
     if args.json:
-        from pathlib import Path
-
-        path = Path(args.json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True))
-        print(f"wrote {args.json}")
+        _write_json(args.json, payload)
     return 0
 
 
@@ -668,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
         "arrivals, between-window autoscaling, exact checkpoint/resume",
     )
     # The CLI replays seed 20 by default (the replay-horizon trace).
-    add_run_flags(replay, ReplayConfig(seed=20), "placement", "json")
+    add_run_flags(replay, ReplayConfig(seed=20), "placement", "json", "max_scale")
     replay.add_argument(
         "--windows", type=int, default=6, metavar="N",
         help="replay windows to simulate (default: 6)",
@@ -682,11 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--autoscale", action="store_true",
         help="resize the pool between windows from the finished "
         "window's utilisation / queue-depth / shed signals",
-    )
-    replay.add_argument(
-        "--max-scale", type=int, default=4, metavar="N",
-        help="autoscaler ceiling as a multiple of the base pool "
-        "(default: 4)",
     )
     replay.add_argument(
         "--nodes", type=int, default=0, metavar="N",

@@ -90,34 +90,12 @@ def resolve_home(tenant: str, n_nodes: int, alive: set[int]) -> int | None:
     return min(alive)
 
 
-def estimate_service_time(job: Job, system: MLIMPSystem | None = None) -> float:
+def estimate_service_time(job: Job) -> float:
     """Cheap service-time proxy for load bookkeeping: the best
-    unit-allocation total time across the job's memory profiles.
-
-    With a ``system``, the estimate is **capacity-aware**: only
-    device kinds the node actually has, with at least each profile's
-    unit allocation of arrays (``total_time`` is undefined below the
-    unit -- a smaller node simply cannot run that profile), are
-    candidates.  A weak node that lost its fastest option honestly
-    estimates slower service; a node that can serve nothing falls
-    back to the reference estimate.  Without a ``system`` the
-    reference (unit-allocation minimum over all profiles) is
-    returned, byte-identical to the historical behaviour.
-    """
-    if system is None:
-        return min(
-            profile.total_time(profile.unit_arrays)
-            for profile in job.profiles.values()
-        )
-    best = float("inf")
-    for kind, profile in job.profiles.items():
-        spec = system.specs.get(kind)
-        if spec is None or spec.num_arrays < profile.unit_arrays:
-            continue
-        best = min(best, profile.total_time(profile.unit_arrays))
-    if best == float("inf"):  # no runnable profile: reference estimate
-        return estimate_service_time(job)
-    return best
+    unit-allocation total time across the job's memory profiles."""
+    return min(
+        profile.total_time(profile.unit_arrays) for profile in job.profiles.values()
+    )
 
 
 def node_capacity(system: MLIMPSystem) -> float:
@@ -219,6 +197,11 @@ class LeastLoadedPlacement(PlacementPolicy):
         return chosen
 
 
+#: The range :class:`FeedbackPlacement` clamps each node weight to.
+MIN_WEIGHT = 0.25
+MAX_WEIGHT = 4.0
+
+
 class FeedbackPlacement(LeastLoadedPlacement):
     """Least-loaded fluid core, re-weighted by measured outcomes.
 
@@ -242,22 +225,11 @@ class FeedbackPlacement(LeastLoadedPlacement):
     name = "feedback"
 
     def __init__(
-        self,
-        weights: Sequence[float] | None = None,
-        gain: float = 0.5,
-        min_weight: float = 0.25,
-        max_weight: float = 4.0,
+        self, weights: Sequence[float] | None = None, gain: float = 0.5
     ) -> None:
         if gain < 0:
             raise ValueError(f"gain must be non-negative, got {gain}")
-        if not 0 < min_weight <= 1.0 <= max_weight:
-            raise ValueError(
-                f"need 0 < min_weight <= 1 <= max_weight, got "
-                f"{min_weight} / {max_weight}"
-            )
         self.gain = gain
-        self.min_weight = min_weight
-        self.max_weight = max_weight
         self._weights = [float(w) for w in weights] if weights else None
 
     def reset(
@@ -304,9 +276,7 @@ class FeedbackPlacement(LeastLoadedPlacement):
             if score is None:
                 continue
             biased = self._weights[i] * (1.0 + self.gain * (score - mean))
-            self._weights[i] = min(
-                self.max_weight, max(self.min_weight, biased)
-            )
+            self._weights[i] = min(MAX_WEIGHT, max(MIN_WEIGHT, biased))
 
 
 class HashPlacement(PlacementPolicy):

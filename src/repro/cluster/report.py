@@ -192,7 +192,6 @@ def build_cluster_report(
             name,
             sojourns[name],
             slo_s,
-            tenant.slo_s,
             offered=offered + lost,
             admitted=admitted,
             shed_queue_full=queue_full,

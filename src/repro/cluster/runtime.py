@@ -53,7 +53,7 @@ import heapq
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from ..core.runtime import _SCHEDULERS
+from ..core.runtime import make_scheduler
 from ..faults.plan import FaultPlan
 from ..obs.export import result_summary
 from ..serving.arrivals import ArrivalProcess, TimelineArrivals
@@ -233,11 +233,7 @@ class ClusterRuntime:
     max_backlog: int = 32
 
     def __post_init__(self) -> None:
-        if self.scheduler not in _SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r}; "
-                f"choose from {sorted(_SCHEDULERS)}"
-            )
+        make_scheduler(self.scheduler)  # an unknown name fails here
         if (
             isinstance(self.placement, str)
             and self.placement not in PLACEMENTS

@@ -26,7 +26,6 @@ from .scheduler import (
     Dispatch,
     DispatchPolicy,
     EWTScheduler,
-    ExactScheduler,
     GlobalScheduler,
     JohnsonScheduler,
     LJFScheduler,
@@ -62,7 +61,6 @@ __all__ = [
     "Dispatch",
     "DispatchPolicy",
     "EWTScheduler",
-    "ExactScheduler",
     "GlobalScheduler",
     "JohnsonScheduler",
     "LJFScheduler",

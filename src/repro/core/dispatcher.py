@@ -45,7 +45,13 @@ from ..sim.engine import Simulator
 from ..sim.mainmem import DDR4Config, SharedBandwidthPipe
 from ..sim.trace import ExecutionTrace, Phase
 from .job import Job
-from .scheduler.base import Dispatch, DispatchPolicy, MLIMPSystem, ResourceView
+from .scheduler.base import (
+    DISPATCH_OVERHEAD_S,
+    Dispatch,
+    DispatchPolicy,
+    MLIMPSystem,
+    ResourceView,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - serving imports core, not vice versa
     from ..serving.tenants import OpenLoop
@@ -181,11 +187,6 @@ class _Flight:
     allocation: Allocation | None = None
 
 
-#: Runtime cost of launching one in-memory job (scheduler decision +
-#: firmware kernel launch; "similar to the kernel launch for CUDA
-#: runtime", paper III-A).
-DEFAULT_DISPATCH_OVERHEAD_S = 2e-6
-
 # Enum members the phase machine reads on every transition.
 _DRAM = MemoryKind.DRAM
 _FILL, _REPLICATE, _COMPUTE = Phase.FILL, Phase.REPLICATE, Phase.COMPUTE
@@ -197,17 +198,9 @@ _COMPUTE_ENERGY = EnergyCategory.COMPUTE
 class Dispatcher:
     """Runs one batch of jobs under a dispatch policy."""
 
-    def __init__(
-        self,
-        system: MLIMPSystem,
-        ddr4: DDR4Config | None = None,
-        dispatch_overhead_s: float = DEFAULT_DISPATCH_OVERHEAD_S,
-    ) -> None:
+    def __init__(self, system: MLIMPSystem, ddr4: DDR4Config | None = None) -> None:
         self.system = system
         self.ddr4 = ddr4 or DDR4Config()
-        if dispatch_overhead_s < 0:
-            raise ValueError("dispatch overhead must be non-negative")
-        self.dispatch_overhead_s = dispatch_overhead_s
 
     # ------------------------------------------------------------------
     def run(
@@ -276,7 +269,6 @@ class _Run:
     ) -> None:
         system = dispatcher.system
         self.system = system
-        self.dispatch_overhead_s = dispatcher.dispatch_overhead_s
         self.pipe_bandwidth_bps = dispatcher.ddr4.total_bandwidth_bps
         self.policy = policy
         self.label = label
@@ -906,7 +898,7 @@ class _Run:
         col.attempt[row] = attempt
         col.fill_bytes[row] = float(bytes_total)
         col.state[row] = PHASE_BEGIN_FILL
-        sim.after_row(self.dispatch_overhead_s, row)
+        sim.after_row(DISPATCH_OVERHEAD_S, row)
 
     def pump(self) -> None:
         policy = self.policy

@@ -31,7 +31,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -452,6 +451,18 @@ def default_online_features(job: Job, kind: MemoryKind) -> np.ndarray:
     return profile_features(job, kind)
 
 
+#: The online model's shape and training batch, the per-memory replay
+#: buffer's capacity, and the drift bound (rolling relative RMSE)
+#: above which :class:`OnlinePredictor` answers from the oracle.
+ONLINE_HIDDEN = (16, 8)
+ONLINE_BATCH_SIZE = 16
+REPLAY_CAPACITY = 512
+DRIFT_BOUND = 0.5
+
+#: What :class:`OnlinePredictor` answers with while untrained or drifting.
+_FALLBACK = OraclePredictor()
+
+
 @dataclass
 class OnlinePredictor(PerformancePredictor):
     """Self-training predictor fed by dispatcher completion feedback.
@@ -463,9 +474,9 @@ class OnlinePredictor(PerformancePredictor):
     ``retrain_every`` completions the per-kind model retrains via
     :meth:`MLPRegressor.partial_fit` (first time: ``fit``); a
     :class:`~repro.ml.DriftTracker` scores rolling relative-RMSE of
-    predictions against actuals and, while it exceeds ``drift_bound``
-    (or before the first training round), :meth:`estimate` falls back
-    to the analytical ``fallback`` predictor -- counted, never silent.
+    predictions against actuals and, while it exceeds
+    :data:`DRIFT_BOUND` (or before the first training round),
+    :meth:`estimate` falls back to the oracle -- counted, never silent.
 
     Counters (``predictor.observations``, ``predictor.retrains``,
     ``predictor.fallback`` + ``.untrained``/``.drift`` causes,
@@ -474,19 +485,12 @@ class OnlinePredictor(PerformancePredictor):
     completion hook, so they ride along in the obs export.
     """
 
-    fallback: PerformancePredictor = field(default_factory=OraclePredictor)
-    betas: dict[str, float] = field(default_factory=dict)
-    hidden: tuple[int, ...] = (16, 8)
     train_epochs: int = 80
     update_epochs: int = 25
-    batch_size: int = 16
     retrain_every: int = 32
     min_samples: int = 16
-    drift_bound: float = 0.5
     drift_window: int = 64
-    capacity: int = 512
     seed: int = 0
-    feature_fn: Callable[[Job, MemoryKind], np.ndarray] = default_online_features
 
     def __post_init__(self) -> None:
         if self.retrain_every < 1:
@@ -511,7 +515,7 @@ class OnlinePredictor(PerformancePredictor):
 
     def _buffer_for(self, kind: MemoryKind) -> ReplayBuffer:
         if kind not in self._buffers:
-            self._buffers[kind] = ReplayBuffer(self.capacity)
+            self._buffers[kind] = ReplayBuffer(REPLAY_CAPACITY)
         return self._buffers[kind]
 
     def _drift_for(self, kind: MemoryKind) -> DriftTracker:
@@ -533,18 +537,14 @@ class OnlinePredictor(PerformancePredictor):
         if model is None:
             self._count("predictor.fallback")
             self._count("predictor.fallback.untrained")
-            return self.fallback.estimate(job, kind)
-        if self._drift_for(kind).drifting(self.drift_bound):
+            return _FALLBACK.estimate(job, kind)
+        if self._drift_for(kind).drifting(DRIFT_BOUND):
             self._count("predictor.fallback")
             self._count("predictor.fallback.drift")
-            return self.fallback.estimate(job, kind)
-        t_unit = self._predict_unit(model, kind, self.feature_fn(job, kind))
+            return _FALLBACK.estimate(job, kind)
+        t_unit = self._predict_unit(model, kind, default_online_features(job, kind))
         self._count("predictor.estimates")
-        return estimate_from_profile(
-            job.profile(kind),
-            t_compute_unit=t_unit,
-            beta=self.betas.get(job.kernel, DEFAULT_BETA),
-        )
+        return estimate_from_profile(job.profile(kind), t_compute_unit=t_unit)
 
     # ------------------------------------------------------------------
     def on_completion(self, job: Job, kind: MemoryKind, now: float, metrics=None) -> None:
@@ -560,7 +560,7 @@ class OnlinePredictor(PerformancePredictor):
             return
         if actual <= 0.0:
             return
-        x = self.feature_fn(job, kind)
+        x = default_online_features(job, kind)
         self._buffer_for(kind).add(x, math.log(actual))
         self._count("predictor.observations")
 
@@ -583,9 +583,9 @@ class OnlinePredictor(PerformancePredictor):
         model = self._models.get(kind)
         if model is None:
             model = MLPRegressor(
-                hidden=self.hidden,
+                hidden=ONLINE_HIDDEN,
                 epochs=self.train_epochs,
-                batch_size=self.batch_size,
+                batch_size=ONLINE_BATCH_SIZE,
                 seed=self.seed + list(MemoryKind).index(kind),
             ).fit(X, log_y)
             self._models[kind] = model

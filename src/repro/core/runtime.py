@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..faults.plan import FaultPlan
-from ..sim.mainmem import DDR4Config
 from .dispatcher import Dispatcher, DispatchResult
 from .job import Job
 from .predictor import OraclePredictor, PerformancePredictor
@@ -33,7 +32,7 @@ from .scheduler import (
     Scheduler,
 )
 
-__all__ = ["MLIMPRuntime"]
+__all__ = ["MLIMPRuntime", "make_scheduler"]
 
 _SCHEDULERS = {
     "ljf": LJFScheduler,
@@ -43,6 +42,22 @@ _SCHEDULERS = {
 }
 
 
+def make_scheduler(
+    scheduler: str | Scheduler, predictor: PerformancePredictor | None = None
+) -> Scheduler:
+    """The scheduler a name selects, planning with ``predictor`` (the
+    oracle by default); a :class:`Scheduler` instance is returned
+    as-is.  An unknown name raises a one-line ``ValueError``."""
+    if isinstance(scheduler, Scheduler):
+        return scheduler
+    if scheduler not in _SCHEDULERS:
+        raise ValueError(
+            f"unknown scheduler {scheduler!r}; "
+            f"choose from {sorted(_SCHEDULERS)} or pass a Scheduler"
+        )
+    return _SCHEDULERS[scheduler](predictor or OraclePredictor())
+
+
 @dataclass
 class MLIMPRuntime:
     """Job queue + scheduler + dispatcher for one MLIMP system."""
@@ -50,16 +65,10 @@ class MLIMPRuntime:
     system: MLIMPSystem
     scheduler: str | Scheduler = "global"
     predictor: PerformancePredictor | None = None
-    ddr4: DDR4Config | None = None
     _queue: list[Job] = field(default_factory=list, repr=False)
-    _history: list[DispatchResult] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
-        if isinstance(self.scheduler, str) and self.scheduler not in _SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r}; "
-                f"choose from {sorted(_SCHEDULERS)} or pass a Scheduler"
-            )
+        make_scheduler(self.scheduler)  # an unknown name fails here
 
     # ------------------------------------------------------------------
     def submit(self, job: Job) -> None:
@@ -73,17 +82,6 @@ class MLIMPRuntime:
     @property
     def pending(self) -> int:
         return len(self._queue)
-
-    @property
-    def history(self) -> list[DispatchResult]:
-        """Results of every completed :meth:`run`."""
-        return list(self._history)
-
-    def _make_scheduler(self) -> Scheduler:
-        if isinstance(self.scheduler, Scheduler):
-            return self.scheduler
-        predictor = self.predictor or OraclePredictor()
-        return _SCHEDULERS[self.scheduler](predictor)
 
     def run(
         self,
@@ -100,11 +98,11 @@ class MLIMPRuntime:
         ``result.fault_free_makespan`` so the report can quantify the
         degradation.
         """
-        scheduler = self._make_scheduler()
+        scheduler = make_scheduler(self.scheduler, self.predictor)
         jobs, self._queue = self._queue, []
         fault_free_makespan = None
         if fault_baseline and faults is not None and len(faults) > 0:
-            baseline = Dispatcher(self.system, self.ddr4).run(
+            baseline = Dispatcher(self.system).run(
                 scheduler.plan(list(jobs), self.system),
                 label=(label or scheduler.name) + ":fault-free",
             )
@@ -113,7 +111,7 @@ class MLIMPRuntime:
         # The completion hook feeds only the main run -- the fault-free
         # baseline above would otherwise train the predictor twice on
         # the same batch.
-        result = Dispatcher(self.system, self.ddr4).run(
+        result = Dispatcher(self.system).run(
             policy,
             label=label or scheduler.name,
             faults=faults,
@@ -121,5 +119,4 @@ class MLIMPRuntime:
         )
         if fault_free_makespan is not None:
             result.fault_free_makespan = fault_free_makespan
-        self._history.append(result)
         return result

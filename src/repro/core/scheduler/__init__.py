@@ -5,7 +5,7 @@ from .adaptive import AdaptivePolicy, AdaptiveScheduler
 from .adjustments import PlannedJob, inter_queue_adjust, intra_queue_adjust
 from .base import Dispatch, DispatchPolicy, MLIMPSystem, ResourceView, Scheduler
 from .ewt import EWTPolicy, EWTScheduler
-from .exact import ExactScheduler, ExactSolution, ExactSolverError, solve_exact
+from .exact import ExactSolution, ExactSolverError, solve_exact
 from .globalsched import GlobalPolicy, GlobalScheduler
 from .johnson import JohnsonScheduler, flow_shop_makespan, johnson_order
 from .ljf import LJFPolicy, LJFScheduler
@@ -24,7 +24,6 @@ __all__ = [
     "Scheduler",
     "EWTPolicy",
     "EWTScheduler",
-    "ExactScheduler",
     "ExactSolution",
     "ExactSolverError",
     "solve_exact",

@@ -22,6 +22,7 @@ from operator import neg
 from typing import Any
 
 from ...memories.base import MemoryKind
+from ...sim.mainmem import DDR4Config
 from ..job import Job
 from ..perfmodel import ScaleFreeEstimate, knee_points, min_time_allocation
 from ..predictor import PerformancePredictor
@@ -594,9 +595,9 @@ def queue_drain_estimate(queue: PlanQueue, kind: MemoryKind, system: MLIMPSystem
     )
 
 
-#: Aggregate DDR4 bandwidth of the evaluated system (4 x DDR4-2400);
-#: kept in sync with :class:`repro.sim.mainmem.DDR4Config` defaults.
-DEFAULT_PIPE_BANDWIDTH_BPS = 76.8e9
+#: Aggregate DDR4 bandwidth the planners drain fills through: the
+#: evaluated system's 4 x DDR4-2400 (:class:`DDR4Config` defaults).
+PIPE_BANDWIDTH_BPS = DDR4Config().total_bandwidth_bps
 
 
 class QueueBalance:
@@ -704,13 +705,7 @@ class QueueBalance:
                 )
         return slot_s, arr_s, pipe_bytes
 
-    def balance(
-        self,
-        arrivals: dict[MemoryKind, list[PlannedJob]],
-        epsilon_fraction: float = EPSILON_FRACTION,
-        max_rounds: int | None = None,
-        pipe_bandwidth_bps: float = DEFAULT_PIPE_BANDWIDTH_BPS,
-    ) -> None:
+    def balance(self, arrivals: dict[MemoryKind, list[PlannedJob]]) -> None:
         """Algorithm 1: queue ``arrivals`` (per memory, in order), then
         balance estimated drain time across the queues.
 
@@ -735,9 +730,8 @@ class QueueBalance:
         for entries in arrivals.values():
             for entry in entries:
                 self._enter(entry)
-        if max_rounds is None:
-            # Balancing may need to move a sizeable fraction of the batch.
-            max_rounds = max(MAX_ROUNDS, sum(map(len, queues.values())))
+        # Balancing may need to move a sizeable fraction of the batch.
+        max_rounds = max(MAX_ROUNDS, sum(map(len, queues.values())))
         slots, arrays = self._slots, self._arrays
 
         for _ in range(max_rounds):
@@ -748,9 +742,9 @@ class QueueBalance:
             max_kind = max(current, key=current.get)  # type: ignore[arg-type]
             spread = current[max_kind] - min(current.values())
             overall = sum(current.values()) / max(1, len(current))
-            if spread <= epsilon_fraction * max(overall, 1e-30):
+            if spread <= EPSILON_FRACTION * max(overall, 1e-30):
                 break
-            current_max = max(current[max_kind], pipe_bytes / pipe_bandwidth_bps)
+            current_max = max(current[max_kind], pipe_bytes / PIPE_BANDWIDTH_BPS)
             # Consider every under-loaded target; take the move with the
             # smallest post-migration maximum drain (pipe included).
             best_move: tuple[float, PlannedJob, MemoryKind, PlannedJob] | None = None
@@ -775,7 +769,7 @@ class QueueBalance:
                     new_bytes -= fill_bytes(moved)
                 if target is not MemoryKind.DRAM:
                     new_bytes += fill_bytes(replanned)
-                new_max = max(new_src, new_dst, new_bytes / pipe_bandwidth_bps)
+                new_max = max(new_src, new_dst, new_bytes / PIPE_BANDWIDTH_BPS)
                 for kind, drain in current.items():
                     if kind is not max_kind and kind is not target and drain > new_max:
                         new_max = drain
@@ -803,9 +797,6 @@ def inter_queue_adjust(
     queues: dict[MemoryKind, list[PlannedJob]],
     plans: dict[str, dict[MemoryKind, PlannedJob]],
     system: MLIMPSystem,
-    epsilon_fraction: float = EPSILON_FRACTION,
-    max_rounds: int | None = None,
-    pipe_bandwidth_bps: float = DEFAULT_PIPE_BANDWIDTH_BPS,
 ) -> dict[MemoryKind, list[PlannedJob]]:
     """Algorithm 1 on a closed batch: :meth:`QueueBalance.balance` of
     ``queues`` arriving at empty queues.  ``plans`` holds every job's
@@ -815,15 +806,12 @@ def inter_queue_adjust(
     balance = QueueBalance(
         {kind: PlanQueue(longest_first) for kind in queues}, plans, system
     )
-    balance.balance(queues, epsilon_fraction, max_rounds, pipe_bandwidth_bps)
+    balance.balance(queues)
     return {kind: list(queue) for kind, queue in balance.queues.items()}
 
 
 def intra_queue_adjust(
-    queues: dict[MemoryKind, list[PlannedJob]],
-    system: MLIMPSystem,
-    epsilon_fraction: float = EPSILON_FRACTION,
-    max_rounds: int = MAX_ROUNDS,
+    queues: dict[MemoryKind, list[PlannedJob]], system: MLIMPSystem
 ) -> dict[MemoryKind, list[PlannedJob]]:
     """Algorithm 2: trade allocation from short jobs to the longest.
 
@@ -835,16 +823,14 @@ def intra_queue_adjust(
     adjusted: dict[MemoryKind, list[PlannedJob]] = {}
     for kind, entries in queues.items():
         queue = list(entries)
-        if len(queue) >= 2 and max_rounds > 0:
-            queue = _balance_queue(
-                queue, system.arrays(kind), epsilon_fraction, max_rounds
-            )
+        if len(queue) >= 2:
+            queue = _balance_queue(queue, system.arrays(kind))
         adjusted[kind] = queue
     return adjusted
 
 
 def _balance_queue(
-    queue: list[PlannedJob], cap: int, epsilon_fraction: float, max_rounds: int
+    queue: list[PlannedJob], cap: int, max_rounds: int = MAX_ROUNDS
 ) -> list[PlannedJob]:
     """Algorithm 2's rounds on one queue of two or more entries.
 
@@ -867,7 +853,7 @@ def _balance_queue(
         longest = queue[0]
         longest_t = times[0]
         mean_t = sum(times) / count
-        if longest_t - mean_t <= epsilon_fraction * max(mean_t, 1e-30):
+        if longest_t - mean_t <= EPSILON_FRACTION * max(mean_t, 1e-30):
             break
         # Arrays the longest job needs to reach the mean (already a
         # whole replica multiple of its unit allocation).  If no

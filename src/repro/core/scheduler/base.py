@@ -20,7 +20,20 @@ from dataclasses import dataclass, field
 from ...memories.base import MemoryKind, MemorySpec
 from ..job import Job
 
-__all__ = ["MLIMPSystem", "Dispatch", "ResourceView", "DispatchPolicy", "Scheduler"]
+__all__ = [
+    "DISPATCH_OVERHEAD_S",
+    "MLIMPSystem",
+    "Dispatch",
+    "ResourceView",
+    "DispatchPolicy",
+    "Scheduler",
+]
+
+#: Runtime cost of launching one in-memory job (scheduler decision +
+#: firmware kernel launch; "similar to the kernel launch for CUDA
+#: runtime", paper III-A).  The dispatcher charges it and every
+#: planner (static schedule, exact solver, oracle bound) plans with it.
+DISPATCH_OVERHEAD_S = 2e-6
 
 
 @dataclass(frozen=True)

@@ -47,31 +47,30 @@ bit-identical makespan, and so does any permutation of the input jobs.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from ...memories.base import MemoryKind
 from ...sim.mainmem import DDR4Config
 from ..job import Job
 from ..perfmodel import estimate_from_profile
-from ..predictor import PerformancePredictor
 from .adjustments import PlannedJob, PlanTable, no_options
-from .base import MLIMPSystem, Scheduler
+from .base import DISPATCH_OVERHEAD_S, MLIMPSystem
 from .globalsched import GlobalPolicy, ScheduledEntry
 
 __all__ = [
     "ExactSolverError",
     "ExactSolution",
     "solve_exact",
-    "ExactScheduler",
     "MAX_EXACT_JOBS",
-    "MAX_EXACT_KINDS",
 ]
 
 #: Instance-size ceiling: the search is exponential by design, and the
 #: oracle exists for small differential instances, not production runs.
 MAX_EXACT_JOBS = 10
-MAX_EXACT_KINDS = 3
+
+#: The main-memory access latency a non-DRAM fill pays even when it
+#: moves no bytes (the dispatcher's pipe at its DDR4 defaults).
+_FILL_LATENCY_S = DDR4Config().access_latency_ns * 1e-9
 
 #: Relative slack on bound pruning.  Bounds are true lower bounds
 #: mathematically but are computed in floating point; cutting only
@@ -169,12 +168,7 @@ class _Budget:
             )
 
 
-def _job_options(
-    job: Job,
-    system: MLIMPSystem,
-    overhead: float,
-    latency_s: float,
-) -> list[_Option]:
+def _job_options(job: Job, system: MLIMPSystem) -> list[_Option]:
     """Pareto frontier of (kind, replicas) choices for one job.
 
     Per kind, replica counts sweep 1..min(waves, arrays // unit); an
@@ -198,7 +192,7 @@ def _job_options(
         if profile.unit_arrays > capacity:
             continue  # one replica does not even fit this device
         r_max = min(profile.waves_unit, capacity // profile.unit_arrays)
-        latency = 0.0 if kind is MemoryKind.DRAM else latency_s
+        latency = 0.0 if kind is MemoryKind.DRAM else _FILL_LATENCY_S
         best = math.inf
         for replicas in range(1, r_max + 1):
             arrays = replicas * profile.unit_arrays
@@ -210,7 +204,7 @@ def _job_options(
                 kind=kind,
                 arrays=arrays,
                 replicas=replicas,
-                overhead=overhead,
+                overhead=DISPATCH_OVERHEAD_S,
                 latency=latency,
                 rep_time=rep_time,
                 compute=compute,
@@ -225,7 +219,7 @@ def _job_options(
                     kind=kind,
                     arrays=arrays,
                     replicas=replicas,
-                    overhead=overhead,
+                    overhead=DISPATCH_OVERHEAD_S,
                     latency=latency,
                     rep_time=rep_time,
                     compute=compute,
@@ -350,12 +344,8 @@ def solve_exact(
     jobs: list[Job],
     system: MLIMPSystem,
     *,
-    ddr4: DDR4Config | None = None,
-    dispatch_overhead_s: float | None = None,
     brute_force: bool = False,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    max_jobs: int = MAX_EXACT_JOBS,
-    max_kinds: int = MAX_EXACT_KINDS,
 ) -> ExactSolution:
     """Branch-and-bound over (job -> kind, allocation, order).
 
@@ -369,18 +359,9 @@ def solve_exact(
     exhaustive reference the property suite compares against); it must
     return the bit-identical makespan.
     """
-    from ..dispatcher import DEFAULT_DISPATCH_OVERHEAD_S
-
-    if dispatch_overhead_s is None:
-        dispatch_overhead_s = DEFAULT_DISPATCH_OVERHEAD_S
-    if len(jobs) > max_jobs:
+    if len(jobs) > MAX_EXACT_JOBS:
         raise ExactSolverError(
-            f"{len(jobs)} jobs exceed the exact-instance limit ({max_jobs})"
-        )
-    if len(system.kinds) > max_kinds:
-        raise ExactSolverError(
-            f"{len(system.kinds)} device kinds exceed the exact-instance "
-            f"limit ({max_kinds})"
+            f"{len(jobs)} jobs exceed the exact-instance limit ({MAX_EXACT_JOBS})"
         )
     ids = [job.job_id for job in jobs]
     if len(set(ids)) != len(ids):
@@ -388,11 +369,9 @@ def solve_exact(
     if not jobs:
         return ExactSolution(makespan=0.0, schedule=[], assignments={}, nodes=0)
 
-    config = ddr4 or DDR4Config()
-    latency_s = config.access_latency_ns * 1e-9
     options_by_job: dict[str, list[_Option]] = {}
     for job in jobs:
-        options = _job_options(job, system, dispatch_overhead_s, latency_s)
+        options = _job_options(job, system)
         if not options:
             raise ExactSolverError(
                 f"job {job.job_id} fits no memory in the system: its unit "
@@ -539,33 +518,3 @@ def solve_exact(
         nodes=budget.used,
     )
 
-
-@dataclass
-class ExactScheduler(Scheduler):
-    """The oracle as a drop-in :class:`Scheduler`.
-
-    Planning *is* the exact solve; the optimal schedule executes
-    through :class:`GlobalPolicy` (launch each job at its planned
-    start with its planned allocation), so the dispatcher realises the
-    certified makespan whenever allocations never fragment.  The
-    ``predictor`` field exists only for registry-signature
-    compatibility -- the oracle plans on ground truth.
-    """
-
-    predictor: PerformancePredictor | None = None
-    ddr4: DDR4Config | None = None
-    brute_force: bool = False
-    node_budget: int = DEFAULT_NODE_BUDGET
-    name: str = "exact"
-
-    def plan(
-        self, jobs: list[Job], system: MLIMPSystem, upcoming: Sequence[Job] = ()
-    ) -> GlobalPolicy:
-        solution = solve_exact(
-            list(jobs),
-            system,
-            ddr4=self.ddr4,
-            brute_force=self.brute_force,
-            node_budget=self.node_budget,
-        )
-        return solution.policy(system)

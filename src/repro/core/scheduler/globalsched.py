@@ -30,6 +30,7 @@ from ..job import Job
 from ..predictor import PerformancePredictor
 from .adaptive import AdaptiveScheduler
 from .adjustments import (
+    PIPE_BANDWIDTH_BPS,
     PlannedJob,
     PlanQueue,
     PlanTable,
@@ -38,7 +39,7 @@ from .adjustments import (
     intra_queue_adjust,
     longest_first,
 )
-from .base import Dispatch, MLIMPSystem, ResourceView, Scheduler
+from .base import DISPATCH_OVERHEAD_S, Dispatch, MLIMPSystem, ResourceView, Scheduler
 
 __all__ = ["GlobalScheduler", "GlobalPolicy", "ScheduledEntry", "build_static_schedule"]
 
@@ -54,8 +55,6 @@ class ScheduledEntry:
 def build_static_schedule(
     queues: dict[MemoryKind, list[PlannedJob]],
     system: MLIMPSystem,
-    dispatch_overhead_s: float = 2e-6,
-    pipe_bandwidth_bps: float = 76.8e9,
 ) -> list[ScheduledEntry]:
     """List-schedule the queues offline with estimated durations.
 
@@ -113,14 +112,14 @@ def build_static_schedule(
                 arrays = entry.estimate.snap_to_replica(min(free, max(arrays, ceiling)))
             fill = queue.fills[pos]
             start = now
-            end = start + dispatch_overhead_s + entry.estimate.total_time(arrays)
+            end = start + DISPATCH_OVERHEAD_S + entry.estimate.total_time(arrays)
             if kind is not MemoryKind.DRAM and fill > 0:
                 # FIFO approximation of the shared pipe: the fill waits
                 # behind earlier fills.
-                fill_time = fill / pipe_bandwidth_bps
-                fill_start = max(start + dispatch_overhead_s, pipe_free_at)
+                fill_time = fill / PIPE_BANDWIDTH_BPS
+                fill_start = max(start + DISPATCH_OVERHEAD_S, pipe_free_at)
                 pipe_free_at = fill_start + fill_time
-                end += max(0.0, fill_start - (start + dispatch_overhead_s))
+                end += max(0.0, fill_start - (start + DISPATCH_OVERHEAD_S))
             schedule.append(
                 ScheduledEntry(planned_start=start, entry=entry.with_arrays(arrays))
             )

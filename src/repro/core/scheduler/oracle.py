@@ -28,7 +28,7 @@ import numpy as np
 
 from ...memories.base import MemoryKind
 from ..job import Job
-from .base import MLIMPSystem
+from .base import DISPATCH_OVERHEAD_S, MLIMPSystem
 
 __all__ = ["oracle_makespan"]
 
@@ -39,16 +39,13 @@ def _fair_allocation(job: Job, system: MLIMPSystem, kind: MemoryKind) -> int:
     return max(min(arrays, system.arrays(kind)), profile.unit_arrays)
 
 
-#: Per-job launch cost charged to the oracle too -- perfect balancing
-#: does not waive the runtime's dispatch overhead.
-ORACLE_DISPATCH_OVERHEAD_S = 2e-6
-
-
 def _fair_time(job: Job, system: MLIMPSystem, kind: MemoryKind) -> float:
+    """True time at the fair allocation plus the launch cost: perfect
+    balancing does not waive the runtime's dispatch overhead."""
     profile = job.profile(kind)
     return (
         profile.total_time(_fair_allocation(job, system, kind))
-        + ORACLE_DISPATCH_OVERHEAD_S
+        + DISPATCH_OVERHEAD_S
     )
 
 

@@ -33,8 +33,7 @@ import random
 
 from ..core.dispatcher import Dispatcher
 from ..core.job import Job, JobPerfProfile
-from ..core.predictor import OraclePredictor
-from ..core.runtime import _SCHEDULERS
+from ..core.runtime import make_scheduler
 from ..core.scheduler.base import MLIMPSystem
 from ..core.scheduler.exact import ExactSolution, solve_exact
 from ..memories.base import ArrayGeometry, MemoryKind, MemorySpec
@@ -122,8 +121,7 @@ def generate_instance(seed: int) -> tuple[list[Job], MLIMPSystem]:
 
 
 def _simulate(name: str, jobs: list[Job], system: MLIMPSystem, seed: int) -> float:
-    scheduler = _SCHEDULERS[name](OraclePredictor())
-    policy = scheduler.plan(list(jobs), system)
+    policy = make_scheduler(name).plan(list(jobs), system)
     result = Dispatcher(system).run(policy, label=f"optgap-{name}-{seed}")
     return result.makespan
 

@@ -46,7 +46,7 @@ from pathlib import Path
 from ..cluster.placement import PLACEMENTS, FeedbackPlacement, PlacementPolicy
 from ..cluster.runtime import ClusterRuntime
 from ..cluster.spec import ClusterSpec
-from ..serving import AutoscalePolicy, Autoscaler, ServingRuntime, scale_system
+from ..serving import Autoscaler, ServingRuntime, scale_system
 from .reporting import Report
 from .spec import RunSpec, _require
 
@@ -98,13 +98,11 @@ class ReplayConfig(RunSpec):
             self,
             ("windows", self.windows >= 1, "must be >= 1"),
             ("window_s", self.window_s > 0, "must be positive"),
+            ("max_scale", self.max_scale >= 1, "must be >= 1"),
             ("nodes", self.nodes >= 0, "must be >= 0 (0 = single node)"),
             ("placement", self.placement in PLACEMENTS,
              f"must be one of {sorted(PLACEMENTS)}"),
         )
-
-    def autoscale_policy(self) -> AutoscalePolicy:
-        return AutoscalePolicy(max_scale=self.max_scale)
 
 
 # ----------------------------------------------------------------------
@@ -280,7 +278,7 @@ def run_replay(
     """
     if halt_after is not None and checkpoint_path is None:
         raise ValueError("halt_after needs a checkpoint_path to write")
-    autoscaler = _autoscaler or Autoscaler(policy=config.autoscale_policy())
+    autoscaler = _autoscaler or Autoscaler(max_scale=config.max_scale)
     rows = list(_rows or [])
     # One persistent policy instance carries the feedback loop's node
     # weights across windows (and in/out of checkpoints).
@@ -313,9 +311,7 @@ def resume_replay(
     """Continue a replay from a checkpoint written by ``halt_after``."""
     state = load_checkpoint(path)
     config = ReplayConfig.from_dict(state["config"])
-    autoscaler = Autoscaler.from_state(
-        config.autoscale_policy(), state["autoscale"]
-    )
+    autoscaler = Autoscaler.from_state(config.max_scale, state["autoscale"])
     weights = state.get("placement_weights")
     return run_replay(
         config,

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from ..core.runtime import MLIMPRuntime
 from ..faults.plan import FaultPlan
+from ..obs.metrics import nearest_rank
 from ..serving import PoissonArrivals, ServingRuntime, Tenant
 from ..serving.report import completed_sojourns
 from ..serving.workload import OpenWorkload
@@ -117,8 +118,8 @@ def _comparison_report(title: str, faults: FaultPlan | None = None) -> Report:
                 open_result.result, open_result.open_loop
             ).values()
         )
-        p50 = all_sojourns[len(all_sojourns) // 2] if all_sojourns else 0.0
-        p99 = all_sojourns[int(0.99 * (len(all_sojourns) - 1))] if all_sojourns else 0.0
+        p50 = nearest_rank(all_sojourns, 0.50) if all_sojourns else 0.0
+        p99 = nearest_rank(all_sojourns, 0.99) if all_sojourns else 0.0
         attainments[scheduler] = r.slo_attainment
         report.add_row(
             scheduler,

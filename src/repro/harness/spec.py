@@ -66,9 +66,10 @@ class Flag:
     default: object = None
 
 
-#: Every flag shared by two or more subcommands, keyed by its argparse
-#: ``dest`` (a :class:`RunSpec` field name, except ``slo`` for
-#: ``slo_s`` in milliseconds).
+#: Every flag shared by two or more subcommands or checked by a spec,
+#: keyed by its argparse ``dest`` (a :class:`RunSpec` or
+#: :class:`~repro.harness.replay.ReplayConfig` field name, except
+#: ``slo`` for ``slo_s`` in milliseconds).
 FLAGS = {
     "rate": Flag(
         "--rate", "aggregate Poisson arrival rate in jobs/second",
@@ -127,6 +128,10 @@ FLAGS = {
         metavar="PLAN",
     ),
     "json": Flag("--json", "write the report as JSON", metavar="PATH"),
+    "max_scale": Flag(
+        "--max-scale", "autoscaler ceiling as a multiple of the base pool",
+        int, "N",
+    ),
 }
 
 

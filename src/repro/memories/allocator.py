@@ -8,10 +8,10 @@ for ReRAM), so compute regions co-exist with conventionally-managed
 memory at low hardware cost.
 
 This module implements that model.  A :class:`ScratchpadAllocator`
-manages the arrays of one device: a fixed ``reserved_fraction`` is held
-back for normal cache/memory duty, and the remaining compute arrays are
-handed out in contiguous *partitions* (the allocation quantum the
-scheduler reasons about).  Allocations are tracked by handle so
+manages the compute arrays of one device (``spec.num_arrays`` already
+excludes what stays on normal cache/memory duty, e.g. the half of the
+LLC kept as a normal cache) and hands them out in contiguous
+*partitions* (the allocation quantum the scheduler reasons about).  Allocations are tracked by handle so
 double-frees and leaks surface as errors rather than silent corruption.
 """
 
@@ -43,24 +43,10 @@ class Allocation:
     def bytes(self) -> int:
         return self.arrays * self.spec.geometry.bytes
 
-    @property
-    def alus(self) -> int:
-        return self.arrays * self.spec.alus_per_array
-
 
 @dataclass
 class ScratchpadAllocator:
     """First-fit contiguous allocator over a device's compute arrays.
-
-    Parameters
-    ----------
-    spec:
-        The device being partitioned.
-    reserved_fraction:
-        Fraction of arrays held back for conventional memory duty
-        (e.g. the half of the LLC kept as a normal cache is already
-        excluded from ``spec.num_arrays``; this knob models *further*
-        dynamic reservation and defaults to zero).
 
     ``free_arrays``, ``largest_free_run`` and ``used_arrays`` are read
     on every dispatch decision, so they are counters kept up to date by
@@ -69,7 +55,6 @@ class ScratchpadAllocator:
     """
 
     spec: MemorySpec
-    reserved_fraction: float = 0.0
     _free_runs: list[tuple[int, int]] = field(default_factory=list, repr=False)
     _live: dict[int, Allocation] = field(default_factory=dict, repr=False)
     _handles: "itertools.count[int]" = field(default_factory=itertools.count, repr=False)
@@ -78,11 +63,7 @@ class ScratchpadAllocator:
     _largest: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.reserved_fraction < 1.0:
-            raise ValueError("reserved_fraction must be in [0, 1)")
-        self._total = int(self.spec.num_arrays * (1.0 - self.reserved_fraction))
-        if self._total <= 0:
-            raise ValueError("reservation leaves no compute arrays")
+        self._total = self.spec.num_arrays
         self.reset()
 
     # ------------------------------------------------------------------

@@ -17,7 +17,7 @@ from .arrivals import (
     TimelineArrivals,
     TraceArrivals,
 )
-from .autoscale import AutoscalePolicy, Autoscaler, ScaleEvent, scale_system
+from .autoscale import Autoscaler, ScaleEvent, scale_system
 from .report import ServingReport, TenantReport, build_serving_report
 from .runtime import ServingResult, ServingRuntime
 from .tenants import OpenLoop, Tenant
@@ -30,7 +30,6 @@ __all__ = [
     "PoissonArrivals",
     "TimelineArrivals",
     "TraceArrivals",
-    "AutoscalePolicy",
     "Autoscaler",
     "ScaleEvent",
     "scale_system",

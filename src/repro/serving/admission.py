@@ -10,7 +10,7 @@ arrival time, the way predict-time-based schedulers do (CraneSched's
 the controller consults the serving stack's *performance predictor* --
 oracle, offline MLP artifact, or the self-training
 :class:`~repro.core.predictor.OnlinePredictor` -- and rejects any job
-whose **predicted sojourn** would miss its tenant's SLO.
+whose **predicted sojourn** would miss the run's SLO.
 
 The sojourn forecast is a deterministic fluid model:
 
@@ -63,12 +63,11 @@ class AdmissionController:
 
 @dataclass
 class PredictiveAdmission(AdmissionController):
-    """Reject jobs whose predicted sojourn misses their tenant SLO.
+    """Reject jobs whose predicted sojourn misses the run's SLO.
 
     ``margin`` scales the SLO budget: 1.0 admits exactly up to the
     target, < 1.0 keeps headroom for prediction error, > 1.0 gambles
-    on it.  A tenant with its own ``slo_s`` is judged against that
-    instead of the run-level default.
+    on it.
     """
 
     predictor: PerformancePredictor
@@ -106,10 +105,9 @@ class PredictiveAdmission(AdmissionController):
         return best
 
     def decide(self, job: Job, tenant: Tenant, now: float) -> bool:
-        slo = tenant.slo_s if tenant.slo_s is not None else self.slo_s
         service = self.service_estimate(job)
         wait = self._outstanding_work / self._parallelism
-        if wait + service > slo * self.margin:
+        if wait + service > self.slo_s * self.margin:
             self.rejected += 1
             return False
         self.outstanding[job.job_id] = service

@@ -34,7 +34,7 @@ import abc
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -162,20 +162,9 @@ class TraceArrivals(ArrivalProcess):
 
     path: str
     seed: int = 0
-    _entries: tuple | None = field(default=None, compare=False)
 
     def entries(self) -> list[dict]:
-        if self._entries is not None:
-            return [dict(e) for e in self._entries]
         return _checked_entries(json.loads(Path(self.path).read_text()), self.path)
-
-    @classmethod
-    def from_entries(cls, entries: list[dict], seed: int = 0) -> "TraceArrivals":
-        """An in-memory trace (tests, programmatic workloads)."""
-        entries = _checked_entries(list(entries), "<memory>")
-        return cls(
-            path="<memory>", seed=seed, _entries=tuple(dict(e) for e in entries)
-        )
 
     def generate(self, make_job: JobFactory) -> list[JobArrival]:
         rng = random.Random(self.seed)

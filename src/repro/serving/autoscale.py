@@ -10,13 +10,13 @@ windows** (the k8s-HPA cadence: observe a period, then resize), never
 mid-simulation -- every individual window stays a deterministic,
 byte-stable run on a fixed pool.
 
-* :class:`AutoscalePolicy` is the threshold rule: scale **up** when
-  the observed window shed load, saturated a device, or kept a deep
-  release backlog; scale **down** when the pool was near-idle and
-  nothing was shed.
-* :class:`Autoscaler` applies the rule, holding the current integer
-  ``scale`` and an auditable :class:`ScaleEvent` log; its state is
-  two plain JSON values, so a replay checkpoint captures it exactly.
+* :class:`Autoscaler` applies a threshold rule one step at a time
+  between 1 and ``max_scale``: scale **up** when the observed window
+  shed load, saturated a device, or kept a deep release backlog;
+  scale **down** when the pool was near-idle and nothing was shed.
+  It holds the current integer ``scale`` and an auditable
+  :class:`ScaleEvent` log; its state is two plain JSON values, so a
+  replay checkpoint captures it exactly.
 * :func:`scale_system` materialises a scale: every device's array
   count and job slots multiply by the factor
   (:func:`dataclasses.replace` on the frozen Table III specs), the
@@ -34,38 +34,17 @@ from dataclasses import dataclass, field, replace
 
 from ..core.scheduler.base import MLIMPSystem
 
-__all__ = ["AutoscalePolicy", "ScaleEvent", "Autoscaler", "scale_system"]
+__all__ = ["ScaleEvent", "Autoscaler", "scale_system"]
 
-
-@dataclass(frozen=True)
-class AutoscalePolicy:
-    """Threshold rule for the between-window scaling decision."""
-
-    min_scale: int = 1
-    max_scale: int = 4
-    #: Scale up when any device's busy fraction exceeds this...
-    up_utilisation: float = 0.70
-    #: ...or the window shed more than this fraction of offered load...
-    up_shed_rate: float = 0.0
-    #: ...or the policy's release backlog averaged deeper than this.
-    up_queue_depth: float = 8.0
-    #: Scale down when the busiest device stayed under this fraction
-    #: (and nothing was shed, and the backlog stayed shallow).
-    down_utilisation: float = 0.25
-    step: int = 1
-
-    def __post_init__(self) -> None:
-        if self.min_scale < 1:
-            raise ValueError("min_scale must be >= 1")
-        if self.max_scale < self.min_scale:
-            raise ValueError("max_scale must be >= min_scale")
-        if self.step < 1:
-            raise ValueError("step must be >= 1")
-        if not 0.0 <= self.down_utilisation < self.up_utilisation:
-            raise ValueError(
-                "need 0 <= down_utilisation < up_utilisation, got "
-                f"{self.down_utilisation} / {self.up_utilisation}"
-            )
+#: Scale up when any device's busy fraction exceeds this...
+UP_UTILISATION = 0.70
+#: ...or the window shed more than this fraction of offered load...
+UP_SHED_RATE = 0.0
+#: ...or the policy's release backlog averaged deeper than this.
+UP_QUEUE_DEPTH = 8.0
+#: Scale down when the busiest device stayed under this fraction
+#: (and nothing was shed, and the backlog stayed shallow).
+DOWN_UTILISATION = 0.25
 
 
 @dataclass(frozen=True)
@@ -90,18 +69,13 @@ class ScaleEvent:
 class Autoscaler:
     """The control loop: observe a window's signals, hold the scale."""
 
-    policy: AutoscalePolicy = field(default_factory=AutoscalePolicy)
-    scale: int = 0  # 0 -> start at policy.min_scale
+    max_scale: int = 4
+    scale: int = 1
     events: list[ScaleEvent] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.scale == 0:
-            self.scale = self.policy.min_scale
-        if not self.policy.min_scale <= self.scale <= self.policy.max_scale:
-            raise ValueError(
-                f"scale {self.scale} outside "
-                f"[{self.policy.min_scale}, {self.policy.max_scale}]"
-            )
+        if not 1 <= self.scale <= self.max_scale:
+            raise ValueError(f"scale {self.scale} outside [1, {self.max_scale}]")
 
     # ------------------------------------------------------------------
     def observe(
@@ -119,29 +93,28 @@ class Autoscaler:
         backlog (the ``jobs.pending`` gauge), ``shed_rate`` the
         window's shed fraction of offered load.
         """
-        p = self.policy
         target = self.scale
         reason = ""
-        if self.scale < p.max_scale and (
-            shed_rate > p.up_shed_rate
-            or utilisation > p.up_utilisation
-            or queue_depth > p.up_queue_depth
+        if self.scale < self.max_scale and (
+            shed_rate > UP_SHED_RATE
+            or utilisation > UP_UTILISATION
+            or queue_depth > UP_QUEUE_DEPTH
         ):
-            target = min(p.max_scale, self.scale + p.step)
-            if shed_rate > p.up_shed_rate:
-                reason = f"shed_rate {shed_rate:.3f} > {p.up_shed_rate:g}"
-            elif utilisation > p.up_utilisation:
-                reason = f"utilisation {utilisation:.3f} > {p.up_utilisation:g}"
+            target = self.scale + 1
+            if shed_rate > UP_SHED_RATE:
+                reason = f"shed_rate {shed_rate:.3f} > {UP_SHED_RATE:g}"
+            elif utilisation > UP_UTILISATION:
+                reason = f"utilisation {utilisation:.3f} > {UP_UTILISATION:g}"
             else:
-                reason = f"queue_depth {queue_depth:.2f} > {p.up_queue_depth:g}"
+                reason = f"queue_depth {queue_depth:.2f} > {UP_QUEUE_DEPTH:g}"
         elif (
-            self.scale > p.min_scale
+            self.scale > 1
             and shed_rate == 0.0
-            and utilisation < p.down_utilisation
-            and queue_depth <= p.up_queue_depth
+            and utilisation < DOWN_UTILISATION
+            and queue_depth <= UP_QUEUE_DEPTH
         ):
-            target = max(p.min_scale, self.scale - p.step)
-            reason = f"utilisation {utilisation:.3f} < {p.down_utilisation:g}"
+            target = self.scale - 1
+            reason = f"utilisation {utilisation:.3f} < {DOWN_UTILISATION:g}"
         if target != self.scale:
             self.events.append(
                 ScaleEvent(
@@ -163,10 +136,10 @@ class Autoscaler:
         }
 
     @classmethod
-    def from_state(cls, policy: AutoscalePolicy, state: dict) -> "Autoscaler":
+    def from_state(cls, max_scale: int, state: dict) -> "Autoscaler":
         """Rebuild mid-replay state saved by :meth:`state_dict`."""
         return cls(
-            policy=policy,
+            max_scale=max_scale,
             scale=int(state["scale"]),
             events=[
                 ScaleEvent(

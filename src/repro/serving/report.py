@@ -42,11 +42,8 @@ class TenantReport:
     """One tenant's view of the run.
 
     ``shed_predicted`` counts predictive-admission rejections (zero
-    whenever no controller ran); ``slo_s`` carries the tenant's own
-    SLO override when one was set (``None`` means the run-level SLO
-    judged this tenant).  Both are new, feature-gated fields: their
-    report keys are only emitted when the feature was active, keeping
-    the historical schema byte-identical.
+    whenever no controller ran); its report key is only emitted when
+    the gate was active, keeping the historical schema byte-identical.
     """
 
     tenant: str
@@ -61,7 +58,6 @@ class TenantReport:
     sojourn_p99_s: float
     slo_attainment: float
     shed_predicted: int = 0
-    slo_s: float | None = None
 
     @property
     def shed(self) -> int:
@@ -91,8 +87,6 @@ class TenantReport:
         }
         if include_admission:
             out["shed_predicted"] = self.shed_predicted
-        if self.slo_s is not None:
-            out["slo_ms"] = self.slo_s * 1e3
         return out
 
 
@@ -231,7 +225,6 @@ def tenant_report(
     name: str,
     sojourns: list[float],
     slo_s: float,
-    tenant_slo: float | None,
     *,
     offered: int,
     admitted: int,
@@ -241,13 +234,11 @@ def tenant_report(
 ) -> TenantReport:
     """One tenant's row from its completed jobs' sojourns.
 
-    Quantiles are nearest-rank; attainment is judged against the
-    tenant's own ``tenant_slo`` when it has one, else the run's
-    ``slo_s``, and is 1.0 for a tenant that completed nothing.
+    Quantiles are nearest-rank; attainment is judged against
+    ``slo_s`` and is 1.0 for a tenant that completed nothing.
     """
     values = sorted(sojourns)
-    effective_slo = tenant_slo if tenant_slo is not None else slo_s
-    met = sum(1 for v in values if v <= effective_slo)
+    met = sum(1 for v in values if v <= slo_s)
     return TenantReport(
         tenant=name,
         offered=offered,
@@ -256,7 +247,6 @@ def tenant_report(
         shed_queue_full=shed_queue_full,
         shed_unplaced=shed_unplaced,
         shed_predicted=shed_predicted,
-        slo_s=tenant_slo,
         sojourn_mean_s=sum(values) / len(values) if values else 0.0,
         sojourn_p50_s=nearest_rank(values, 0.50) if values else 0.0,
         sojourn_p95_s=nearest_rank(values, 0.95) if values else 0.0,
@@ -292,9 +282,7 @@ def build_serving_report(
 ) -> ServingReport:
     """Join dispatch records with arrival bookkeeping.
 
-    Each tenant's sojourns come from :func:`completed_sojourns`.  A
-    tenant with its own
-    ``slo_s`` is judged against that instead of the run-level SLO.
+    Each tenant's sojourns come from :func:`completed_sojourns`.
     ``predictor`` (when it carries lifecycle ``counters``) and
     ``admission`` (the run's controller, if any) land in the report's
     feature-gated sections.
@@ -305,13 +293,11 @@ def build_serving_report(
     for tenant, sojourn in completed_sojourns(result, open_loop).values():
         sojourns[tenant].append(sojourn)
 
-    tenant_slo = {t.name: t.slo_s for t in open_loop.tenants}
     tenants = {
         name: tenant_report(
             name,
             sojourns.get(name, []),
             slo_s,
-            tenant_slo.get(name),
             offered=stats["offered"],
             admitted=stats["admitted"],
             shed_queue_full=stats["shed_queue_full"],

@@ -38,10 +38,9 @@ from dataclasses import dataclass, field
 from ..core.dispatcher import Dispatcher, DispatchResult
 from ..core.job import Job
 from ..core.predictor import OraclePredictor, PerformancePredictor
-from ..core.runtime import _SCHEDULERS
+from ..core.runtime import make_scheduler
 from ..core.scheduler.base import MLIMPSystem, Scheduler
 from ..faults.plan import FaultPlan
-from ..sim.mainmem import DDR4Config
 from .admission import AdmissionController, PredictiveAdmission
 from .arrivals import ArrivalProcess
 from .report import ServingReport, build_serving_report
@@ -70,22 +69,11 @@ class ServingRuntime:
     system: MLIMPSystem
     scheduler: str | Scheduler = "adaptive"
     predictor: PerformancePredictor | None = None
-    ddr4: DDR4Config | None = None
     #: Released-but-undispatched jobs the policy may hold at once.
     max_backlog: int = 32
 
     def __post_init__(self) -> None:
-        if isinstance(self.scheduler, str) and self.scheduler not in _SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r}; "
-                f"choose from {sorted(_SCHEDULERS)} or pass a Scheduler"
-            )
-
-    def _make_scheduler(self) -> Scheduler:
-        if isinstance(self.scheduler, Scheduler):
-            return self.scheduler
-        predictor = self.predictor or OraclePredictor()
-        return _SCHEDULERS[self.scheduler](predictor)
+        make_scheduler(self.scheduler)  # an unknown name fails here
 
     # ------------------------------------------------------------------
     def serve(
@@ -115,7 +103,7 @@ class ServingRuntime:
         scaled by ``admission_margin``; a ready-made controller
         instance is used as-is.
         """
-        scheduler = self._make_scheduler()
+        scheduler = make_scheduler(self.scheduler, self.predictor)
         controller = self._make_admission(admission, slo_s, admission_margin)
         maker = workload or OpenWorkload(self.system)
         timeline = arrivals.generate(maker.make_job)
@@ -130,7 +118,7 @@ class ServingRuntime:
             self.system,
             upcoming=[arrival.job for arrival in timeline],
         )
-        result = Dispatcher(self.system, self.ddr4).run(
+        result = Dispatcher(self.system).run(
             policy,
             label=label or scheduler.name,
             faults=faults,

@@ -23,7 +23,7 @@ come back through :meth:`on_rejected` and are counted as
 
 An optional :class:`~repro.serving.admission.AdmissionController`
 adds a third, *predictive* gate ahead of the queues: arrivals whose
-predicted sojourn misses their tenant SLO are rejected at the door
+predicted sojourn misses the run's SLO are rejected at the door
 and counted as ``serving.shed.predicted``.  Without a controller the
 loop takes exactly the historical code path.
 
@@ -47,25 +47,17 @@ __all__ = ["Tenant", "OpenLoop"]
 
 @dataclass(frozen=True)
 class Tenant:
-    """One traffic class: a name, a share weight, a queue bound.
-
-    ``slo_s`` overrides the run-level SLO for this tenant alone --
-    predictive admission and the report's attainment both judge the
-    tenant against it.  ``None`` (the default) inherits the run SLO.
-    """
+    """One traffic class: a name, a share weight, a queue bound."""
 
     name: str
     weight: float = 1.0
     queue_limit: int = 64
-    slo_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.weight <= 0:
             raise ValueError(f"tenant {self.name}: weight must be positive")
         if self.queue_limit < 1:
             raise ValueError(f"tenant {self.name}: queue_limit must be >= 1")
-        if self.slo_s is not None and self.slo_s <= 0:
-            raise ValueError(f"tenant {self.name}: slo_s must be positive")
 
 
 @dataclass

@@ -37,6 +37,9 @@ PHASE_FILL_DONE = 1
 PHASE_REPLICATE_DONE = 2
 PHASE_COMPUTE_DONE = 3
 
+#: Rows a fresh table holds before its first doubling.
+INITIAL_ROWS = 64
+
 #: Numeric columns and the zero a fresh row holds.
 _NUMERIC = {"state": 0, "t0": 0.0, "attempt": 0, "fill_bytes": 0.0}
 _OBJECT = ("job", "kind", "dispatch", "profile", "spec", "record", "flight", "alloc")
@@ -52,25 +55,18 @@ class FlightColumns:
 
     __slots__ = (*_NUMERIC, *_OBJECT, "free")
 
-    def __init__(self, capacity: int = 64) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+    def __init__(self) -> None:
         for name, zero in _NUMERIC.items():
-            setattr(self, name, [zero] * capacity)
+            setattr(self, name, [zero] * INITIAL_ROWS)
         for name in _OBJECT:
-            setattr(self, name, [None] * capacity)
+            setattr(self, name, [None] * INITIAL_ROWS)
         # Popping from the tail hands out low indices first, which
         # keeps the live region of the columns dense.
-        self.free = list(range(capacity - 1, -1, -1))
+        self.free = list(range(INITIAL_ROWS - 1, -1, -1))
 
     @property
     def capacity(self) -> int:
         return len(self.state)
-
-    @property
-    def in_flight(self) -> int:
-        """Rows currently acquired (phase transitions armed or pending)."""
-        return self.capacity - len(self.free)
 
     def acquire(self) -> int:
         """Claim a free row index, doubling the columns when full."""

@@ -559,6 +559,7 @@ class TestReplayCommand:
         assert "--halt-after" in capsys.readouterr().err
         assert main(["replay", "--windows", "0"]) == 2
         assert "windows" in capsys.readouterr().err
+        _assert_one_line_error(capsys, ["replay", "--max-scale", "0"], "--max-scale")
 
     def test_replay_resume_rejects_non_checkpoint(self, capsys, tmp_path):
         bogus = tmp_path / "bogus.json"

@@ -16,7 +16,6 @@ import pytest
 from repro.core import Dispatcher, Job, JobPerfProfile, MLIMPSystem
 from repro.core.scheduler.exact import (
     DEFAULT_NODE_BUDGET,
-    ExactScheduler,
     ExactSolverError,
     solve_exact,
 )
@@ -209,9 +208,7 @@ class TestScheduleIntegrity:
         system = two_kind_system()
         jobs = compute_pure_jobs(19, 5)
         solution = solve_exact(jobs, system)
-        result = Dispatcher(system).run(
-            ExactScheduler().plan(jobs, system), label="exact"
-        )
+        result = Dispatcher(system).run(solution.policy(system), label="exact")
         assert set(result.records) == {job.job_id for job in jobs}
         assert not result.failed_jobs
         assert result.makespan == solution.makespan  # replay is bit-exact
@@ -263,8 +260,6 @@ class TestClearErrors:
         jobs = compute_pure_jobs(2, 11)
         with pytest.raises(ExactSolverError, match="exceed the exact-instance"):
             solve_exact(jobs, system)
-        with pytest.raises(ExactSolverError, match="device kinds"):
-            solve_exact(compute_pure_jobs(2, 3), system, max_kinds=1)
 
     def test_duplicate_job_ids_rejected(self):
         system = two_kind_system()

@@ -117,7 +117,7 @@ class TestScheduler:
             flow_job(1, 1e5, 6e-6),
             flow_job(2, 9e5, 7e-6),
         ]
-        result = Dispatcher(system, dispatch_overhead_s=0.0).run(
+        result = Dispatcher(system).run(
             JohnsonScheduler(OraclePredictor()).plan(jobs, system)
         )
         assert len(result.records) == 3
@@ -130,7 +130,7 @@ class TestScheduler:
         """On the one-slot special case, Johnson sequencing never loses
         to the LJF baseline."""
         system = one_memory_system()
-        dispatcher = Dispatcher(system, dispatch_overhead_s=0.0)
+        dispatcher = Dispatcher(system)
         import numpy as np
 
         rng = np.random.default_rng(11)

@@ -45,7 +45,6 @@ class TestAllocate:
         alloc = ScratchpadAllocator(make_spec())
         a = alloc.allocate(4)
         assert a.bytes == 4 * (16 * 16 // 8)
-        assert a.alus == 4 * 16
 
     def test_exhaustion_raises(self):
         alloc = ScratchpadAllocator(make_spec(8))
@@ -85,16 +84,6 @@ class TestAllocate:
         alloc.free(b)
         assert alloc.largest_free_run == 12
         assert alloc.free_arrays == 12
-
-    def test_reserved_fraction(self):
-        alloc = ScratchpadAllocator(make_spec(100), reserved_fraction=0.25)
-        assert alloc.free_arrays == 75
-        with pytest.raises(AllocationError):
-            alloc.allocate(76)
-
-    def test_invalid_reservation(self):
-        with pytest.raises(ValueError):
-            ScratchpadAllocator(make_spec(), reserved_fraction=1.0)
 
     def test_reset_clears_everything(self):
         alloc = ScratchpadAllocator(make_spec(16))

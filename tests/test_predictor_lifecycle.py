@@ -147,7 +147,7 @@ class TestOnlinePredictor:
 
     def test_drift_gates_model_behind_fallback(self):
         predictor = OnlinePredictor(
-            retrain_every=8, min_samples=8, train_epochs=30, drift_bound=0.5
+            retrain_every=8, min_samples=8, train_epochs=30
         )
         jobs = _serve_jobs(16, seed=3)
         for job in jobs[:8]:

@@ -27,7 +27,7 @@ from repro.harness.replay import (
     resume_replay,
     run_replay,
 )
-from repro.serving import AutoscalePolicy, Autoscaler, scale_system
+from repro.serving import Autoscaler, scale_system
 
 #: Small but genuinely overloaded: ~2x the scale-1 gnn drain rate.
 SMALL = ReplayConfig(
@@ -152,7 +152,7 @@ def test_replay_scales_up_under_overload():
 
 
 def test_autoscaler_scales_down_when_idle():
-    scaler = Autoscaler(policy=AutoscalePolicy(max_scale=4), scale=3)
+    scaler = Autoscaler(max_scale=4, scale=3)
     scaler.observe(0, utilisation=0.1, queue_depth=0.0, shed_rate=0.0)
     assert scaler.scale == 2
     # ...but never through the floor.
@@ -164,21 +164,17 @@ def test_autoscaler_scales_down_when_idle():
     scaler.observe(3, utilisation=0.5, queue_depth=1.0, shed_rate=0.0)
     assert scaler.scale == 1 and len(scaler.events) == before
     # State round-trips exactly.
-    rebuilt = Autoscaler.from_state(scaler.policy, scaler.state_dict())
+    rebuilt = Autoscaler.from_state(scaler.max_scale, scaler.state_dict())
     assert rebuilt.state_dict() == scaler.state_dict()
 
 
 def test_autoscaler_validation():
-    with pytest.raises(ValueError, match="min_scale"):
-        AutoscalePolicy(min_scale=0)
-    with pytest.raises(ValueError, match="max_scale"):
-        AutoscalePolicy(min_scale=3, max_scale=2)
-    with pytest.raises(ValueError, match="step"):
-        AutoscalePolicy(step=0)
-    with pytest.raises(ValueError, match="utilisation"):
-        AutoscalePolicy(down_utilisation=0.9, up_utilisation=0.7)
     with pytest.raises(ValueError, match="scale"):
-        Autoscaler(policy=AutoscalePolicy(max_scale=2), scale=5)
+        Autoscaler(max_scale=2, scale=5)
+    with pytest.raises(ValueError, match="scale"):
+        Autoscaler(scale=0)
+    with pytest.raises(ValueError, match=r"max_scale \(--max-scale\)"):
+        ReplayConfig(max_scale=0)
 
 
 def test_scale_system_multiplies_arrays_and_slots():

@@ -71,7 +71,6 @@ class TestRuntime:
         result = runtime.run()
         assert runtime.pending == 0
         assert len(result.records) == 6
-        assert runtime.history == [result]
 
     def test_scheduler_selection_by_name(self, system):
         for name in ("ljf", "adaptive", "global"):
@@ -92,12 +91,14 @@ class TestRuntime:
             MLIMPRuntime(system, scheduler="magic")
 
     def test_multiple_runs_accumulate_history(self, system):
+        """Each run returns the result of the jobs queued since the last."""
         runtime = MLIMPRuntime(system)
         runtime.submit(job(0))
-        runtime.run()
+        first = runtime.run()
         runtime.submit(job(1))
-        runtime.run()
-        assert len(runtime.history) == 2
+        second = runtime.run()
+        assert set(first.records) == {"rt0"}
+        assert set(second.records) == {"rt1"}
 
 
 class _OneAtATimePolicy(DispatchPolicy):
@@ -165,8 +166,9 @@ class TestSchedulerInstanceReuse:
         scheduler = CountingScheduler()
         runtime = MLIMPRuntime(system, scheduler=scheduler)
         runtime.submit(job(0))
-        runtime.run()
+        first = runtime.run()
         runtime.submit(job(1))
-        runtime.run()
+        second = runtime.run()
         assert scheduler.plans == 2
-        assert len(runtime.history) == 2
+        assert set(first.records) == {"rt0"}
+        assert set(second.records) == {"rt1"}

@@ -234,14 +234,16 @@ def test_trace_arrivals_replay(tmp_path):
     assert arrivals[0].time == pytest.approx(0.0001)
 
 
-def test_trace_arrivals_from_entries_runs():
+def test_trace_arrivals_from_entries_runs(tmp_path):
     entries = [
         {"time": 0.00001 * i, "tenant": "a" if i % 2 else "b"}
         for i in range(10)
     ]
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(entries))
     runtime = ServingRuntime(full_system(), scheduler="adaptive")
     run = runtime.serve(
-        TraceArrivals.from_entries(entries, seed=2),
+        TraceArrivals(path=str(path), seed=2),
         tenants=[Tenant("a"), Tenant("b")],
         slo_s=0.01,
     )
@@ -268,13 +270,13 @@ def test_trace_arrivals_validates_entries(tmp_path):
     ],
 )
 def test_trace_entries_checked_on_both_paths(tmp_path, entries, needle):
-    """A file trace and an in-memory one pass the same check."""
+    """A trace is checked whether it is read or replayed."""
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(entries))
     with pytest.raises(ValueError, match=needle):
         TraceArrivals(path=str(path)).entries()
     with pytest.raises(ValueError, match=needle):
-        TraceArrivals.from_entries(entries)
+        TraceArrivals(path=str(path)).generate(lambda *a: None)
 
 
 # ======================================================================
@@ -420,35 +422,6 @@ def test_predictive_admission_improves_attainment_under_overload():
     assert "shed_predicted" in rendered
 
 
-def test_tenant_slo_overrides_run_slo():
-    """A tenant-level SLO both gates admission and scores attainment."""
-    tenants = [
-        Tenant("interactive", weight=4.0, queue_limit=32, slo_s=20e-6),
-        Tenant("batch", weight=2.0, queue_limit=32),
-        Tenant("besteffort", weight=1.0, queue_limit=8),
-    ]
-    run = serve_overloaded(
-        "adaptive", admission="predictive", tenants=tenants
-    )
-    stats = run.open_loop.tenant_stats()
-    # The tight per-tenant SLO rejects far more of that tenant's load
-    # than the run-level 100us SLO rejects of the others'.
-    strict_rate = stats["interactive"]["shed_predicted"] / max(
-        stats["interactive"]["offered"], 1
-    )
-    lax_rate = stats["batch"]["shed_predicted"] / max(
-        stats["batch"]["offered"], 1
-    )
-    assert strict_rate > lax_rate
-    payload = run.report.as_dict()
-    assert payload["tenants"]["interactive"]["slo_ms"] == pytest.approx(0.02)
-    assert "slo_ms" not in payload["tenants"]["batch"] or payload[
-        "tenants"
-    ]["batch"]["slo_ms"] == pytest.approx(run.report.slo_s * 1e3)
-    with pytest.raises(ValueError, match="slo_s"):
-        Tenant("bad", slo_s=0.0)
-
-
 def test_predictive_admission_bookkeeping():
     """Unit-level: outstanding work grows on admit, drains on release,
     and the accumulator re-anchors to zero when the system empties."""
@@ -491,3 +464,30 @@ def test_predictive_admission_bookkeeping():
             slo_s=0.01,
             admission="bogus",
         )
+
+
+def test_comparison_table_quantiles_are_nearest_rank(monkeypatch):
+    """The closed-vs-open table reads its open p50/p99 as nearest rank,
+    like every serving report: of 50 sojourns, p50 is the 25th value
+    (index 24) and p99 the largest (index 49, not 48)."""
+    from types import SimpleNamespace
+
+    from repro.harness import serving as comparison
+    from repro.harness.reporting import fmt_time
+
+    sojourns = {f"j{i}": ("batch", (i + 1) * 1e-6) for i in range(50)}
+    report = SimpleNamespace(
+        makespan=1e-3, slo_attainment=1.0, shed_rate=0.0, completed=50
+    )
+    open_run = SimpleNamespace(report=report, result=None, open_loop=None)
+    monkeypatch.setattr(
+        comparison,
+        "_run_pair",
+        lambda scheduler, faults=None: (SimpleNamespace(makespan=1e-3), open_run),
+    )
+    monkeypatch.setattr(
+        comparison, "completed_sojourns", lambda result, open_loop: sojourns
+    )
+    table = comparison._comparison_report("quantiles")
+    assert table.column("open p50") == [fmt_time(25e-6)] * 3
+    assert table.column("open p99") == [fmt_time(50e-6)] * 3

@@ -3,16 +3,17 @@
 import pytest
 
 from repro.sim import FlightColumns, Simulator
+from repro.sim.columnar import INITIAL_ROWS
 
 
 class TestFlightColumns:
     def test_acquire_hands_out_low_rows_first(self):
-        col = FlightColumns(capacity=4)
+        col = FlightColumns()
         assert [col.acquire() for _ in range(4)] == [0, 1, 2, 3]
-        assert col.in_flight == 4
+        assert len(col.free) == col.capacity - 4
 
     def test_release_recycles_and_clears_objects(self):
-        col = FlightColumns(capacity=2)
+        col = FlightColumns()
         row = col.acquire()
         col.job[row] = object()
         col.dispatch[row] = object()
@@ -20,26 +21,23 @@ class TestFlightColumns:
         col.release(row)
         assert col.job[row] is None
         assert col.dispatch[row] is None
-        assert col.in_flight == 0
+        assert len(col.free) == col.capacity
         assert col.acquire() == row
 
     def test_grow_doubles_and_preserves_live_rows(self):
-        col = FlightColumns(capacity=2)
-        a, b = col.acquire(), col.acquire()
+        col = FlightColumns()
+        rows = [col.acquire() for _ in range(INITIAL_ROWS)]
+        a, b = rows[0], rows[-1]
         col.t0[a] = 1.5
         col.attempt[b] = 7
         col.job[a] = "keep"
         c = col.acquire()  # triggers growth
-        assert col.capacity == 4
+        assert col.capacity == 2 * INITIAL_ROWS
         assert col.t0[a] == 1.5
         assert col.attempt[b] == 7
         assert col.job[a] == "keep"
-        assert c not in (a, b)
-        assert col.in_flight == 3
-
-    def test_rejects_zero_capacity(self):
-        with pytest.raises(ValueError):
-            FlightColumns(capacity=0)
+        assert c not in rows
+        assert len(col.free) == INITIAL_ROWS - 1
 
 
 class TestRowScheduling:

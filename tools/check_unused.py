@@ -40,7 +40,6 @@ _EXAMPLE = "used by examples/"
 _FIGURES = "the paper-figure checks under benchmarks/ read it"
 _ENDURANCE = "benchmarks/test_endurance_projection.py, the endurance extension"
 _INTERFACE = "part of an interface handed to user-written policies and schedulers"
-_OBSERVABLE = "the only accessor through which tests observe kept behaviour"
 
 #: Definitions kept although nothing in ``src/repro`` references them,
 #: each with its reason.  Keys are ``module.py::Qualified.name``
@@ -74,15 +73,8 @@ ALLOWED: dict[str, str] = {
     "faults/injector.py::FaultInjector.alive_kinds": _FAULT,
     "faults/injector.py::FaultInjector.dead_kinds": _FAULT,
     "memories/endurance.py::WearTracker.wearout_event": _FAULT,
-    # The exact branch-and-bound reference as a Scheduler (the optgap
-    # suite's replay check); interfaces for user-written policies.
-    "core/scheduler/exact.py::ExactScheduler": _INTERFACE,
+    # Interfaces for user-written policies.
     "core/scheduler/base.py::ResourceView.can_place": _INTERFACE,
-    # Accessors whose only readers are tests of kept behaviour.
-    "core/runtime.py::MLIMPRuntime.history": _OBSERVABLE,
-    "memories/allocator.py::Allocation.alus": _OBSERVABLE,
-    "serving/arrivals.py::TraceArrivals.from_entries": _OBSERVABLE,
-    "sim/columnar.py::FlightColumns.in_flight": _OBSERVABLE,
 }
 
 
